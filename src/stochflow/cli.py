@@ -206,11 +206,10 @@ def run_noise(cfg: dict) -> RunReport:
     report.verdicts.append(Verdict("wiener.w1_variance", 0.94 <= var <= 1.06, var, "[0.94, 1.06]"))
     report.tables["w1_samples.csv"] = _fmt_rows(("index", "w1"), list(enumerate(map(float, w1))))
 
-    sums = np.array([
-        [float(np.sum(increments(NoiseRealization(seed, i), 0, zero, one, level))),
-         float(np.sum(increments(NoiseRealization(seed, i), 0, one, two, level)))]
-        for i in range(min(n, 10_000))
-    ])
+    half = 1 << level  # increments over [0, 2], split at 1
+    incs = (increments(NoiseRealization(seed, i), 0, zero, two, level)
+            for i in range(min(n, 10_000)))
+    sums = np.array([[float(np.sum(inc[:half])), float(np.sum(inc[half:]))] for inc in incs])
     corr = float(np.corrcoef(sums[:, 0], sums[:, 1])[0, 1])
     report.verdicts.append(Verdict("wiener.disjoint_interval_corr", abs(corr) <= 0.05, corr, 0.05))
 

@@ -40,10 +40,14 @@ def extend_key(base: int, offset: int) -> int:
     return mix64(base ^ (offset & MASK64))
 
 
-def chain_offsets(base: int, offsets: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64(base ^ offset)`` over an integer array."""
+def chain_offsets(base, offsets) -> np.ndarray:
+    """Vectorized ``mix64(base ^ offset)``; bases and offsets broadcast.
+
+    ``base`` is one key or an array of keys, so ``chain(*parts, a, b)`` over
+    arrays ``a`` and ``b`` is ``chain_offsets(chain_offsets(chain(*parts), a), b)``.
+    """
     offs = np.asarray(offsets, dtype=np.int64).astype(np.uint64)
-    x = np.uint64(base) ^ offs
+    x = np.asarray(base, dtype=np.uint64) ^ offs
     x = x + np.uint64(_G1)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_G2)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_G3)

@@ -72,8 +72,13 @@ class EmpiricalMeasure:
         return self.weights @ self.particles
 
     def spread(self) -> float:
-        """Weighted rms distance from the mean."""
+        """Weighted rms distance from the mean.
+
+        Corrected two-pass form: the rounding error of the mean can exceed a
+        tiny spread, so the weighted mean of the residuals is removed again.
+        """
         centered = self.particles - self.mean()
+        centered -= self.weights @ centered
         return float(np.sqrt(self.weights @ np.sum(centered * centered, axis=1)))
 
 

@@ -5,7 +5,10 @@ time).  Unit-interval endpoint increments are keyed by their integer interval
 index, and interior dyadic points are filled in by midpoint displacement keyed
 by (interval, level, segment).  Because disjoint intervals use disjoint keys,
 increments over disjoint intervals are independent, and a query never touches
-keys outside the intervals it spans.
+keys outside the intervals it spans.  ``grid_values`` fills level by level
+across all unit intervals of a query at once; since a value is a pure
+function of its key, this gives the same bits as filling one interval at a
+time.
 
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
@@ -139,15 +142,10 @@ def _unit_base(omega: NoiseRealization, component: int) -> int:
     return chain(omega.master_seed, omega.realization_index, component, _TAG_UNIT)
 
 
-def _bridge_base(omega: NoiseRealization, component: int, interval: int, level: int) -> int:
-    return chain(
-        omega.master_seed,
-        omega.realization_index,
-        component,
-        _TAG_BRIDGE,
-        interval,
-        level,
-    )
+def _bridge_root(omega: NoiseRealization, component: int) -> int:
+    # The bridge key of (interval, level, segment) is
+    # chain(seed, realization, component, _TAG_BRIDGE, interval, level, segment).
+    return chain(omega.master_seed, omega.realization_index, component, _TAG_BRIDGE)
 
 
 def _unit_increments(omega: NoiseRealization, component: int, n0: int, n1: int) -> np.ndarray:
@@ -175,27 +173,6 @@ def _integer_values(omega: NoiseRealization, component: int, n0: int, n1: int) -
     return w[n0 - lo : n1 - lo + 1]
 
 
-def _bridge_fill(
-    omega: NoiseRealization,
-    component: int,
-    interval: int,
-    w_left: float,
-    w_right: float,
-    level: int,
-) -> np.ndarray:
-    """All level-grid values of W inside [interval, interval+1]."""
-    vals = np.array([w_left, w_right])
-    for lv in range(1, level + 1):
-        base = _bridge_base(omega, component, interval, lv)
-        z = gauss_from_keys(chain_offsets(base, np.arange(1 << (lv - 1))))
-        mids = _quantize((vals[:-1] + vals[1:]) * 0.5 + _bridge_scale(lv) * z)
-        merged = np.empty((1 << lv) + 1)
-        merged[0::2] = vals
-        merged[1::2] = mids
-        vals = merged
-    return vals
-
-
 def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     """Path value W(t).  W(0) = 0 exactly."""
     _check_component(omega, component)
@@ -208,9 +185,10 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     anchors = _integer_values(omega, component, n, n + 1)
     w_left, w_right = float(anchors[0]), float(anchors[1])
     p = t.numerator - (n << t.level)  # odd, in (0, 2**level)
+    interval_key = extend_key(_bridge_root(omega, component), n)
     seg = 0
     for lam in range(1, t.level + 1):
-        z = gauss_from_key(extend_key(_bridge_base(omega, component, n, lam), seg))
+        z = gauss_from_key(extend_key(extend_key(interval_key, lam), seg))
         wm = float(_quantize((w_left + w_right) * 0.5 + _bridge_scale(lam) * z))
         mid_p = (2 * seg + 1) << (t.level - lam)
         if p == mid_p:
@@ -241,11 +219,18 @@ def grid_values(
     if n1 == n0:  # s == t on an integer
         return _integer_values(omega, component, n0, n0)
     anchors = _integer_values(omega, component, n0, n1)
-    pieces = []
-    for j, n in enumerate(range(n0, n1)):
-        fill = _bridge_fill(omega, component, n, float(anchors[j]), float(anchors[j + 1]), level)
-        pieces.append(fill[:-1] if n < n1 - 1 else fill)
-    full = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    interval_keys = chain_offsets(_bridge_root(omega, component), np.arange(n0, n1))
+    # Row j holds the level-lv grid of unit interval n0 + j, both ends included.
+    vals = np.stack([anchors[:-1], anchors[1:]], axis=1)
+    for lv in range(1, level + 1):
+        level_keys = chain_offsets(interval_keys, lv)[:, None]
+        z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
+        mids = _quantize((vals[:, :-1] + vals[:, 1:]) * 0.5 + _bridge_scale(lv) * z)
+        merged = np.empty((n1 - n0, (1 << lv) + 1))
+        merged[:, 0::2] = vals
+        merged[:, 1::2] = mids
+        vals = merged
+    full = np.append(vals[:, :-1].ravel(), vals[-1, -1])
     off = i0 - (n0 << level)
     return full[off : off + (i1 - i0) + 1]
 

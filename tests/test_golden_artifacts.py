@@ -1,0 +1,75 @@
+"""Golden SHA-256 digests of every artifact of small CLI runs.
+
+The digests pin the exact bytes that ``noise``, ``esm-verify`` and
+``pullback`` write at tiny sizes.  A change to the path store, the keyed
+hashing or a runner that alters any stored bit shows here as a digest
+mismatch.  To print the digests of the current code:
+
+    PYTHONPATH=src python tests/test_golden_artifacts.py
+"""
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+from stochflow.cli import main
+
+CONFIGS = {
+    "noise": "kind = noise\nseed = 11\nensemble = 100\nintervals = 50\n",
+    "esm-verify": "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
+    "pullback": "kind = pullback\nseed = 13\nparticles = 4096\n",
+}
+
+# kind -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
+# statistical checks fail; only the bytes matter here.
+GOLDEN = {
+    "esm-verify": (1, {
+        "pullback_points.csv": "7b034af6fbd71439d8e80cf97292206f4f3bdeec9e72241d09d9d876336d9377",
+        "summary.json": "0981966b4b32c992dce1f81004a2046eb0ef2fcc55cad1ab5a19d6827a5f56d6",
+    }),
+    "noise": (1, {
+        "summary.json": "b36c46b50c8225bfdcc0b693d8cc59e62118e20fb0e6256a2dee7cd1ca2fbde5",
+        "w1_samples.csv": "cdf7a6144d52dfdab342378cdfbca7085716593276a796a5e3b8b063721a63a2",
+    }),
+    "pullback": (0, {
+        "distances.csv": "d203f1ca3e04cd2c369d9ee86604dc2cc49703e2f018801579b7fdfaeb79139f",
+        "measure.tsv": "9e58537fe1f489335ed7a1251bf01aa0702b2cb3d29a7e07bcc5eccbf3f481d8",
+        # holds the esm.spread_contraction value of the two-pass spread
+        "summary.json": "a3a1b40ac2cf8cb75afe58026f619b9d107c1af7934ce0af3f45eccf1aebd000",
+    }),
+}
+
+
+def artifact_digests(kind, tmp_dir):
+    cfg_path = os.path.join(tmp_dir, f"{kind}.cfg")
+    out_dir = os.path.join(tmp_dir, kind)
+    with open(cfg_path, "w") as fh:
+        fh.write(CONFIGS[kind])
+    code = main(["--config", cfg_path, "--out", out_dir])
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return code, digests
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_artifacts_match_golden_digests(kind, tmp_path, capsys):
+    code, digests = artifact_digests(kind, str(tmp_path))
+    want_code, want = GOLDEN[kind]
+    assert code == want_code
+    assert digests == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in sorted(CONFIGS):
+            code, digests = artifact_digests(kind, tmp)
+            print(f"    {kind!r}: ({code}, {{", file=sys.stderr)
+            for name, digest in digests.items():
+                print(f"        {name!r}: {digest!r},", file=sys.stderr)
+            print("    }),", file=sys.stderr)

@@ -177,3 +177,14 @@ def test_energy_distance_matches_gaussian_closed_form():
     assert distance(a, b) == pytest.approx(exact, abs=0.02)
     same = gaussian_energy_distance(0.0, 1.0, 0.0, 1.0)
     assert same == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("centre", [0.7, 1.0, 1.9])
+def test_spread_resolves_tiny_spread_far_from_origin(centre):
+    # The rounding error of a mean of 2^18 values near 1 can exceed a 1e-14
+    # spread; the residuals x - centre are exact, so np.std of them is the truth.
+    z = gaussian_draw(0.0, 1.0, 1 << 18, salt=3).particles[:, 0]
+    x = centre + 1e-14 * z
+    want = float(np.std(x - centre))
+    got = EmpiricalMeasure.equal_weight(x[:, None]).spread()
+    assert got == pytest.approx(want, rel=1e-3, abs=0.0)

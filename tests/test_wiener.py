@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import OrderingError, ResolutionError
+from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys
 from stochflow.wiener import (
+    _TAG_BRIDGE,
+    _bridge_scale,
+    _integer_values,
+    _quantize,
     NoiseRealization,
     OUConfig,
     RealizationStream,
@@ -82,6 +87,78 @@ def test_grid_values_match_pointwise_queries():
     g = grid_values(OM, 1, dyadic(-1), dyadic(1), 5)
     for k in range(-32, 33):
         assert wiener_at(OM, 1, DyadicTime(k, 5)) == g[k + 32]
+
+
+def _reference_bridge_fill(omega, component, interval, w_left, w_right, level):
+    """Per-interval midpoint displacement with scalar bridge keys."""
+    vals = np.array([w_left, w_right])
+    for lv in range(1, level + 1):
+        base = chain(omega.master_seed, omega.realization_index, component,
+                     _TAG_BRIDGE, interval, lv)
+        z = gauss_from_keys(chain_offsets(base, np.arange(1 << (lv - 1))))
+        mids = _quantize((vals[:-1] + vals[1:]) * 0.5 + _bridge_scale(lv) * z)
+        merged = np.empty((1 << lv) + 1)
+        merged[0::2] = vals
+        merged[1::2] = mids
+        vals = merged
+    return vals
+
+
+def _reference_grid_values(omega, component, s, t, level):
+    """grid_values as one bridge fill per unit interval, stitched together."""
+    i0, i1 = s.at_level(level), t.at_level(level)
+    n0, n1 = i0 >> level, -((-i1) >> level)
+    if level == 0 or n1 == n0:
+        return _integer_values(omega, component, i0 >> level, i1 >> level)
+    anchors = _integer_values(omega, component, n0, n1)
+    pieces = []
+    for j, n in enumerate(range(n0, n1)):
+        fill = _reference_bridge_fill(omega, component, n, float(anchors[j]),
+                                      float(anchors[j + 1]), level)
+        pieces.append(fill[:-1] if n < n1 - 1 else fill)
+    full = np.concatenate(pieces)
+    off = i0 - (n0 << level)
+    return full[off : off + (i1 - i0) + 1]
+
+
+@given(
+    st.integers(0, 2**40),
+    st.integers(0, 5),
+    st.integers(0, 1),
+    st.integers(0, 9),
+    st.integers(-1500, 1500),
+    st.integers(0, 1500),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_values_bitwise_equal_to_per_interval_fill(seed, real, comp, lev, start, span,
+                                                        surgery):
+    omega = NoiseRealization(seed, real, num_components=2)
+    s = DyadicTime(start, lev)
+    t = DyadicTime(start + span, lev)
+    if surgery:
+        omega = omega.with_unit_surgery(comp, (start >> lev) + 1, 0.375)
+    got = grid_values(omega, comp, s, t, lev)
+    want = _reference_grid_values(omega, comp, s, t, lev)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_broadcast_chain_offsets_matches_scalar_chain(bases, offsets):
+    got = chain_offsets(np.array(bases, dtype=np.uint64)[:, None], np.array(offsets))
+    assert got.shape == (len(bases), len(offsets))
+    for i, base in enumerate(bases):
+        for j, off in enumerate(offsets):
+            assert int(got[i, j]) == extend_key(base, off)
+    # two broadcast rounds reproduce a scalar chain over the same parts
+    offs = np.array(offsets)
+    twice = chain_offsets(chain_offsets(chain(7, 8), offs)[:, None], offs)
+    for i, a in enumerate(offsets):
+        for j, b in enumerate(offsets):
+            assert int(twice[i, j]) == chain(7, 8, a, b)
 
 
 def test_w1_sample_variance():
