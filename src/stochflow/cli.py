@@ -21,7 +21,7 @@ import numpy as np
 
 from . import esm, finite_oracle as fo, measure as ms
 from .dyadic import DyadicTime, dyadic
-from .errors import StochFlowError
+from .errors import ConfigError, StochFlowError
 from .flow_core import ScalarExpFlow
 from .keyed import chain, chain_offsets
 from .models import nse as nse_mod
@@ -433,8 +433,26 @@ def run_counterexamples(cfg: dict) -> RunReport:
     return report
 
 
+def _nse_sizes(cfg: dict) -> tuple:
+    """``steps`` and the ascending ``lookbacks``, all positive integers."""
+    steps = cfg.get("steps", 128)
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ConfigError(f"'steps' must be a positive integer, got {steps!r}")
+    lookbacks = cfg.get("lookbacks", "8,16,32")
+    try:
+        lbs = sorted(int(x) for x in str(lookbacks).split(","))
+        if lbs[0] < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(
+            f"'lookbacks' must be comma-separated positive integers, got {lookbacks!r}"
+        ) from None
+    return steps, tuple(lbs)
+
+
 def run_nse(cfg: dict) -> RunReport:
     seed = cfg["seed"]
+    steps, lbs = _nse_sizes(cfg)
     report = RunReport("nse", cfg)
     res = cfg.get("resolution", 16)
     nse_cfg = default_nse_config(
@@ -465,7 +483,6 @@ def run_nse(cfg: dict) -> RunReport:
     report.verdicts.append(Verdict("models.taylor_green_advection_vanishes",
                                    tg_resid <= 1e-10, tg_resid, 1e-10))
 
-    steps = cfg.get("steps", 128)
     t0 = dyadic(0)
     t1 = DyadicTime(steps, nse_cfg.level)
     u_t, trace = model.evolve_trace(omega, t0, t1, nse_mod.taylor_green(res, 1.0))
@@ -487,8 +504,6 @@ def run_nse(cfg: dict) -> RunReport:
         ("time", "v_h_sq", "v_v_sq", "z_abs_sum", "lhs", "g_surrogate", "slack"), rows
     )
 
-    lookbacks = cfg.get("lookbacks", "8,16,32")
-    lbs = tuple(int(x) for x in str(lookbacks).split(","))
     absorb = nse_mod.absorbing_radius_experiment(model, omega, dyadic(0), lookbacks=lbs)
     deepest = lbs[-1]
     report.verdicts.append(Verdict("models.absorbing_radius_agreement",

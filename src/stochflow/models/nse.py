@@ -13,6 +13,15 @@ stiff linear part, explicit advection, forcing and noise-average source), and
 adds back z(t_{k+1}).  All per-step quantities are pure functions of the step
 time and the noise handle, so running a span in aligned pieces reproduces the
 direct run bit-for-bit.
+
+Shape convention: a velocity field is a complex (2, n, n) array, and the
+spectral operators (``leray_project``, ``bilinear_b``, the stepping, the trace
+and ``estimate_beta``) also take a stack (..., 2, n, n) with leading row axes,
+so that one FFT call serves every row.  Each row of a stack gets exactly the
+bits it would get alone: elementwise operations and the batched 2D FFTs act
+row by row, and every reduction (``norm_h_sq``, ``norm_v_sq``, the divergence
+guard) is still made by one call per row, because a sum along an axis of a
+stack may add in a different order.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ class SpectralGrid:
         self.kx = k[:, None]
         self.ky = k[None, :]
         self.ksq = self.kx**2 + self.ky**2
+        self.kvec = np.stack(np.broadcast_arrays(self.kx, self.ky))
         inv = np.zeros_like(self.ksq)
         nz = self.ksq > 0
         inv[nz] = 1.0 / self.ksq[nz]
@@ -72,31 +82,37 @@ def to_spec(phys: np.ndarray) -> np.ndarray:
     return np.fft.fft2(phys, axes=(-2, -1)) / (n * n)
 
 
+@lru_cache(maxsize=8)
+def _negated_index(n: int) -> np.ndarray:
+    return (-np.arange(n)) % n
+
+
+def _conj_reflect(spec: np.ndarray) -> np.ndarray:
+    """conj(c[-k]) at every wavevector k, for the last two axes."""
+    neg = _negated_index(spec.shape[-1])
+    return np.conj(spec.take(neg, axis=-2).take(neg, axis=-1))
+
+
 def symmetrize(spec: np.ndarray) -> np.ndarray:
     """Project onto exactly conjugate-symmetric (real-field) coefficients."""
-    flipped = np.conj(np.roll(np.flip(spec, axis=(-2, -1)), shift=(1, 1), axis=(-2, -1)))
-    return (spec + flipped) * 0.5
+    return (spec + _conj_reflect(spec)) * 0.5
 
 
 def leray_project(field: np.ndarray) -> np.ndarray:
     """Remove the component parallel to the wavevector (idempotent)."""
     g = grid_for(field.shape[-1])
-    kdot = g.kx * field[0] + g.ky * field[1]
+    kdot = g.kx * field[..., 0, :, :] + g.ky * field[..., 1, :, :]
     coef = kdot * g.inv_ksq
-    out = np.stack([field[0] - g.kx * coef, field[1] - g.ky * coef])
-    out[:, 0, 0] = field[:, 0, 0]
-    return out
-
-
-def zero_mean(field: np.ndarray) -> np.ndarray:
-    out = field.copy()
-    out[..., 0, 0] = 0.0
+    out = field - g.kvec * coef[..., None, :, :]
+    out[..., 0, 0] = field[..., 0, 0]
     return out
 
 
 def _finalize(field: np.ndarray) -> np.ndarray:
     g = grid_for(field.shape[-1])
-    return zero_mean(symmetrize(leray_project(field * g.dealias)))
+    out = symmetrize(leray_project(field * g.dealias))
+    out[..., 0, 0] = 0.0
+    return out
 
 
 def bilinear_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -106,10 +122,8 @@ def bilinear_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     g = grid_for(u.shape[-1])
     um = u * g.dealias
     vm = v * g.dealias
-    u_ph = to_phys(um)
-    dvx = to_phys(1j * g.kx * vm)
-    dvy = to_phys(1j * g.ky * vm)
-    w = u_ph[0][None, :, :] * dvx + u_ph[1][None, :, :] * dvy
+    u_ph, dvx, dvy = to_phys(np.stack([um, 1j * g.kx * vm, 1j * g.ky * vm]))
+    w = u_ph[..., :1, :, :] * dvx + u_ph[..., 1:, :, :] * dvy
     return _finalize(to_spec(w))
 
 
@@ -132,8 +146,7 @@ def divergence_residual(u: np.ndarray) -> float:
 
 
 def reality_residual(u: np.ndarray) -> float:
-    flipped = np.conj(np.roll(np.flip(u, axis=(-2, -1)), shift=(1, 1), axis=(-2, -1)))
-    return float(np.max(np.abs(u - flipped)))
+    return float(np.max(np.abs(u - _conj_reflect(u))))
 
 
 def check_field(u: np.ndarray, rel_tol: float = 1e-10):
@@ -260,9 +273,7 @@ class NSEModel(FlowModelBase):
     @property
     def beta_hat(self) -> float:
         if self._beta_hat is None:
-            self._beta_hat = float(
-                sum(estimate_beta(phi) for phi in self.cfg.noise_modes)
-            )
+            self._beta_hat = float(sum(estimate_beta(self.phi)))
         return self._beta_hat
 
     def z_values(self, omega, s: DyadicTime, t: DyadicTime) -> np.ndarray:
@@ -283,6 +294,7 @@ class NSEModel(FlowModelBase):
         return float(self.cfg.forcing_series(tval)) * self.cfg.forcing_field
 
     def _advance(self, u: np.ndarray, zvals: np.ndarray, i0: int, record=None) -> np.ndarray:
+        """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``."""
         h = self.cfg.step
         n_steps = zvals.shape[0] - 1
         z_now = self._z_field(zvals[0])
@@ -294,8 +306,11 @@ class NSEModel(FlowModelBase):
             rhs = -bilinear_b(u, u) + self._forcing_at(tk) + self.source_coef * z_now
             v = (v + h * rhs) * self.inv_denom
             z_now = self._z_field(zvals[k + 1])
-            u = zero_mean((v + z_now) * self.grid.dealias)
-            if not np.all(np.isfinite(u.view(float))) or norm_h_sq(u) > self.cfg.guard:
+            u = (v + z_now) * self.grid.dealias
+            u[..., 0, 0] = 0.0
+            if not np.all(np.isfinite(u.view(float))) or any(
+                norm_h_sq(row) > self.cfg.guard for row in u
+            ):
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
             record(n_steps, u, u - z_now, zvals[n_steps], z_now)
@@ -307,46 +322,50 @@ class NSEModel(FlowModelBase):
         if s == t:
             return u.copy()
         zvals = self.z_values(omega, s, t)
-        return self._advance(u.copy(), zvals, s.at_level(self.grid_level))
+        return self._advance(u[None], zvals, s.at_level(self.grid_level))[0]
 
     def evolve_batch(self, omega, s, t, states):
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if s == t:
             return states.copy()
         zvals = self.z_values(omega, s, t)
-        i0 = s.at_level(self.grid_level)
-        out = np.empty_like(states)
-        for row in range(states.shape[0]):
-            u = self.unpack(states[row])
-            out[row] = self.pack(self._advance(u, zvals, i0))
-        return out
+        n = self.cfg.resolution
+        u = np.ascontiguousarray(states).view(complex).reshape(-1, 2, n, n)
+        out = self._advance(u, zvals, s.at_level(self.grid_level))
+        return out.view(float).reshape(states.shape)
 
     def evolve_trace(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray):
         """Evolve while recording the per-step norm series used by the energy
-        diagnostics; returns (u_t, NSETrace)."""
+        diagnostics.  Returns (u_t, NSETrace) for one field (2, n, n), and
+        (u_t, [NSETrace per row]) for a stack (rows, 2, n, n)."""
+        stack = u[None] if u.ndim == 3 else u
+        rows = stack.shape[0]
         zvals = self.z_values(omega, s, t)
         i0 = s.at_level(self.grid_level)
         h = self.cfg.step
         n_pts = zvals.shape[0]
         times = (np.arange(n_pts) + i0) * h
-        tr = {
-            "v_h_sq": np.empty(n_pts),
-            "v_v_sq": np.empty(n_pts),
-            "u_h_sq": np.empty(n_pts),
-            "z_abs_sum": np.empty(n_pts),
-            "z_v_norm": np.empty(n_pts),
-        }
+        v_h_sq, v_v_sq, u_h_sq = np.empty((3, rows, n_pts))
+        z_abs_sum = np.empty(n_pts)
+        z_v_norm = np.empty(n_pts)
 
         def record(k, u_k, v_k, zrow, z_field):
-            tr["v_h_sq"][k] = norm_h_sq(v_k)
-            tr["v_v_sq"][k] = norm_v_sq(v_k)
-            tr["u_h_sq"][k] = norm_h_sq(u_k)
-            tr["z_abs_sum"][k] = float(np.sum(np.abs(zrow)))
-            tr["z_v_norm"][k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
+            for r in range(rows):
+                v_h_sq[r, k] = norm_h_sq(v_k[r])
+                v_v_sq[r, k] = norm_v_sq(v_k[r])
+                u_h_sq[r, k] = norm_h_sq(u_k[r])
+            z_abs_sum[k] = float(np.sum(np.abs(zrow)))
+            z_v_norm[k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
 
-        u_t = self._advance(u.copy(), zvals, i0, record=record)
-        trace = NSETrace(level=self.grid_level, times=times, **tr)
-        return u_t, trace
+        u_t = self._advance(stack, zvals, i0, record=record)
+        traces = [
+            NSETrace(level=self.grid_level, times=times, v_h_sq=v_h_sq[r], v_v_sq=v_v_sq[r],
+                     u_h_sq=u_h_sq[r], z_abs_sum=z_abs_sum, z_v_norm=z_v_norm)
+            for r in range(rows)
+        ]
+        if u.ndim == 3:
+            return u_t[0], traces[0]
+        return u_t, traces
 
 
 # -- energy diagnostics --------------------------------------------------------
@@ -432,13 +451,11 @@ def absorbing_radius_experiment(
     base = base / math.sqrt(norm_h_sq(base))
     radii = {}
     gaps = {}
+    starts = np.stack([mag * base for mag in magnitudes])
     for lb in lookbacks:
-        s = t - int(lb)
-        rs = []
-        for mag in magnitudes:
-            _, trace = model.evolve_trace(omega, s, t, mag * base)
-            diag = energy_diagnostics(model.cfg, trace, model.beta_hat)
-            rs.append(diag.absorbing_radius(window))
+        _, traces = model.evolve_trace(omega, t - int(lb), t, starts)
+        rs = [energy_diagnostics(model.cfg, trace, model.beta_hat).absorbing_radius(window)
+              for trace in traces]
         radii[lb] = rs
         gaps[lb] = (max(rs) - min(rs)) / max(max(rs), 1e-300)
     t_star = next((lb for lb in lookbacks if gaps[lb] <= 0.05), None)
@@ -447,70 +464,77 @@ def absorbing_radius_experiment(
 
 # -- noise intensity bound -----------------------------------------------------
 
+def _apply_sym(u: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """Symmetrized advection against phi, 0.5 * (A + A^T) u, on a stack of
+    rows (m, 2, n, n); ``dphi[r, a, b]`` is the physical d phi_a / d x_b of
+    row r.  The forward and adjoint products share one inverse and one
+    forward transform."""
+    uph = to_phys(u)
+    u0, u1 = uph[:, :1], uph[:, 1:]
+    fwd = u0 * dphi[:, :, 0] + u1 * dphi[:, :, 1]
+    adj = u0 * dphi[:, 0] + u1 * dphi[:, 1]
+    both = _finalize(to_spec(np.stack([fwd, adj])))
+    return 0.5 * (both[0] + both[1])
+
+
 def estimate_beta(
     phi: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 2000,
     seed: int = 7,
-) -> float:
+):
     """Numerical sup of |<B(u, phi), u>| / |u|^2 over the truncated space.
 
     Power iteration on the square of the symmetrized advection-against-phi
-    operator; robust to a sign-symmetric extreme spectrum.
+    operator; robust to a sign-symmetric extreme spectrum.  ``phi`` is one
+    mode (2, n, n), giving a float, or a stack (m, 2, n, n), giving an array
+    of m values.  The rows of a stack share each transform call, but each
+    settles at its own iteration and gets the bits it would get alone; a zero
+    row gives 0.0.
     """
-    n = phi.shape[-1]
+    phis = phi[None] if phi.ndim == 3 else phi
+    n = phis.shape[-1]
     g = grid_for(n)
-    phim = phi * g.dealias
-    if float(np.max(np.abs(phim))) == 0.0:
-        return 0.0
-    # d_phi[a][b] = physical field of d phi_a / d x_b
-    dphi = [
-        [to_phys(1j * g.kx * phim[a]), to_phys(1j * g.ky * phim[a])]
-        for a in range(2)
-    ]
-
-    def apply_fwd(u):
-        uph = to_phys(u)
-        w = np.stack(
-            [uph[0] * dphi[a][0] + uph[1] * dphi[a][1] for a in range(2)]
-        )
-        return _finalize(to_spec(w))
-
-    def apply_adj(v):
-        vph = to_phys(v)
-        w = np.stack(
-            [vph[0] * dphi[0][b] + vph[1] * dphi[1][b] for b in range(2)]
-        )
-        return _finalize(to_spec(w))
-
-    def apply_sym(u):
-        return 0.5 * (apply_fwd(u) + apply_adj(u))
-
+    phim = phis * g.dealias
+    betas = np.zeros(len(phim))
+    rows = np.flatnonzero([float(np.max(np.abs(p))) != 0.0 for p in phim])
+    pm = phim[rows]
+    dphi = to_phys(np.stack([1j * g.kx * pm, 1j * g.ky * pm], axis=-3))
     u = random_divfree(n, seed)
     nrm = math.sqrt(norm_h_sq(u))
     if nrm == 0.0:
         raise IterationError("empty start vector for the power iteration")
-    u = u / nrm
-    beta_prev = None
-    hits = 0
+    u = np.repeat((u / nrm)[None], rows.size, axis=0)
+    beta_prev = np.full(rows.size, np.nan)
+    hits = np.zeros(rows.size, dtype=int)
     for _ in range(max_iter):
-        su = apply_sym(u)
-        beta = math.sqrt(norm_h_sq(su))
-        if beta == 0.0:
-            return 0.0
-        s2 = apply_sym(su)
-        n2 = math.sqrt(norm_h_sq(s2))
-        if n2 == 0.0:
-            return beta
-        u = s2 / n2
-        if beta_prev is not None and abs(beta - beta_prev) <= tol * max(beta, 1e-300):
-            hits += 1
-            if hits >= 2:
-                return beta
-        else:
-            hits = 0
-        beta_prev = beta
-    raise IterationError(f"power iteration did not settle in {max_iter} steps")
+        if not rows.size:
+            break
+        su = _apply_sym(u, dphi)
+        s2 = _apply_sym(su, dphi)
+        going = np.ones(rows.size, dtype=bool)
+        for i in range(rows.size):
+            beta = math.sqrt(norm_h_sq(su[i]))
+            # beta == 0 settles at 0.0, a null second application at beta
+            n2 = math.sqrt(norm_h_sq(s2[i])) if beta != 0.0 else 0.0
+            if n2 == 0.0:
+                betas[rows[i]] = beta
+                going[i] = False
+                continue
+            u[i] = s2[i] / n2
+            if abs(beta - beta_prev[i]) <= tol * max(beta, 1e-300):
+                hits[i] += 1
+                if hits[i] >= 2:
+                    betas[rows[i]] = beta
+                    going[i] = False
+                    continue
+            else:
+                hits[i] = 0
+            beta_prev[i] = beta
+        rows, u, dphi, beta_prev, hits = (a[going] for a in (rows, u, dphi, beta_prev, hits))
+    if rows.size:
+        raise IterationError(f"power iteration did not settle in {max_iter} steps")
+    return float(betas[0]) if phi.ndim == 3 else betas
 
 
 # -- snapshots ------------------------------------------------------------------

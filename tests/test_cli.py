@@ -115,3 +115,36 @@ def test_parallel_jobs_merge_deterministically(tmp_path):
     assert main(["--config", path, "--out", out_b, "--jobs", "2"]) in (0, 1)
     assert filecmp.cmp(os.path.join(out_a, "w1_samples.csv"),
                        os.path.join(out_b, "w1_samples.csv"), shallow=False)
+
+
+def test_nse_lookback_order_does_not_change_verdicts():
+    # lookback 32 settles (gap 2.6e-4), lookback 8 does not (gap 0.31): the
+    # check must read the deepest start and t_star the shallowest that settles,
+    # whatever order the config lists them in
+    base = {"kind": "nse", "seed": 21, "resolution": 8, "level": 5, "steps": 8}
+    up = run_experiment({**base, "lookbacks": "8,16,32"})
+    down = run_experiment({**base, "lookbacks": "32,16,8"})
+    verdicts = [[(v.name, v.passed, v.value, v.threshold, v.note) for v in rep.verdicts]
+                for rep in (up, down)]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][-1][1] is True
+    assert verdicts[0][-1][-1] == "t_star=16"
+    assert up.tables["absorbing.csv"] == down.tables["absorbing.csv"]
+
+
+@pytest.mark.parametrize("line, key", [
+    ("lookbacks = 8,x", "lookbacks"),
+    ("lookbacks = 0", "lookbacks"),
+    ("lookbacks = 8,-4", "lookbacks"),
+    ("lookbacks = 8.5", "lookbacks"),
+    ("steps = 0", "steps"),
+    ("steps = 2.5", "steps"),
+])
+def test_bad_nse_sizes_exit_2(tmp_path, capsys, line, key):
+    path = _write(tmp_path, "nse.cfg", f"kind = nse\nseed = 1\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and line.split("= ")[1] in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()

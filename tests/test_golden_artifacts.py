@@ -1,9 +1,10 @@
 """Golden SHA-256 digests of every artifact of small CLI runs.
 
-The digests pin the exact bytes that ``noise``, ``esm-verify`` and
-``pullback`` write at tiny sizes.  A change to the path store, the keyed
-hashing or a runner that alters any stored bit shows here as a digest
-mismatch.  To print the digests of the current code:
+The digests pin the exact bytes that ``noise``, ``esm-verify``,
+``pullback`` and ``nse`` write at tiny sizes.  A change to the path store,
+the keyed hashing, the spectral model or a runner that alters any stored
+bit shows here as a digest mismatch.  To print the digests of the current
+code:
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
 """
@@ -20,6 +21,7 @@ CONFIGS = {
     "noise": "kind = noise\nseed = 11\nensemble = 100\nintervals = 50\n",
     "esm-verify": "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
     "pullback": "kind = pullback\nseed = 13\nparticles = 4096\n",
+    "nse": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\n",
 }
 
 # kind -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
@@ -32,6 +34,11 @@ GOLDEN = {
     "noise": (1, {
         "summary.json": "b36c46b50c8225bfdcc0b693d8cc59e62118e20fb0e6256a2dee7cd1ca2fbde5",
         "w1_samples.csv": "cdf7a6144d52dfdab342378cdfbca7085716593276a796a5e3b8b063721a63a2",
+    }),
+    "nse": (1, {
+        "absorbing.csv": "e0a5df968b277d8c6930e3a3c761a0de24b046d08cee2cf9f1e502893eb37233",
+        "energy.csv": "03b98ad9ae927874790912d07184512961d81e261304ff4819535d17f48b7c3a",
+        "summary.json": "16cf9450cc3564f49b03356766891d15b37b51b9698500461d2b118cd9daa599",
     }),
     "pullback": (0, {
         "distances.csv": "d203f1ca3e04cd2c369d9ee86604dc2cc49703e2f018801579b7fdfaeb79139f",

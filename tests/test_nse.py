@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,133 @@ def test_state_packing_roundtrip():
     model = _model()
     u = random_divfree(16, 60)
     assert np.array_equal(model.unpack(model.pack(u)), u)
+
+
+# -- batched rows against single fields ------------------------------------------
+
+def test_leray_and_bilinear_stack_match_single_fields():
+    for n in (8, 16):
+        u = np.stack([random_divfree(n, s) for s in (70, 71, 72)])
+        v = np.stack([random_divfree(n, s) for s in (73, 74, 75)])
+        raw = np.stack([u[:, 0], v[:, 1]], axis=1)
+        projected = leray_project(raw)
+        batched = bilinear_b(u, v)
+        deep = bilinear_b(np.stack([u, v]), np.stack([v, u]))
+        for r in range(3):
+            assert np.array_equal(projected[r], leray_project(raw[r]))
+            assert np.array_equal(batched[r], bilinear_b(u[r], v[r]))
+            assert np.array_equal(deep[0, r], bilinear_b(u[r], v[r]))
+            assert np.array_equal(deep[1, r], bilinear_b(v[r], u[r]))
+
+
+def test_evolve_batch_rows_match_evolve_field():
+    model = _model()
+    fields = [taylor_green(16, 0.5), 0.3 * random_divfree(16, 80), shear_mode(16, 2.0)]
+    states = np.stack([model.pack(f) for f in fields])
+    s, t = DyadicTime(-5, 5), DyadicTime(11, 5)
+    out = model.evolve_batch(OM, s, t, states)
+    assert out.shape == states.shape
+    for row, f in zip(out, fields):
+        assert np.array_equal(model.unpack(row), model.evolve_field(OM, s, t, f))
+
+
+def test_batched_evolve_trace_matches_single_traces():
+    model = _model()
+    base = random_divfree(16, 81)
+    base = base / np.sqrt(nm.norm_h_sq(base))
+    starts = np.stack([base, 10.0 * base, taylor_green(16, 1.0)])
+    s, t = dyadic(-1), dyadic(1)
+    u_t, traces = model.evolve_trace(OM, s, t, starts)
+    assert len(traces) == len(starts)
+    for r, start in enumerate(starts):
+        u_one, one = model.evolve_trace(OM, s, t, start)
+        assert np.array_equal(u_t[r], u_one)
+        assert traces[r].level == one.level
+        for name in ("times", "v_h_sq", "v_v_sq", "u_h_sq", "z_abs_sum", "z_v_norm"):
+            assert np.array_equal(getattr(traces[r], name), getattr(one, name)), name
+
+
+def _old_finalize(field):
+    """Single-field projection chain: Leray projection by component,
+    flip-and-roll symmetrization, zeroed mean."""
+    g = nm.grid_for(field.shape[-1])
+    field = field * g.dealias
+    coef = (g.kx * field[0] + g.ky * field[1]) * g.inv_ksq
+    out = np.stack([field[0] - g.kx * coef, field[1] - g.ky * coef])
+    out[:, 0, 0] = field[:, 0, 0]
+    flipped = np.conj(np.roll(np.flip(out, axis=(-2, -1)), shift=(1, 1), axis=(-2, -1)))
+    out = (out + flipped) * 0.5
+    out[..., 0, 0] = 0.0
+    return out
+
+
+def _old_estimate_beta(phi, tol=1e-12, max_iter=2000, seed=7):
+    """Reference oracle: one mode at a time, with separate forward and
+    adjoint products that each transform u."""
+    n = phi.shape[-1]
+    g = nm.grid_for(n)
+    phim = phi * g.dealias
+    if float(np.max(np.abs(phim))) == 0.0:
+        return 0.0
+    dphi = [[nm.to_phys(1j * g.kx * phim[a]), nm.to_phys(1j * g.ky * phim[a])]
+            for a in range(2)]
+
+    def apply_fwd(u):
+        uph = nm.to_phys(u)
+        w = np.stack([uph[0] * dphi[a][0] + uph[1] * dphi[a][1] for a in range(2)])
+        return _old_finalize(nm.to_spec(w))
+
+    def apply_adj(v):
+        vph = nm.to_phys(v)
+        w = np.stack([vph[0] * dphi[0][b] + vph[1] * dphi[1][b] for b in range(2)])
+        return _old_finalize(nm.to_spec(w))
+
+    def apply_sym(u):
+        return 0.5 * (apply_fwd(u) + apply_adj(u))
+
+    u = random_divfree(n, seed)
+    u = u / math.sqrt(nm.norm_h_sq(u))
+    beta_prev = None
+    hits = 0
+    for _ in range(max_iter):
+        su = apply_sym(u)
+        beta = math.sqrt(nm.norm_h_sq(su))
+        if beta == 0.0:
+            return 0.0
+        s2 = apply_sym(su)
+        n2 = math.sqrt(nm.norm_h_sq(s2))
+        if n2 == 0.0:
+            return beta
+        u = s2 / n2
+        if beta_prev is not None and abs(beta - beta_prev) <= tol * max(beta, 1e-300):
+            hits += 1
+            if hits >= 2:
+                return beta
+        else:
+            hits = 0
+        beta_prev = beta
+    raise AssertionError("reference power iteration did not settle")
+
+
+def test_stacked_estimate_beta_matches_reference_oracle():
+    modes = np.stack([
+        shear_mode(8, 0.05, True),
+        0.0 * shear_mode(8),
+        0.2 * random_divfree(8, 90),
+        shear_mode(8, 0.3, False),
+    ])
+    stacked = estimate_beta(modes)
+    assert stacked.shape == (4,)
+    assert stacked[1] == 0.0
+    for r, phi in enumerate(modes):
+        want = _old_estimate_beta(phi)
+        assert stacked[r] == want
+        assert estimate_beta(phi) == want
+
+
+def test_beta_hat_matches_reference_oracle_sum():
+    model = _model()
+    want = 0.0
+    for phi in model.cfg.noise_modes:
+        want += _old_estimate_beta(phi)
+    assert model.beta_hat == want
