@@ -185,6 +185,14 @@ def _chunks(n: int, jobs: int):
 
 # -- experiments -----------------------------------------------------------------
 
+def _int_key(cfg: dict, key: str, default: int, lo: int = 1) -> int:
+    """``cfg[key]`` (or ``default``), which must be an integer >= ``lo``."""
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < lo:
+        raise ConfigError(f"{key!r} must be an integer >= {lo}, got {val!r}")
+    return val
+
+
 def _fmt_rows(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -195,7 +203,7 @@ def _fmt_rows(header, rows):
 def run_noise(cfg: dict) -> RunReport:
     seed = cfg["seed"]
     n = cfg.get("ensemble", 10_000)
-    level = cfg.get("level", 6)
+    level = _int_key(cfg, "level", 6, lo=0)
     jobs = cfg.get("jobs", 1)
     report = RunReport("noise", cfg)
     one, zero, two = dyadic(1), dyadic(0), dyadic(2)
@@ -261,13 +269,13 @@ def run_pullback(cfg: dict) -> RunReport:
     report = RunReport("pullback", cfg)
     model = _linear_model(cfg)
     t = dyadic(cfg.get("anchor", 0))
-    depth = cfg.get("schedule.depth", 6)
+    depth = _int_key(cfg, "schedule.depth", 6, lo=2)
     coeff = cfg.get("schedule.coeff", 2)
     tol = cfg.get("schedule.tol", 0.02)
     schedule = esm.PullbackSchedule.geometric(t, depth, dyadic(coeff), tol)
     omega = NoiseRealization(seed, cfg.get("realization", 0))
     family = ms.GaussianFamily(lambda _t: 0.0, 1.0, salt=seed)
-    n_particles = cfg.get("particles", 1 << 10)
+    n_particles = _int_key(cfg, "particles", 1 << 10)
     mu, diag = esm.pullback_measure(model, omega, schedule, family, n_particles)
     report.verdicts.append(Verdict("esm.pullback_converged", diag.converged,
                                    len(diag.distances), note=diag.message))
@@ -297,10 +305,11 @@ def run_attractor(cfg: dict) -> RunReport:
     t = dyadic(cfg.get("anchor", 0))
     s_earlier = t - 1
     tol = cfg.get("schedule.tol", 0.02)
-    schedule_t = esm.PullbackSchedule.geometric(t, cfg.get("schedule.depth", 6), 1, tol)
-    schedule_s = esm.PullbackSchedule.geometric(s_earlier, cfg.get("schedule.depth", 6), 1, tol)
+    depth = _int_key(cfg, "schedule.depth", 6, lo=2)
+    schedule_t = esm.PullbackSchedule.geometric(t, depth, 1, tol)
+    schedule_s = esm.PullbackSchedule.geometric(s_earlier, depth, 1, tol)
     radius = cfg.get("box_radius", 1.0)
-    pts = cfg.get("box_points", 33)
+    pts = _int_key(cfg, "box_points", 33)
     box = np.linspace(-radius, radius, pts)[:, None]
     omega = NoiseRealization(seed, cfg.get("realization", 0))
     cloud_t = esm.pullback_attractor(model, omega, t, [box], schedule_t)
@@ -328,7 +337,7 @@ def run_esm_verify(cfg: dict) -> RunReport:
     cfg = {**{"model.sigma": 1.0}, **cfg}
     model = _linear_model(cfg)
     ensemble = cfg.get("ensemble", 400)
-    n_particles = cfg.get("particles", 2000)
+    n_particles = _int_key(cfg, "particles", 2000)
     jobs = cfg.get("jobs", 1)
     t = dyadic(cfg.get("anchor", 0))
     depth = cfg.get("depth", 7)
@@ -435,9 +444,7 @@ def run_counterexamples(cfg: dict) -> RunReport:
 
 def _nse_sizes(cfg: dict) -> tuple:
     """``steps`` and the ascending ``lookbacks``, all positive integers."""
-    steps = cfg.get("steps", 128)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ConfigError(f"'steps' must be a positive integer, got {steps!r}")
+    steps = _int_key(cfg, "steps", 128)
     lookbacks = cfg.get("lookbacks", "8,16,32")
     try:
         lbs = sorted(int(x) for x in str(lookbacks).split(","))
@@ -454,11 +461,11 @@ def run_nse(cfg: dict) -> RunReport:
     seed = cfg["seed"]
     steps, lbs = _nse_sizes(cfg)
     report = RunReport("nse", cfg)
-    res = cfg.get("resolution", 16)
+    res = _int_key(cfg, "resolution", 16)
     nse_cfg = default_nse_config(
         resolution=res,
         viscosity=cfg.get("viscosity", 0.2),
-        level=cfg.get("level", 6),
+        level=_int_key(cfg, "level", 6, lo=0),
         forcing_field=nse_mod.taylor_green(res, cfg.get("forcing_amp", 0.5)),
         noise_modes=nse_mod.default_noise_modes(res, cfg.get("noise_amp", 0.05)),
         ou_rate=cfg.get("ou_rate", 1.0),

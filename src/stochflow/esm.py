@@ -175,8 +175,21 @@ def martingale_mean_flatness(
 # -- attractor clouds ---------------------------------------------------------
 
 def hausdorff_semidistance(a: np.ndarray, b: np.ndarray) -> float:
-    """sup over a of the distance to the set b (exhaustive nearest neighbor)."""
-    return float(np.max(np.min(cdist(np.atleast_2d(a), np.atleast_2d(b)), axis=1)))
+    """sup over a of the distance to the set b (exact nearest neighbor).
+
+    Finite 1D sets sort b and search it; others run ``cdist`` on row blocks
+    of a, which equals ``|a - b|`` unless a gap under- or overflows when squared.
+    """
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    if b.shape[0] and a.shape[1] == b.shape[1] == 1 and finite:
+        x, bs = a[:, 0], np.sort(b[:, 0])
+        k = np.searchsorted(bs, x)
+        left = np.abs(x - bs[np.maximum(k - 1, 0)])
+        right = np.abs(bs[np.minimum(k, bs.size - 1)] - x)
+        return float(np.max(np.minimum(left, right)))
+    rows = [np.min(cdist(a[i:i + 256], b), axis=1) for i in range(0, a.shape[0], 256)]
+    return float(np.max(np.concatenate(rows)))
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

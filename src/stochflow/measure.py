@@ -3,7 +3,9 @@
 Measures are immutable value objects.  The weak-convergence metric is the
 energy distance ``2 E|X-Y| - E|X-X'| - E|Y-Y'|`` evaluated exactly on the
 weighted particle sets; it is zero iff the two discrete distributions
-coincide, and its square root satisfies the triangle inequality.
+coincide, and its square root satisfies the triangle inequality.  In 1D it
+is ``2 * integral of (F - G)^2`` over the merged sorted support, a sum of
+non-negative terms, so it is exactly >= 0.
 """
 
 from __future__ import annotations
@@ -97,31 +99,20 @@ def expect(mu: EmpiricalMeasure, f: Callable) -> float:
     return float(mu.weights @ vals)
 
 
-def _mean_abs_1d(x, wx, y, wy) -> float:
-    """sum_ij wx_i wy_j |x_i - y_j| by sorted prefix sums (exact, n log n)."""
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], wx[order]
-    cum_w = np.concatenate(([0.0], np.cumsum(ws)))
-    cum_s = np.concatenate(([0.0], np.cumsum(ws * xs)))
-    k = np.searchsorted(xs, y, side="right")
-    below = y * cum_w[k] - cum_s[k]
-    above = (cum_s[-1] - cum_s[k]) - y * (cum_w[-1] - cum_w[k])
-    return float(np.dot(wy, below + above))
-
-
 def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Energy distance between two weighted particle measures."""
     if mu.dim != nu.dim:
         raise StateError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.dim == 1:
-        x, y = mu.particles[:, 0], nu.particles[:, 0]
-        cross = _mean_abs_1d(x, mu.weights, y, nu.weights)
-        within_mu = _mean_abs_1d(x, mu.weights, x, mu.weights)
-        within_nu = _mean_abs_1d(y, nu.weights, y, nu.weights)
-    else:
-        cross = mu.weights @ cdist(mu.particles, nu.particles) @ nu.weights
-        within_mu = mu.weights @ cdist(mu.particles, mu.particles) @ mu.weights
-        within_nu = nu.weights @ cdist(nu.particles, nu.particles) @ nu.weights
+        # stable: the order of tied particles sets how the cumulative weights
+        # round, so it must not depend on the platform's sort
+        z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
+        order = np.argsort(z, kind="stable")
+        gap = np.cumsum(np.concatenate((mu.weights, -nu.weights))[order][:-1])
+        return float(2.0 * np.dot(np.diff(z[order]), gap * gap))
+    cross = mu.weights @ cdist(mu.particles, nu.particles) @ nu.weights
+    within_mu = mu.weights @ cdist(mu.particles, mu.particles) @ mu.weights
+    within_nu = nu.weights @ cdist(nu.particles, nu.particles) @ nu.weights
     return float(2.0 * cross - within_mu - within_nu)
 
 
@@ -155,13 +146,18 @@ class RandomMeasure:
 
 # -- serialization ----------------------------------------------------------
 
+def _format_column(col: np.ndarray) -> list:
+    """``%.17g`` per entry, once for a column of one bit pattern (0.0 != -0.0)."""
+    bits = col.view(np.int64)
+    if np.all(bits == bits[0]):
+        return ["%.17g" % col[0]] * col.size
+    return ["%.17g" % v for v in col.tolist()]
+
+
 def to_table(mu: EmpiricalMeasure) -> str:
     """Columnar text: one particle per row, weight first, 17 significant digits."""
-    lines = []
-    for w, x in zip(mu.weights, mu.particles):
-        cols = [f"{w:.17g}"] + [f"{c:.17g}" for c in x]
-        lines.append(" ".join(cols))
-    return "\n".join(lines) + "\n"
+    cols = [_format_column(mu.weights)] + [_format_column(c) for c in mu.particles.T]
+    return "\n".join(map(" ".join, zip(*cols))) + "\n"
 
 
 def from_table(text: str) -> EmpiricalMeasure:

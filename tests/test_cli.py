@@ -132,16 +132,30 @@ def test_nse_lookback_order_does_not_change_verdicts():
     assert up.tables["absorbing.csv"] == down.tables["absorbing.csv"]
 
 
-@pytest.mark.parametrize("line, key", [
-    ("lookbacks = 8,x", "lookbacks"),
-    ("lookbacks = 0", "lookbacks"),
-    ("lookbacks = 8,-4", "lookbacks"),
-    ("lookbacks = 8.5", "lookbacks"),
-    ("steps = 0", "steps"),
-    ("steps = 2.5", "steps"),
-])
-def test_bad_nse_sizes_exit_2(tmp_path, capsys, line, key):
-    path = _write(tmp_path, "nse.cfg", f"kind = nse\nseed = 1\n{line}\n")
+_BAD_SIZES = [
+    ("nse", "lookbacks = 8,x", "lookbacks"),
+    ("nse", "lookbacks = 0", "lookbacks"),
+    ("nse", "lookbacks = 8,-4", "lookbacks"),
+    ("nse", "lookbacks = 8.5", "lookbacks"),
+    ("nse", "steps = 0", "steps"),
+    ("nse", "steps = 2.5", "steps"),
+    ("nse", "resolution = abc", "resolution"),
+    ("nse", "level = 5.5", "level"),
+    ("pullback", "particles = -5", "particles"),
+    ("pullback", "particles = 2.5", "particles"),
+    ("pullback", "schedule.depth = 2.5", "schedule.depth"),
+    ("attractor", "box_points = -3", "box_points"),
+    ("attractor", "box_points = abc", "box_points"),
+    ("esm-verify", "particles = 0", "particles"),
+    ("noise", "level = 5.5", "level"),
+]
+
+
+# the ids of the nse rows, the first cases here, leave out the kind
+@pytest.mark.parametrize("kind, line, key", _BAD_SIZES, ids=[
+    f"{line}-{key}" if kind == "nse" else f"{kind}-{line}-{key}" for kind, line, key in _BAD_SIZES])
+def test_bad_nse_sizes_exit_2(tmp_path, capsys, kind, line, key):
+    path = _write(tmp_path, "bad.cfg", f"kind = {kind}\nseed = 1\n{line}\n")
     out_dir = tmp_path / "out"
     assert main(["--config", path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err

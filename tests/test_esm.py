@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import ConfigError, UnsupportedCaseError
@@ -10,6 +12,7 @@ from stochflow.esm import (
     esm_mean,
     esm_residual,
     hausdorff_distance,
+    hausdorff_semidistance,
     martingale_mean_flatness,
     martingale_trace,
     pullback_attractor,
@@ -297,3 +300,56 @@ def test_hausdorff_basics():
     b = np.array([[0.0], [1.0], [1.5]])
     assert hausdorff_distance(a, a) == 0.0
     assert hausdorff_distance(a, b) == 0.5
+
+
+def _dense_semidistance(a, b):
+    """The exhaustive n x m form that the sorted and blocked searches replace."""
+    return float(np.max(np.min(cdist(np.atleast_2d(a), np.atleast_2d(b)), axis=1)))
+
+
+# zero or magnitudes in [1e-100, 1e100]: every nonzero gap squares without
+# underflow or overflow, so cdist's sqrt((a - b)**2) rounds to exactly |a - b|
+_gap_safe = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 2.0]),
+                      st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+_sets_1d = st.lists(_gap_safe, min_size=1, max_size=40).map(lambda v: np.array(v)[:, None])
+
+
+@given(_sets_1d, _sets_1d)
+@settings(max_examples=300, deadline=None)
+def test_sorted_semidistance_equals_dense_bitwise(a, b):
+    assert hausdorff_semidistance(a, b) == _dense_semidistance(a, b)
+    assert AttractorCloud(T0, a).diameter == float(np.max(cdist(a, a)))
+
+
+@pytest.mark.parametrize("far", [None, 0, 255, 256, 511, 699])
+def test_blocked_semidistance_equals_dense_bitwise(far):
+    # the farthest point of a sits at each block edge in turn
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(700, 2)), rng.normal(size=(300, 2))
+    if far is not None:
+        a[far] = 9.0
+    assert hausdorff_semidistance(a, b) == _dense_semidistance(a, b)
+    assert hausdorff_semidistance(b, a) == _dense_semidistance(b, a)
+    assert AttractorCloud(T0, a).diameter == float(np.max(cdist(a, a)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_semidistance_non_finite_as_dense(bad):
+    a = np.array([[0.0], [bad], [2.0]])
+    b = np.array([[1.0], [bad]])
+    assert np.array_equal(hausdorff_semidistance(a, b), _dense_semidistance(a, b),
+                          equal_nan=True)
+    assert np.array_equal(hausdorff_semidistance(a[:1], b), _dense_semidistance(a[:1], b),
+                          equal_nan=True)
+    assert np.array_equal(AttractorCloud(T0, a).diameter, float(np.max(cdist(a, a))),
+                          equal_nan=True)
+    assert np.isnan(hausdorff_semidistance(np.array([[0.0], [np.nan]]), np.zeros((3, 1))))
+    assert np.isnan(hausdorff_semidistance(np.zeros((3, 1)), np.array([[0.0], [np.nan]])))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_semidistance_of_empty_set_raises(dim):
+    with pytest.raises(ValueError):
+        hausdorff_semidistance(np.zeros((0, dim)), np.zeros((3, dim)))
+    with pytest.raises(ValueError):
+        hausdorff_semidistance(np.zeros((3, dim)), np.zeros((0, dim)))

@@ -1,10 +1,10 @@
 """Golden SHA-256 digests of every artifact of small CLI runs.
 
 The digests pin the exact bytes that ``noise``, ``esm-verify``,
-``pullback`` and ``nse`` write at tiny sizes.  A change to the path store,
-the keyed hashing, the spectral model or a runner that alters any stored
-bit shows here as a digest mismatch.  To print the digests of the current
-code:
+``pullback``, ``attractor`` and ``nse`` write at tiny sizes.  A change to
+the path store, the keyed hashing, the spectral model, the measure geometry
+or a runner that alters any stored bit shows here as a digest mismatch.  To
+print the digests of the current code:
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
 """
@@ -18,6 +18,7 @@ import pytest
 from stochflow.cli import main
 
 CONFIGS = {
+    "attractor": "kind = attractor\nseed = 15\nbox_points = 200\n",
     "noise": "kind = noise\nseed = 11\nensemble = 100\nintervals = 50\n",
     "esm-verify": "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
     "pullback": "kind = pullback\nseed = 13\nparticles = 4096\n",
@@ -27,9 +28,15 @@ CONFIGS = {
 # kind -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
 # statistical checks fail; only the bytes matter here.
 GOLDEN = {
+    "attractor": (0, {
+        "cloud.tsv": "2fdb83ecd2b5184de0ecf062cd0929a68792f80282690b1a77b364d622d91448",
+        "semidistance.csv": "cbb82b1eb28ab1f9a533a4dff6a890ba565fd2a443e1c0d53f34f6fb4cab6d4b",
+        "summary.json": "cb2d48d396cf620a9a8fb929bf48cc2cb66d8e436c2f9ea6d03c16e6f624581a",
+    }),
     "esm-verify": (1, {
         "pullback_points.csv": "7b034af6fbd71439d8e80cf97292206f4f3bdeec9e72241d09d9d876336d9377",
-        "summary.json": "0981966b4b32c992dce1f81004a2046eb0ef2fcc55cad1ab5a19d6827a5f56d6",
+        # holds the energy distances of the merged-support form
+        "summary.json": "9f485fa43e73fcb7e235a6c97853808440e332277ca059cddf42d73e0f6bfb52",
     }),
     "noise": (1, {
         "summary.json": "b36c46b50c8225bfdcc0b693d8cc59e62118e20fb0e6256a2dee7cd1ca2fbde5",
@@ -41,7 +48,8 @@ GOLDEN = {
         "summary.json": "16cf9450cc3564f49b03356766891d15b37b51b9698500461d2b118cd9daa599",
     }),
     "pullback": (0, {
-        "distances.csv": "d203f1ca3e04cd2c369d9ee86604dc2cc49703e2f018801579b7fdfaeb79139f",
+        # the energy distances of the merged-support form
+        "distances.csv": "b9e3466be9da7940908b685aba54073740e84c25fac9a69fa66d54e579e17549",
         "measure.tsv": "9e58537fe1f489335ed7a1251bf01aa0702b2cb3d29a7e07bcc5eccbf3f481d8",
         # holds the esm.spread_contraction value of the two-pass spread
         "summary.json": "a3a1b40ac2cf8cb75afe58026f619b9d107c1af7934ce0af3f45eccf1aebd000",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,52 @@ def test_sqrt_distance_triangle(pa, pb, pc):
     assert d(mu, nu) <= d(mu, ka) + d(ka, nu) + 1e-10
 
 
+# a small pool makes duplicated particles, and ties between the two measures, common
+tied_floats = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 3.0]), finite_floats)
+
+
+@st.composite
+def weighted_1d(draw, max_size=12):
+    pts = draw(st.lists(tied_floats, min_size=1, max_size=max_size))
+    w = draw(st.lists(st.floats(0.01, 10.0), min_size=len(pts), max_size=len(pts)))
+    return _mk(pts, w)
+
+
+@given(weighted_1d(), weighted_1d(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_distance_1d_properties(mu, nu, rnd):
+    d = distance(mu, nu)
+    assert d >= 0.0
+    assert distance(nu, mu) == pytest.approx(d, rel=1e-12, abs=1e-28)
+    assert 0.0 <= distance(mu, mu) <= 1e-28
+    perm = list(range(mu.size))
+    rnd.shuffle(perm)
+    shuffled = EmpiricalMeasure(mu.particles[perm], mu.weights[perm])
+    assert distance(shuffled, nu) == pytest.approx(d, rel=1e-12, abs=1e-28)
+
+
+def _energy_exact(mu, nu):
+    """2 E|X-Y| - E|X-X'| - E|Y-Y'| as an exact rational double sum."""
+    def mean_abs(a, b):
+        return sum(Fraction(wa) * Fraction(wb) * abs(Fraction(xa) - Fraction(xb))
+                   for xa, wa in zip(a.particles[:, 0].tolist(), a.weights.tolist())
+                   for xb, wb in zip(b.particles[:, 0].tolist(), b.weights.tolist()))
+    return 2 * mean_abs(mu, nu) - mean_abs(mu, mu) - mean_abs(nu, nu)
+
+
+def test_distance_1d_matches_exact_rational_oracle():
+    rng = np.random.default_rng(2013)
+    for _ in range(150):
+        sizes = rng.integers(1, 31, size=2)
+        pool = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=8)
+        mu, nu = (_mk(np.where(rng.random(n) < 0.3, rng.choice(pool, n),
+                               rng.normal(rng.normal(), 10.0 ** rng.integers(-3, 4), n)),
+                      rng.random(n) + 1e-3) for n in sizes)
+        exact = _energy_exact(mu, nu)
+        assert exact >= 0
+        assert abs(Fraction(distance(mu, nu)) - exact) <= Fraction(1e-13) * exact
+
+
 def test_distance_dimension_mismatch():
     with pytest.raises(StateError):
         distance(_mk([0.0]), EmpiricalMeasure(np.zeros((1, 2)), np.ones(1)))
@@ -137,6 +185,30 @@ def test_serialization_roundtrip_bitwise():
     again = from_table(to_table(mu))
     assert np.array_equal(again.particles, mu.particles)
     assert np.array_equal(again.weights, mu.weights)
+
+
+def _table_rows(mu):
+    """The row-by-row formatter that ``to_table`` must reproduce byte for byte."""
+    lines = []
+    for w, x in zip(mu.weights, mu.particles):
+        cols = [f"{w:.17g}"] + [f"{c:.17g}" for c in x]
+        lines.append(" ".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("points, weights", [
+    (np.linspace(-1.0, 1.0, 7), None),
+    (np.array([0.1, -1.0 / 3.0, np.pi, 2.0]), np.array([0.1, 0.2, 0.3, 0.4])),
+    (np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, -0.0, 0.5, 0.0])),
+    (np.array([1.0, 2.0, 3.0]), np.array([-0.0, -0.0, 1.0])),
+    (np.array([[1.0, 1e308, -5e-324], [-0.0, 1e308, 2.2250738585072014e-308],
+               [3e-310, 1e308, -1e308]]), np.array([1.0, 1.0, 1.0]) / 3.0),
+    (np.array([[5e-324, -1e308, 0.0]]), None),
+    (np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), None),
+])
+def test_to_table_matches_row_formatter(points, weights):
+    mu = _mk(points, weights)
+    assert to_table(mu) == _table_rows(mu)
 
 
 def test_random_measure_requires_full_assignment():
