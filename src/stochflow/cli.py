@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
-Configs are flat ``key = value`` text with dotted section prefixes.  Every
-run is a pure function of (config, seed): rerunning writes byte-identical
-output files.  Wall-clock goes to stderr only, never into the artifacts.
+Configs are flat ``key = value`` text with dotted section prefixes, checked
+against their kind's table (``_TABLES``) before anything runs.  Runners read
+the resolved config; ``summary.json`` records it as given.  Every run is a
+pure function of (config, seed): rerunning writes byte-identical output
+files.  Wall-clock goes to stderr only, never into the artifacts.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config.
 """
@@ -35,17 +37,6 @@ from .wiener import (
     ou_at,
     wiener_at,
 )
-
-EXPERIMENTS = (
-    "noise",
-    "pullback",
-    "attractor",
-    "esm-verify",
-    "oracle",
-    "nse",
-    "counterexamples",
-)
-
 
 @dataclass
 class Verdict:
@@ -119,34 +110,88 @@ def _coerce(val: str):
     return val
 
 
-_COMMON_KEYS = {"kind", "seed", "out", "jobs"}
-_ALLOWED = {
-    "noise": {"ensemble", "level", "ou_rate", "intervals"},
-    "pullback": {"model.rate", "model.sigma", "model.level", "model.forcing_amp",
-                 "schedule.depth", "schedule.coeff", "schedule.tol", "particles",
-                 "realization", "anchor"},
-    "attractor": {"model.rate", "model.sigma", "model.level", "model.forcing_amp",
-                  "schedule.depth", "schedule.tol", "box_radius", "box_points",
-                  "realization", "anchor", "deterministic_rate"},
-    "esm-verify": {"model.rate", "model.sigma", "model.level", "model.forcing_amp",
-                   "ensemble", "particles", "depth", "anchor"},
-    "oracle": {"depth"},
-    "nse": {"viscosity", "resolution", "level", "forcing_amp", "noise_amp",
-            "ou_rate", "steps", "lookbacks", "realization"},
-    "counterexamples": set(),
+# One table per kind: key -> default.  The default's type is the key's type:
+# an int key takes an integer of at least _FLOORS.get(key, 1) (None: any), a
+# float key a finite real, and the tuple ``lookbacks`` comma-separated positive
+# integers, used in ascending order.  A bool is never a number.
+_LINEAR = {"model.rate": 0.5, "model.sigma": 0.3, "model.level": 6, "model.forcing_amp": 1.0}
+_TABLES = {
+    "noise": {"ensemble": 10_000, "level": 6, "ou_rate": 1.0, "intervals": 1000},
+    "pullback": {**_LINEAR, "schedule.depth": 6, "schedule.coeff": 2, "schedule.tol": 0.02,
+                 "particles": 1 << 10, "realization": 0, "anchor": 0},
+    "attractor": {"model.level": 6, "schedule.depth": 6, "schedule.tol": 0.02,
+                  "box_radius": 1.0, "box_points": 33, "realization": 0, "anchor": 0,
+                  "deterministic_rate": -1.0},
+    "esm-verify": {**_LINEAR, "model.sigma": 1.0, "ensemble": 400, "particles": 2000,
+                   "depth": 7, "anchor": 0},
+    "oracle": {"depth": 12},
+    "nse": {"viscosity": 0.2, "resolution": 16, "level": 6, "forcing_amp": 0.5,
+            "noise_amp": 0.05, "ou_rate": 1.0, "steps": 128, "lookbacks": (8, 16, 32),
+            "realization": 0},
+    "counterexamples": {},
 }
+EXPERIMENTS = tuple(_TABLES)
+# Every kind also takes these; ``seed`` must be given (no implicit randomness).
+_COMMON = {"seed": 0, "jobs": 1, "out": ""}
+_FLOORS = {"seed": None, "anchor": None, "level": 0, "model.level": 0, "realization": 0,
+           "schedule.depth": 2}
+
+
+def _checked(key: str, val, default):
+    """``val`` as a value of ``key``'s type; ConfigError names the key and value."""
+    if isinstance(default, tuple):
+        rule = "comma-separated positive integers"
+        try:
+            lbs = tuple(sorted(int(x) for x in str(val).split(",")))
+            if lbs[0] >= 1:
+                return lbs
+        except ValueError:
+            pass
+    elif isinstance(default, int):
+        floor = _FLOORS.get(key, 1)
+        rule = "an integer" if floor is None else f"an integer >= {floor}"
+        if type(val) is int and (floor is None or val >= floor):
+            return val
+    elif isinstance(default, float):
+        rule = "a finite real number"
+        if type(val) is int or (type(val) is float and np.isfinite(val)):
+            return val
+    else:
+        rule = "a path"
+        if isinstance(val, str):
+            return val
+    raise ConfigError(f"{key!r} must be {rule}, got {_shown(val)}")
+
+
+def _shown(val) -> str:
+    """``val`` as a config line spells it."""
+    return str(val).lower() if isinstance(val, bool) else repr(val)
+
+
+def _resolve(cfg: dict) -> dict:
+    """``cfg`` checked against its kind's table, with the defaults filled in."""
+    kind = cfg.get("kind")
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind: {kind!r}")
+    if "seed" not in cfg:
+        raise ConfigError("config must carry an integer 'seed' (no implicit randomness)")
+    table = {**_COMMON, **_TABLES[kind]}
+    resolved = dict(table)
+    for key, val in cfg.items():
+        if key == "kind":
+            continue
+        if key not in table:
+            raise ConfigError(f"unknown config key for kind {kind!r}: {key!r} = {_shown(val)}")
+        resolved[key] = _checked(key, val, table[key])
+    return resolved
 
 
 def validate_config(cfg: dict) -> str | None:
-    kind = cfg.get("kind")
-    if kind not in EXPERIMENTS:
-        return f"unknown experiment kind: {kind!r}"
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
-        return "config must carry an integer 'seed' (no implicit randomness)"
-    allowed = _ALLOWED[kind] | _COMMON_KEYS
-    for key in cfg:
-        if key not in allowed:
-            return f"unknown config key for kind {kind!r}: {key!r}"
+    """The first problem with ``cfg``, or None when its kind's table accepts it."""
+    try:
+        _resolve(cfg)
+    except ConfigError as err:
+        return str(err)
     return None
 
 
@@ -185,14 +230,6 @@ def _chunks(n: int, jobs: int):
 
 # -- experiments -----------------------------------------------------------------
 
-def _int_key(cfg: dict, key: str, default: int, lo: int = 1) -> int:
-    """``cfg[key]`` (or ``default``), which must be an integer >= ``lo``."""
-    val = cfg.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < lo:
-        raise ConfigError(f"{key!r} must be an integer >= {lo}, got {val!r}")
-    return val
-
-
 def _fmt_rows(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -200,12 +237,11 @@ def _fmt_rows(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def run_noise(cfg: dict) -> RunReport:
+def run_noise(cfg: dict, report: RunReport):
     seed = cfg["seed"]
-    n = cfg.get("ensemble", 10_000)
-    level = _int_key(cfg, "level", 6, lo=0)
-    jobs = cfg.get("jobs", 1)
-    report = RunReport("noise", cfg)
+    n = cfg["ensemble"]
+    level = cfg["level"]
+    jobs = cfg["jobs"]
     one, zero, two = dyadic(1), dyadic(0), dyadic(2)
 
     chunks = [(seed, lo, hi) for lo, hi in _chunks(n, jobs)]
@@ -221,7 +257,7 @@ def run_noise(cfg: dict) -> RunReport:
     corr = float(np.corrcoef(sums[:, 0], sums[:, 1])[0, 1])
     report.verdicts.append(Verdict("wiener.disjoint_interval_corr", abs(corr) <= 0.05, corr, 0.05))
 
-    n_int = cfg.get("intervals", 1000)
+    n_int = cfg["intervals"]
     base = chain(seed, 0xA11CE)
     rng_keys = chain_offsets(base, np.arange(3 * n_int)).reshape(n_int, 3)
     bit_exact = 0
@@ -239,7 +275,7 @@ def run_noise(cfg: dict) -> RunReport:
         Verdict("wiener.refinement_bit_exact", bit_exact == n_int, bit_exact, n_int)
     )
 
-    ou_cfg = OUConfig(rate=cfg.get("ou_rate", 1.0), level=level)
+    ou_cfg = OUConfig(rate=cfg["ou_rate"], level=level)
     z0 = np.array([ou_at(NoiseRealization(seed, i), 0, ou_cfg, zero) for i in range(min(n, 4000))])
     z1 = np.array([ou_at(NoiseRealization(seed, i), 0, ou_cfg, one) for i in range(min(n, 4000))])
     target = ou_cfg.stationary_variance
@@ -252,31 +288,26 @@ def run_noise(cfg: dict) -> RunReport:
     report.verdicts.append(
         Verdict("wiener.ou_autocorr_lag1", abs(ac - expected) <= 0.05, ac, expected)
     )
-    return report
 
 
 def _linear_model(cfg: dict) -> LinearOUModel:
     return LinearOUModel(
-        rate=cfg.get("model.rate", 0.5),
-        sigma=cfg.get("model.sigma", 0.3),
-        forcing=FourierForcing(cos_coeffs=(cfg.get("model.forcing_amp", 1.0),)),
-        grid_level=cfg.get("model.level", 6),
+        rate=cfg["model.rate"],
+        sigma=cfg["model.sigma"],
+        forcing=FourierForcing(cos_coeffs=(cfg["model.forcing_amp"],)),
+        grid_level=cfg["model.level"],
     )
 
 
-def run_pullback(cfg: dict) -> RunReport:
+def run_pullback(cfg: dict, report: RunReport):
     seed = cfg["seed"]
-    report = RunReport("pullback", cfg)
     model = _linear_model(cfg)
-    t = dyadic(cfg.get("anchor", 0))
-    depth = _int_key(cfg, "schedule.depth", 6, lo=2)
-    coeff = cfg.get("schedule.coeff", 2)
-    tol = cfg.get("schedule.tol", 0.02)
-    schedule = esm.PullbackSchedule.geometric(t, depth, dyadic(coeff), tol)
-    omega = NoiseRealization(seed, cfg.get("realization", 0))
+    t = dyadic(cfg["anchor"])
+    schedule = esm.PullbackSchedule.geometric(t, cfg["schedule.depth"],
+                                              dyadic(cfg["schedule.coeff"]), cfg["schedule.tol"])
+    omega = NoiseRealization(seed, cfg["realization"])
     family = ms.GaussianFamily(lambda _t: 0.0, 1.0, salt=seed)
-    n_particles = _int_key(cfg, "particles", 1 << 10)
-    mu, diag = esm.pullback_measure(model, omega, schedule, family, n_particles)
+    mu, diag = esm.pullback_measure(model, omega, schedule, family, cfg["particles"])
     report.verdicts.append(Verdict("esm.pullback_converged", diag.converged,
                                    len(diag.distances), note=diag.message))
     rows = list(zip([s.value for s in diag.starts_used[1:]], map(float, diag.distances)))
@@ -285,33 +316,27 @@ def run_pullback(cfg: dict) -> RunReport:
 
     spread_ok = True
     worst = 0.0
-    for s in diag.starts_used:
-        rho = family.sample(s, n_particles)
-        pushed = esm.evolve_batch(model, omega, s, t, rho.particles)
-        got = ms.EmpiricalMeasure(pushed, rho.weights).spread()
-        want = float(np.exp(-model.rate * (t.value - s.value))) * rho.spread()
+    for s, (source, got) in zip(diag.starts_used, diag.spreads):
+        want = float(np.exp(-model.rate * (t.value - s.value))) * source
         rel = abs(got - want) / max(want, 1e-300)
         worst = max(worst, rel)
         spread_ok = spread_ok and rel <= 0.1
     report.verdicts.append(Verdict("esm.spread_contraction", spread_ok, worst, 0.1))
-    return report
 
 
-def run_attractor(cfg: dict) -> RunReport:
+def run_attractor(cfg: dict, report: RunReport):
     seed = cfg["seed"]
-    report = RunReport("attractor", cfg)
-    det_rate = cfg.get("deterministic_rate", -1.0)
-    model = ScalarExpFlow(det_rate, grid_level=cfg.get("model.level", 6))
-    t = dyadic(cfg.get("anchor", 0))
+    det_rate = cfg["deterministic_rate"]
+    model = ScalarExpFlow(det_rate, grid_level=cfg["model.level"])
+    t = dyadic(cfg["anchor"])
     s_earlier = t - 1
-    tol = cfg.get("schedule.tol", 0.02)
-    depth = _int_key(cfg, "schedule.depth", 6, lo=2)
+    tol = cfg["schedule.tol"]
+    depth = cfg["schedule.depth"]
     schedule_t = esm.PullbackSchedule.geometric(t, depth, 1, tol)
     schedule_s = esm.PullbackSchedule.geometric(s_earlier, depth, 1, tol)
-    radius = cfg.get("box_radius", 1.0)
-    pts = _int_key(cfg, "box_points", 33)
-    box = np.linspace(-radius, radius, pts)[:, None]
-    omega = NoiseRealization(seed, cfg.get("realization", 0))
+    radius = cfg["box_radius"]
+    box = np.linspace(-radius, radius, cfg["box_points"])[:, None]
+    omega = NoiseRealization(seed, cfg["realization"])
     cloud_t = esm.pullback_attractor(model, omega, t, [box], schedule_t)
     cloud_s = esm.pullback_attractor(model, omega, s_earlier, [box], schedule_s)
     report.verdicts.append(Verdict("esm.attractor_converged", cloud_t.converged,
@@ -328,19 +353,16 @@ def run_attractor(cfg: dict) -> RunReport:
         ("step", "semidistance"), list(enumerate(map(float, cloud_t.history)))
     )
     report.tables["cloud.tsv"] = ms.to_table(ms.EmpiricalMeasure.equal_weight(cloud_t.particles))
-    return report
 
 
-def run_esm_verify(cfg: dict) -> RunReport:
+def run_esm_verify(cfg: dict, report: RunReport):
     seed = cfg["seed"]
-    report = RunReport("esm-verify", cfg)
-    cfg = {**{"model.sigma": 1.0}, **cfg}
     model = _linear_model(cfg)
-    ensemble = cfg.get("ensemble", 400)
-    n_particles = _int_key(cfg, "particles", 2000)
-    jobs = cfg.get("jobs", 1)
-    t = dyadic(cfg.get("anchor", 0))
-    depth = cfg.get("depth", 7)
+    ensemble = cfg["ensemble"]
+    n_particles = cfg["particles"]
+    jobs = cfg["jobs"]
+    t = dyadic(cfg["anchor"])
+    depth = cfg["depth"]
     schedule = esm.PullbackSchedule.geometric(t, depth, 2)
 
     chunks = [(model, t, schedule, seed, lo, hi) for lo, hi in _chunks(ensemble, jobs)]
@@ -389,12 +411,10 @@ def run_esm_verify(cfg: dict) -> RunReport:
         ("index", "at_anchor", "at_anchor_plus_period"),
         [(i, float(points[i]), float(pts2[i])) for i in range(ensemble)],
     )
-    return report
 
 
-def run_oracle(cfg: dict) -> RunReport:
-    report = RunReport("oracle", cfg)
-    depth = cfg.get("depth", 12)
+def run_oracle(cfg: dict, report: RunReport):
+    depth = cfg["depth"]
 
     flow = fo.two_state_noisy()
     probs, partition, measures, f_table = fo.independence_scenario_from_flow(flow, 4, 2)
@@ -431,47 +451,28 @@ def run_oracle(cfg: dict) -> RunReport:
     report.verdicts.append(Verdict("finite_oracle.identity_multiplicity",
                                    (not ident.unique) and len(ident.extremes) == 2,
                                    note=ident.note))
-    return report
 
 
-def run_counterexamples(cfg: dict) -> RunReport:
-    report = RunReport("counterexamples", cfg)
+def run_counterexamples(cfg: dict, report: RunReport):
     for name, scenario in sorted(fo.counterexamples().items()):
         report.verdicts.append(Verdict(f"finite_oracle.{name}", scenario.ok,
                                        note=scenario.claim))
-    return report
 
 
-def _nse_sizes(cfg: dict) -> tuple:
-    """``steps`` and the ascending ``lookbacks``, all positive integers."""
-    steps = _int_key(cfg, "steps", 128)
-    lookbacks = cfg.get("lookbacks", "8,16,32")
-    try:
-        lbs = sorted(int(x) for x in str(lookbacks).split(","))
-        if lbs[0] < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(
-            f"'lookbacks' must be comma-separated positive integers, got {lookbacks!r}"
-        ) from None
-    return steps, tuple(lbs)
-
-
-def run_nse(cfg: dict) -> RunReport:
+def run_nse(cfg: dict, report: RunReport):
     seed = cfg["seed"]
-    steps, lbs = _nse_sizes(cfg)
-    report = RunReport("nse", cfg)
-    res = _int_key(cfg, "resolution", 16)
+    lbs = cfg["lookbacks"]
+    res = cfg["resolution"]
     nse_cfg = default_nse_config(
         resolution=res,
-        viscosity=cfg.get("viscosity", 0.2),
-        level=_int_key(cfg, "level", 6, lo=0),
-        forcing_field=nse_mod.taylor_green(res, cfg.get("forcing_amp", 0.5)),
-        noise_modes=nse_mod.default_noise_modes(res, cfg.get("noise_amp", 0.05)),
-        ou_rate=cfg.get("ou_rate", 1.0),
+        viscosity=cfg["viscosity"],
+        level=cfg["level"],
+        forcing_field=nse_mod.taylor_green(res, cfg["forcing_amp"]),
+        noise_modes=nse_mod.default_noise_modes(res, cfg["noise_amp"]),
+        ou_rate=cfg["ou_rate"],
     )
     model = NSEModel(nse_cfg)
-    omega = NoiseRealization(seed, cfg.get("realization", 0), num_components=max(model.n_noise, 1))
+    omega = NoiseRealization(seed, cfg["realization"], num_components=max(model.n_noise, 1))
 
     u = nse_mod.random_divfree(res, seed)
     v = nse_mod.random_divfree(res, seed + 1)
@@ -491,7 +492,7 @@ def run_nse(cfg: dict) -> RunReport:
                                    tg_resid <= 1e-10, tg_resid, 1e-10))
 
     t0 = dyadic(0)
-    t1 = DyadicTime(steps, nse_cfg.level)
+    t1 = DyadicTime(cfg["steps"], nse_cfg.level)
     u_t, trace = model.evolve_trace(omega, t0, t1, nse_mod.taylor_green(res, 1.0))
     report.verdicts.append(Verdict(
         "models.reality_preserved_bitwise", nse_mod.reality_residual(u_t) == 0.0
@@ -522,7 +523,6 @@ def run_nse(cfg: dict) -> RunReport:
         [(lb, float(absorb["radii"][lb][0]), float(absorb["radii"][lb][1]),
           float(absorb["gaps"][lb])) for lb in lbs],
     )
-    return report
 
 
 _RUNNERS = {
@@ -537,11 +537,10 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> RunReport:
-    problem = validate_config(cfg)
-    if problem:
-        raise StochFlowError(problem)
+    resolved = _resolve(cfg)
+    report = RunReport(cfg["kind"], cfg)
     started = time.monotonic()
-    report = _RUNNERS[cfg["kind"]](cfg)
+    _RUNNERS[cfg["kind"]](resolved, report)
     report.wall_clock = time.monotonic() - started
     return report
 
@@ -582,10 +581,6 @@ def main(argv=None) -> int:
         cfg["seed"] = args.seed
     if args.jobs is not None:
         cfg["jobs"] = args.jobs
-    problem = validate_config(cfg)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
         report = run_experiment(cfg)
     except StochFlowError as err:

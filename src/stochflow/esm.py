@@ -61,6 +61,7 @@ class PullbackSchedule:
 @dataclass
 class PullbackDiagnostics:
     starts_used: list
+    spreads: list  # (source, pushed) spread of each used start
     distances: list
     converged: bool
     message: str = ""
@@ -90,23 +91,25 @@ def pullback_measure(
     previous = None
     distances: list[float] = []
     used: list[DyadicTime] = []
+    spreads: list[tuple] = []
     for k, s in enumerate(schedule.starts):
         rho = family.sample(s, n_particles)
         try:
             pushed = evolve_batch(model, omega, s, schedule.anchor, rho.particles)
         except DivergenceError as err:
-            diag = PullbackDiagnostics(used, distances, False, f"blow-up: {err}")
+            diag = PullbackDiagnostics(used, spreads, distances, False, f"blow-up: {err}")
             return previous, diag
         current = EmpiricalMeasure(pushed, rho.weights)
         used.append(s)
+        spreads.append((rho.spread(), current.spread()))
         if previous is not None:
             distances.append(distance(current, previous))
             if len(distances) >= 2 and distances[-1] < schedule.tol \
                     and distances[-2] < schedule.tol:
-                return current, PullbackDiagnostics(used, distances, True)
+                return current, PullbackDiagnostics(used, spreads, distances, True)
         previous = current
     msg = "schedule exhausted without two consecutive sub-tolerance steps"
-    return previous, PullbackDiagnostics(used, distances, False, msg)
+    return previous, PullbackDiagnostics(used, spreads, distances, False, msg)
 
 
 # -- martingale diagnostics ---------------------------------------------------

@@ -1,8 +1,10 @@
 import filecmp
+import json
 import os
 
 import pytest
 
+from stochflow import cli
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
 
 
@@ -107,14 +109,23 @@ def test_run_experiment_rejects_unknown_kind():
 
 
 def test_parallel_jobs_merge_deterministically(tmp_path):
-    text = "kind = noise\nseed = 4\nensemble = 600\nintervals = 50\n"
-    path = _write(tmp_path, "n.cfg", text)
-    out_a = str(tmp_path / "serial")
-    out_b = str(tmp_path / "parallel")
-    assert main(["--config", path, "--out", out_a, "--jobs", "1"]) in (0, 1)
-    assert main(["--config", path, "--out", out_b, "--jobs", "2"]) in (0, 1)
-    assert filecmp.cmp(os.path.join(out_a, "w1_samples.csv"),
-                       os.path.join(out_b, "w1_samples.csv"), shallow=False)
+    # the two kinds that split work over the process pool, the second at the
+    # golden-artifact sizes
+    runs = [("kind = noise\nseed = 4\nensemble = 600\nintervals = 50\n", "w1_samples.csv"),
+            ("kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
+             "pullback_points.csv")]
+    for i, (text, table) in enumerate(runs):
+        path = _write(tmp_path, f"{i}.cfg", text)
+        outs = [str(tmp_path / f"{i}-jobs{jobs}") for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert main(["--config", path, "--out", out, "--jobs", str(jobs)]) in (0, 1)
+        assert filecmp.cmp(os.path.join(outs[0], table), os.path.join(outs[1], table),
+                           shallow=False)
+        verdicts = []
+        for out in outs:
+            with open(os.path.join(out, "summary.json")) as fh:
+                verdicts.append(json.load(fh)["verdicts"])
+        assert verdicts[0] == verdicts[1]
 
 
 def test_nse_lookback_order_does_not_change_verdicts():
@@ -132,6 +143,16 @@ def test_nse_lookback_order_does_not_change_verdicts():
     assert up.tables["absorbing.csv"] == down.tables["absorbing.csv"]
 
 
+def _assert_rejected(tmp_path, capsys, kind, line, key):
+    path = _write(tmp_path, "bad.cfg", f"kind = {kind}\nseed = 1\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) == 2, line
+    err = capsys.readouterr().err
+    assert key in err and line.split("= ")[1] in err, err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 _BAD_SIZES = [
     ("nse", "lookbacks = 8,x", "lookbacks"),
     ("nse", "lookbacks = 0", "lookbacks"),
@@ -141,6 +162,7 @@ _BAD_SIZES = [
     ("nse", "steps = 2.5", "steps"),
     ("nse", "resolution = abc", "resolution"),
     ("nse", "level = 5.5", "level"),
+    ("nse", "viscosity = abc", "viscosity"),
     ("pullback", "particles = -5", "particles"),
     ("pullback", "particles = 2.5", "particles"),
     ("pullback", "schedule.depth = 2.5", "schedule.depth"),
@@ -148,6 +170,16 @@ _BAD_SIZES = [
     ("attractor", "box_points = abc", "box_points"),
     ("esm-verify", "particles = 0", "particles"),
     ("noise", "level = 5.5", "level"),
+    ("noise", "ensemble = -2", "ensemble"),
+    ("noise", "intervals = -1", "intervals"),
+    ("pullback", "model.level = 2.5", "model.level"),
+    ("pullback", "anchor = 0.3", "anchor"),
+    ("pullback", "schedule.tol = nan", "schedule.tol"),
+    ("esm-verify", "depth = 2.5", "depth"),
+    ("oracle", "depth = -1", "depth"),
+    ("oracle", "seed = true", "seed"),
+    # run_attractor reads no linear-model key but the grid level
+    ("attractor", "model.rate = 7", "model.rate"),
 ]
 
 
@@ -155,10 +187,22 @@ _BAD_SIZES = [
 @pytest.mark.parametrize("kind, line, key", _BAD_SIZES, ids=[
     f"{line}-{key}" if kind == "nse" else f"{kind}-{line}-{key}" for kind, line, key in _BAD_SIZES])
 def test_bad_nse_sizes_exit_2(tmp_path, capsys, kind, line, key):
-    path = _write(tmp_path, "bad.cfg", f"kind = {kind}\nseed = 1\n{line}\n")
-    out_dir = tmp_path / "out"
-    assert main(["--config", path, "--out", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert key in err and line.split("= ")[1] in err
-    assert "Traceback" not in err
-    assert not out_dir.exists()
+    _assert_rejected(tmp_path, capsys, kind, line, key)
+
+
+# a value of the wrong type for each type a table default can have
+_WRONG_TYPE = {int: "2.5", float: "abc", tuple: "8.5", str: "5"}
+
+
+def test_every_table_key_rejects_wrong_type_and_below_floor(tmp_path, capsys):
+    cases = 0
+    for kind, table in cli._TABLES.items():
+        for key, default in {**cli._COMMON, **table}.items():
+            lines = [f"{key} = {_WRONG_TYPE[type(default)]}"]
+            floor = cli._FLOORS.get(key, 1)
+            if type(default) is int and floor is not None:
+                lines.append(f"{key} = {floor - 1}")
+            for line in lines:
+                _assert_rejected(tmp_path, capsys, kind, line, key)
+                cases += 1
+    assert cases > 2 * len(cli._TABLES)
