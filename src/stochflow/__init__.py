@@ -33,6 +33,7 @@ from .flow_core import (
     coordinate,
     evolve,
     evolve_batch,
+    evolve_ensemble,
     flow_residual,
     indicator_box,
     markov_apply,
@@ -51,6 +52,7 @@ from .esm import (
     pullback_attractor,
     pullback_measure,
     pullback_point,
+    pullback_points,
     select_trajectory,
 )
 

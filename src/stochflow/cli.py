@@ -6,6 +6,9 @@ the resolved config; ``summary.json`` records it as given.  Every run is a
 pure function of (config, seed): rerunning writes byte-identical output
 files.  Wall-clock goes to stderr only, never into the artifacts.
 
+Each ensemble is one path-store or estimator call along a realization axis,
+in one process.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config.
 """
 
@@ -16,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +35,9 @@ from .wiener import (
     NoiseRealization,
     OUConfig,
     RealizationStream,
+    grid_values,
     increments,
-    ou_at,
-    wiener_at,
+    ou_grid,
 )
 
 @dataclass
@@ -132,6 +134,7 @@ _TABLES = {
 }
 EXPERIMENTS = tuple(_TABLES)
 # Every kind also takes these; ``seed`` must be given (no implicit randomness).
+# ``jobs`` does nothing: it is still accepted because existing configs set it.
 _COMMON = {"seed": 0, "jobs": 1, "out": ""}
 _FLOORS = {"seed": None, "anchor": None, "level": 0, "model.level": 0, "realization": 0,
            "schedule.depth": 2}
@@ -195,39 +198,6 @@ def validate_config(cfg: dict) -> str | None:
     return None
 
 
-# -- deterministic parallel map --------------------------------------------------
-
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
-
-
-def _w1_values(args):
-    seed, lo, hi = args
-    one = dyadic(1)
-    return [wiener_at(NoiseRealization(seed, i), 0, one) for i in range(lo, hi)]
-
-
-def _pullback_points(args):
-    model, t, schedule, seed, lo, hi = args
-    out = []
-    for i in range(lo, hi):
-        omega = NoiseRealization(seed, i)
-        out.append(float(esm.pullback_point(model, omega, t, schedule)[0]))
-    return out
-
-
-def _chunks(n: int, jobs: int):
-    size = max(1, n // max(jobs, 1))
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + size)
-        yield lo, hi
-        lo = hi
-
-
 # -- experiments -----------------------------------------------------------------
 
 def _fmt_rows(header, rows):
@@ -241,19 +211,17 @@ def run_noise(cfg: dict, report: RunReport):
     seed = cfg["seed"]
     n = cfg["ensemble"]
     level = cfg["level"]
-    jobs = cfg["jobs"]
     one, zero, two = dyadic(1), dyadic(0), dyadic(2)
+    omegas = RealizationStream(seed).take(n)
 
-    chunks = [(seed, lo, hi) for lo, hi in _chunks(n, jobs)]
-    w1 = np.concatenate([np.asarray(c) for c in _pmap(_w1_values, chunks, jobs)])
+    w1 = grid_values(omegas, 0, one, one, 0)[:, 0]
     var = float(w1.var(ddof=1))
     report.verdicts.append(Verdict("wiener.w1_variance", 0.94 <= var <= 1.06, var, "[0.94, 1.06]"))
     report.tables["w1_samples.csv"] = _fmt_rows(("index", "w1"), list(enumerate(map(float, w1))))
 
-    half = 1 << level  # increments over [0, 2], split at 1
-    incs = (increments(NoiseRealization(seed, i), 0, zero, two, level)
-            for i in range(min(n, 10_000)))
-    sums = np.array([[float(np.sum(inc[:half])), float(np.sum(inc[half:]))] for inc in incs])
+    half = 1 << level  # increments over [0, 2], split at 1; row sums are exact
+    incs = increments(omegas[:10_000], 0, zero, two, level)
+    sums = np.stack([incs[:, :half].sum(axis=1), incs[:, half:].sum(axis=1)], axis=1)
     corr = float(np.corrcoef(sums[:, 0], sums[:, 1])[0, 1])
     report.verdicts.append(Verdict("wiener.disjoint_interval_corr", abs(corr) <= 0.05, corr, 0.05))
 
@@ -276,8 +244,8 @@ def run_noise(cfg: dict, report: RunReport):
     )
 
     ou_cfg = OUConfig(rate=cfg["ou_rate"], level=level)
-    z0 = np.array([ou_at(NoiseRealization(seed, i), 0, ou_cfg, zero) for i in range(min(n, 4000))])
-    z1 = np.array([ou_at(NoiseRealization(seed, i), 0, ou_cfg, one) for i in range(min(n, 4000))])
+    z0 = ou_grid(omegas[:4000], 0, ou_cfg, zero, zero)[:, 0]
+    z1 = ou_grid(omegas[:4000], 0, ou_cfg, one, one)[:, 0]
     target = ou_cfg.stationary_variance
     ou_var = float(z0.var(ddof=1))
     report.verdicts.append(
@@ -360,13 +328,11 @@ def run_esm_verify(cfg: dict, report: RunReport):
     model = _linear_model(cfg)
     ensemble = cfg["ensemble"]
     n_particles = cfg["particles"]
-    jobs = cfg["jobs"]
     t = dyadic(cfg["anchor"])
     depth = cfg["depth"]
     schedule = esm.PullbackSchedule.geometric(t, depth, 2)
 
-    chunks = [(model, t, schedule, seed, lo, hi) for lo, hi in _chunks(ensemble, jobs)]
-    points = np.concatenate([np.asarray(c) for c in _pmap(_pullback_points, chunks, jobs)])
+    points = esm.pullback_points(model, RealizationStream(seed).take(ensemble), t, schedule)[:, 0]
     family = ms.RandomMeasure({i: ms.EmpiricalMeasure.dirac([points[i]])
                                for i in range(ensemble)}, ensemble)
     mean_measure = esm.esm_mean(family)
@@ -399,9 +365,8 @@ def run_esm_verify(cfg: dict, report: RunReport):
                                    resid_wrong > 10.0 * resid_bound, resid_wrong,
                                    10.0 * resid_bound))
 
-    chunks2 = [(model, t + two_pi, esm.PullbackSchedule.geometric(t + two_pi, depth, 2),
-                chain(seed, 8), lo, hi) for lo, hi in _chunks(ensemble, jobs)]
-    pts2 = np.concatenate([np.asarray(c) for c in _pmap(_pullback_points, chunks2, jobs)])
+    pts2 = esm.pullback_points(model, RealizationStream(chain(seed, 8)).take(ensemble), t + two_pi,
+                               esm.PullbackSchedule.geometric(t + two_pi, depth, 2))[:, 0]
     d_period = ms.distance(
         ms.EmpiricalMeasure.equal_weight(points[:, None]),
         ms.EmpiricalMeasure.equal_weight(pts2[:, None]),
@@ -560,7 +525,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes")
     parser.add_argument("--list-experiments", action="store_true")
     args = parser.parse_args(argv)
 
@@ -579,8 +543,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
     try:
         report = run_experiment(cfg)
     except StochFlowError as err:

@@ -32,10 +32,6 @@ class DyadicTime:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "level", lev)
 
-    @classmethod
-    def from_int(cls, n: int) -> "DyadicTime":
-        return cls(n, 0)
-
     @property
     def value(self) -> float:
         # Exact: |numerator| < 2**53 for all supported levels and horizons.

@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from .dyadic import DyadicTime, dyadic
 from .errors import ConfigError, DivergenceError, UnsupportedCaseError
-from .flow_core import BoundedFunction, FlowModelBase, evolve_batch
+from .flow_core import BoundedFunction, FlowModelBase, evolve_batch, evolve_ensemble
 from .measure import (
     DEFAULT_PARTICLES,
     EmpiricalMeasure,
@@ -24,7 +24,7 @@ from .measure import (
     distance,
     mixture,
 )
-from .wiener import NoiseRealization, RealizationStream
+from .wiener import NoiseRealization, RealizationStream, _rows
 
 DEFAULT_TOL = 0.02
 
@@ -65,14 +65,6 @@ class PullbackDiagnostics:
     distances: list
     converged: bool
     message: str = ""
-
-    def to_dict(self):
-        return {
-            "starts": [s.value for s in self.starts_used],
-            "distances": list(map(float, self.distances)),
-            "converged": self.converged,
-            "message": self.message,
-        }
 
 
 def pullback_measure(
@@ -127,25 +119,31 @@ class MartingaleTrace:
 
 def martingale_trace(
     model: FlowModelBase,
-    omega: NoiseRealization,
+    omegas,
     t: DyadicTime,
     f: BoundedFunction,
     family: MeasureFamily,
     lookbacks: Sequence[DyadicTime],
     n_particles: int = 1 << 8,
 ) -> MartingaleTrace:
-    """Integral of f against the pushforward from t - s, per lookback s."""
+    """Integral of f against the pushforward from t - s, per lookback s.
+
+    ``omegas`` is one handle, or a sequence of handles that gives the values
+    a leading realization axis; each lookback is one ``evolve_ensemble`` call.
+    """
+    rows, single = _rows(omegas)
     lbs = list(lookbacks)
     for a, b in zip(lbs, lbs[1:]):
         if not a < b:
             raise ConfigError("lookbacks must be strictly increasing")
-    vals = np.empty(len(lbs))
+    vals = np.empty((len(rows), len(lbs)))
     for i, lb in enumerate(lbs):
         s = t - lb
         rho = family.sample(s, n_particles)
-        pushed = evolve_batch(model, omega, s, t, rho.particles)
-        vals[i] = float(rho.weights @ np.array([f(x) for x in pushed]))
-    return MartingaleTrace(tuple(lbs), vals, f.id)
+        states = np.broadcast_to(rho.particles, (len(rows),) + rho.particles.shape)
+        for r, pushed in enumerate(evolve_ensemble(model, rows, s, t, states)):
+            vals[r, i] = float(rho.weights @ np.array([f(x) for x in pushed]))
+    return MartingaleTrace(tuple(lbs), vals[0] if single else vals, f.id)
 
 
 def martingale_mean_flatness(
@@ -161,17 +159,12 @@ def martingale_mean_flatness(
     """Ensemble means of the trace per lookback; flat when the source family
     is an evolution family.  Reports the worst pairwise gap in combined
     standard errors."""
-    traces = np.empty((n_realizations, len(list(lookbacks))))
-    for i, omega in enumerate(stream.take(n_realizations)):
-        traces[i] = martingale_trace(model, omega, t, f, family, lookbacks, n_particles).values
+    traces = martingale_trace(model, stream.take(n_realizations), t, f, family, lookbacks,
+                              n_particles).values
     means = traces.mean(axis=0)
     serr = traces.std(axis=0, ddof=1) / np.sqrt(n_realizations)
-    worst = 0.0
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            gap = abs(means[i] - means[j])
-            combined = float(np.hypot(serr[i], serr[j]))
-            worst = max(worst, gap / max(combined, 1e-300))
+    gaps = np.abs(means[:, None] - means) / np.maximum(np.hypot(serr[:, None], serr), 1e-300)
+    worst = np.max(gaps, initial=0.0)
     return {"means": means, "stderr": serr, "max_gap_in_stderr": worst}
 
 
@@ -209,13 +202,6 @@ class AttractorCloud:
     def __post_init__(self):
         if self.converged and len(np.atleast_2d(self.particles)) == 0:
             raise ConfigError("a converged cloud must be nonempty")
-
-    @property
-    def diameter(self) -> float:
-        pts = np.atleast_2d(self.particles)
-        if pts.shape[0] < 2:
-            return 0.0
-        return float(np.max(cdist(pts, pts)))
 
 
 def pullback_attractor(
@@ -291,6 +277,53 @@ class SelectedTrajectory:
         return worst
 
 
+def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: PullbackSchedule,
+                    probes: np.ndarray | None = None, tol: float | None = None) -> np.ndarray:
+    """The collapsed pullback state at t, one row per realization.
+
+    Contracting case: one ``evolve_ensemble`` call per start pushes the probes
+    of every row still running.  A row leaves once its probes have collapsed,
+    and stopped moving, at two starts in a row; a row that never does means the
+    attractor is not a single point, and the construction is refused.
+    Finite-flow lifts are delegated to their exact synchronization-based selector.
+    """
+    if schedule.anchor != t:
+        raise ConfigError("schedule must be anchored at the requested time")
+    omegas = tuple(omegas)
+    exact = getattr(model, "exact_select_states", None)
+    if exact is not None:
+        return np.array([np.asarray(exact(o, [t], schedule), float)[0] for o in omegas])
+    tol = schedule.tol if tol is None else tol
+    probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1) if probes is None else probes
+    probes = np.atleast_2d(np.asarray(probes, float))
+    if probes.shape[0] < 2:
+        raise ConfigError("need at least two probe points to certify collapse")
+    out = np.empty((len(omegas), model.state_dim))
+    live = np.arange(len(omegas))  # rows still running
+    hits = np.zeros(len(omegas), dtype=int)
+    prev = None
+    for s in schedule.starts:
+        if not live.size:
+            break
+        imgs = evolve_ensemble(model, [omegas[r] for r in live], s, t,
+                               np.broadcast_to(probes, (live.size,) + probes.shape))
+        coll = np.linalg.norm(imgs[:, :, None] - imgs[:, None], axis=-1).max(axis=(1, 2))
+        if prev is not None:
+            move = np.max(np.linalg.norm(imgs - prev, axis=2), axis=1)
+            hits[live] = np.where((coll < tol) & (move < tol), hits[live] + 1, 0)
+            done = hits[live] >= 2
+            out[live[done]] = imgs[done, 0]
+            live, imgs = live[~done], imgs[~done]
+        prev = imgs
+    if live.size:
+        raise UnsupportedCaseError(
+            f"realization {omegas[live[0]].realization_index}: pullback probes did not "
+            "collapse to one point; trajectory selection is only constructive for "
+            "contracting models and finite lifts"
+        )
+    return out
+
+
 def select_trajectory(
     model: FlowModelBase,
     omega: NoiseRealization,
@@ -299,13 +332,8 @@ def select_trajectory(
     probes: np.ndarray | None = None,
     tol: float | None = None,
 ) -> SelectedTrajectory:
-    """A single trajectory supported by the attractor.
-
-    Contracting case: the pullback limit of any probe point; two distinct
-    probes must collapse together, otherwise the attractor is not a single
-    point and the construction is refused.  Finite-flow lifts are delegated
-    to their exact synchronization-based selector.
-    """
+    """A single trajectory supported by the attractor: the pullback point at
+    the earliest time (``pullback_points``, one row), carried forward."""
     times = sorted(times)
     if schedule.anchor != times[0]:
         raise ConfigError("schedule must be anchored at the earliest requested time")
@@ -313,35 +341,7 @@ def select_trajectory(
     if exact is not None:
         states = exact(omega, times, schedule)
         return SelectedTrajectory(tuple(times), np.asarray(states, float))
-    tol = schedule.tol if tol is None else tol
-    if probes is None:
-        probes = np.zeros((2, model.state_dim))
-        probes[1, :] = 1.0
-    probes = np.atleast_2d(np.asarray(probes, float))
-    if probes.shape[0] < 2:
-        raise ConfigError("need at least two probe points to certify collapse")
-    prev = None
-    hits = 0
-    anchor_state = None
-    for s in schedule.starts:
-        imgs = evolve_batch(model, omega, s, times[0], probes)
-        coll = float(np.max(cdist(imgs, imgs)))
-        if prev is not None:
-            move = float(np.max(np.linalg.norm(imgs - prev, axis=1)))
-            if coll < tol and move < tol:
-                hits += 1
-                if hits >= 2:
-                    anchor_state = imgs[0]
-                    break
-            else:
-                hits = 0
-        prev = imgs
-    if anchor_state is None:
-        raise UnsupportedCaseError(
-            "pullback probes did not collapse to one point; trajectory selection "
-            "is only constructive for contracting models and finite lifts"
-        )
-    states = [anchor_state]
+    states = [pullback_points(model, (omega,), times[0], schedule, probes, tol)[0]]
     for a, b in zip(times, times[1:]):
         states.append(model.evolve_state(omega, a, b, states[-1]))
     return SelectedTrajectory(tuple(times), np.stack(states))
@@ -349,9 +349,8 @@ def select_trajectory(
 
 def pullback_point(model: FlowModelBase, omega: NoiseRealization, t: DyadicTime,
                    schedule: PullbackSchedule, tol: float | None = None) -> np.ndarray:
-    """Convenience: the collapsed pullback state at a single anchor time."""
-    traj = select_trajectory(model, omega, [t], schedule, tol=tol)
-    return traj.states[0]
+    """Convenience: ``pullback_points`` for one realization."""
+    return pullback_points(model, (omega,), t, schedule, tol=tol)[0]
 
 
 # -- flow family <-> semigroup family ----------------------------------------
@@ -373,14 +372,12 @@ def esm_residual(
     stream: RealizationStream,
 ) -> float:
     """max over (s, t) pairs of distance(MC estimate of the transported
-    source measure, target measure)."""
+    source measure, target measure).  Particle i rides its own fresh
+    realization: one ``evolve_ensemble`` call per pair."""
     worst = 0.0
     for s, t in pairs:
         rho_s = family.sample(s, n_particles)
-        out = np.empty_like(rho_s.particles)
-        for i, omega in enumerate(stream.take(n_particles)):
-            out[i] = model.evolve_state(omega, s, t, rho_s.particles[i])
-        transported = EmpiricalMeasure(out, rho_s.weights)
-        rho_t = family.sample(t, n_particles)
-        worst = max(worst, distance(transported, rho_t))
+        out = model.evolve_ensemble(stream.take(n_particles), s, t, rho_s.particles[:, None])
+        transported = EmpiricalMeasure(out[:, 0], rho_s.weights)
+        worst = max(worst, distance(transported, family.sample(t, n_particles)))
     return worst

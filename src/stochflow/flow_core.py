@@ -3,6 +3,11 @@
 A flow model supplies the state map for grid-aligned dyadic time pairs.  On
 its own grid a stepper model composes bit-exactly: running s -> r -> t
 executes the identical per-step operation sequence as s -> t.
+
+``evolve_ensemble`` adds a leading realization axis.  The base class loops over
+``evolve_batch``; array code reads the path store in blocks of rows
+(``wiener.row_blocks``).  Either way a row equals the one-realization
+``evolve_batch`` bit-for-bit, so the estimators below give a loop's bits.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ class FlowModelBase:
     def evolve_batch(self, omega: NoiseRealization, s: DyadicTime, t: DyadicTime,
                      states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states) -> np.ndarray:
+        """Map an (R, n, state_dim) array: row r rides ``omegas[r]``."""
+        return np.stack([self.evolve_batch(omega, s, t, x) for omega, x in zip(omegas, states)])
 
     def evolve_state(self, omega, s, t, x: np.ndarray) -> np.ndarray:
         return self.evolve_batch(omega, s, t, np.atleast_1d(np.asarray(x, float))[None, :])[0]
@@ -71,6 +80,30 @@ def evolve_batch(model, omega, s, t, states: np.ndarray) -> np.ndarray:
     return model.evolve_batch(omega, s, t, states)
 
 
+def evolve_ensemble(model, omegas, s, t, states: np.ndarray) -> np.ndarray:
+    """Validated ``model.evolve_ensemble``: row r of the (R, n, state_dim)
+    ``states`` under S(t, s; omegas[r])."""
+    _validate_times(model, s, t)
+    omegas, states = tuple(omegas), np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[::2] != (len(omegas), model.state_dim):
+        raise StateError(f"states must have shape ({len(omegas)}, n, {model.state_dim})")
+    if not np.all(np.isfinite(states)):
+        raise StateError("states contain non-finite entries")
+    return model.evolve_ensemble(omegas, s, t, states)
+
+
+def _f_values(model, s, t, f: Callable, states: np.ndarray, stream) -> np.ndarray:
+    """f(S(t, s; omega_i) x_i) for the rows x_i of ``states``, row i on the i-th
+    fresh realization from ``stream``: one ``evolve_ensemble`` call."""
+    if not np.all(np.isfinite(states)):
+        raise StateError("state contains non-finite entries")
+    ys = model.evolve_ensemble(stream.take(len(states)), s, t, states[:, None])[:, 0]
+    vals = np.array([f(y) for y in ys], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("test function overflowed during Markov estimate")
+    return vals
+
+
 def flow_residual(model, omega, s: DyadicTime, r: DyadicTime, t: DyadicTime,
                   points) -> float:
     """Composition defect max_x |S(t,r)S(r,s)x - S(t,s)x|, relative with floor 1.
@@ -102,14 +135,8 @@ def markov_apply(model, s: DyadicTime, t: DyadicTime, f: Callable, x,
         raise ConfigError("n_realizations must be at least 2")
     x = _validate_state(model, x)
     _validate_times(model, s, t)
-    vals = np.empty(n_realizations)
-    for i, omega in enumerate(stream.take(n_realizations)):
-        vals[i] = f(model.evolve_state(omega, s, t, x))
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("test function overflowed during Markov estimate")
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_realizations))
-    return est, stderr
+    vals = _f_values(model, s, t, f, np.broadcast_to(x, (n_realizations, x.size)), stream)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_realizations))
 
 
 def chapman_residual(model, s: DyadicTime, t: DyadicTime, u: DyadicTime, f: Callable,
@@ -128,12 +155,14 @@ def chapman_residual(model, s: DyadicTime, t: DyadicTime, u: DyadicTime, f: Call
         return float(exact(s, t, u)), 0.0
     x = _validate_state(model, x)
     n_inner = n_inner or max(2, n_realizations // 4)
+    if n_inner < 2:
+        raise ConfigError("n_inner must be at least 2")
     direct, direct_se = markov_apply(model, s, u, f, x, n_realizations, stream)
-    mids = np.empty(n_realizations)
-    for i, omega in enumerate(stream.take(n_realizations)):
-        y = model.evolve_state(omega, s, t, x)
-        inner, _ = markov_apply(model, t, u, f, y, n_inner, stream)
-        mids[i] = inner
+    _validate_times(model, t, u)
+    outer = np.broadcast_to(x, (n_realizations, 1, x.size))
+    ys = model.evolve_ensemble(stream.take(n_realizations), s, t, outer)[:, 0]
+    inner = _f_values(model, t, u, f, np.repeat(ys, n_inner, axis=0), stream)
+    mids = inner.reshape(n_realizations, n_inner).mean(axis=1)
     composed = float(mids.mean())
     composed_se = float(mids.std(ddof=1) / np.sqrt(n_realizations))
     return abs(direct - composed), float(np.hypot(direct_se, composed_se))

@@ -18,12 +18,12 @@ import numpy as np
 from ..dyadic import DyadicTime
 from ..errors import ConfigError
 from ..flow_core import FlowModelBase
-from ..wiener import increments
+from ..wiener import increments, row_blocks
 
 
 @dataclass(frozen=True)
 class FourierForcing:
-    """Trigonometric polynomial in t with period 2*pi; picklable callable."""
+    """Trigonometric polynomial in t with period 2*pi, as a callable."""
 
     constant: float = 0.0
     cos_coeffs: tuple = ()
@@ -78,6 +78,9 @@ class LinearOUModel(FlowModelBase):
         return self.sigma / np.sqrt(2.0 * self.rate)
 
     def evolve_batch(self, omega, s: DyadicTime, t: DyadicTime, states):
+        return self.evolve_ensemble((omega,), s, t, np.asarray(states, dtype=float)[None])[0]
+
+    def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states):
         states = np.asarray(states, dtype=float)
         if s == t:
             return states.copy()
@@ -91,10 +94,12 @@ class LinearOUModel(FlowModelBase):
         if not self.forcing.is_zero:
             integrand = decay * self.forcing(grid)
             shift += h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
-        if self.sigma != 0.0:
-            dw = increments(omega, self.component, s, t, lv)
-            shift += self.sigma * float(np.dot(decay[:-1], dw))
-        return states * decay[0] + shift
+        shifts = np.full(len(omegas), shift)
+        if self.sigma != 0.0:  # one np.dot per row, each block before the next query
+            shifts = np.array([shift + self.sigma * float(np.dot(decay[:-1], dw))
+                               for block in row_blocks(tuple(omegas), i1 - i0 + 1)
+                               for dw in increments(block, self.component, s, t, lv)])
+        return states * decay[0] + shifts.reshape((-1,) + (1,) * (states.ndim - 1))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ across all unit intervals of a query at once; since a value is a pure
 function of its key, this gives the same bits as filling one interval at a
 time.
 
+``grid_values``, ``increments`` and ``ou_grid`` also take a sequence of
+handles and return one row per handle; one handle is the one-row case of the
+same fill.  Rows go through in blocks of about ``BLOCK_VALUES`` path values
+(rows x points per row), and ``ou_grid`` reduces each block before the next.
+
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
 arithmetic: telescoping sums of increments reproduce endpoint differences
@@ -21,7 +26,7 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .errors import ConfigError, OrderingError, ResolutionError
 from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
+BLOCK_VALUES = 1 << 14  # so memory does not grow with the number of handles
 
 _TAG_UNIT = 0x5749454E
 _TAG_BRIDGE = 0x4252_4447
@@ -68,13 +74,7 @@ class NoiseRealization:
             raise ConfigError("num_components must be positive")
 
     def with_unit_surgery(self, component: int, interval: int, delta: float) -> "NoiseRealization":
-        entry = ((component, interval), float(delta))
-        return NoiseRealization(
-            self.master_seed,
-            self.realization_index,
-            self.num_components,
-            self.surgery + (entry,),
-        )
+        return replace(self, surgery=self.surgery + (((component, interval), float(delta)),))
 
 
 class RealizationStream:
@@ -85,13 +85,10 @@ class RealizationStream:
         self.num_components = num_components
         self._next = start
 
-    def take(self, n: int) -> list[NoiseRealization]:
-        out = [
-            NoiseRealization(self.master_seed, self._next + i, self.num_components)
-            for i in range(n)
-        ]
-        self._next += n
-        return out
+    def take(self, n: int) -> tuple[NoiseRealization, ...]:
+        first, self._next = self._next, self._next + n
+        return tuple(NoiseRealization(self.master_seed, i, self.num_components)
+                     for i in range(first, first + n))
 
     def next(self) -> NoiseRealization:
         return self.take(1)[0]
@@ -126,11 +123,21 @@ class OUConfig:
         return 1.0 / (2.0 * self.rate)
 
 
+def _rows(omegas) -> tuple[tuple, bool]:
+    """``omegas`` as a tuple of handles, and whether it was one handle."""
+    single = isinstance(omegas, NoiseRealization)
+    return ((omegas,) if single else tuple(omegas)), single
+
+
+def row_blocks(omegas: tuple, n_points: int) -> list[tuple]:
+    """Slices of ``omegas`` of about ``BLOCK_VALUES`` path values (rows x ``n_points``)."""
+    step = max(1, BLOCK_VALUES // max(n_points, 1))
+    return [omegas[lo:lo + step] for lo in range(0, max(len(omegas), 1), step)]
+
+
 def _check_component(omega: NoiseRealization, component: int):
     if not (0 <= component < omega.num_components):
-        raise IndexError(
-            f"component {component} out of range [0, {omega.num_components})"
-        )
+        raise IndexError(f"component {component} out of range [0, {omega.num_components})")
 
 
 def _check_horizon(t: DyadicTime):
@@ -138,39 +145,36 @@ def _check_horizon(t: DyadicTime):
         raise ResolutionError(f"|t|={abs(t.value)} exceeds horizon {HORIZON}")
 
 
-def _unit_base(omega: NoiseRealization, component: int) -> int:
-    return chain(omega.master_seed, omega.realization_index, component, _TAG_UNIT)
-
-
-def _bridge_root(omega: NoiseRealization, component: int) -> int:
-    # The bridge key of (interval, level, segment) is
+def _bases(rows: tuple, component: int, tag: int) -> np.ndarray:
+    # Unit keys chain(seed, realization, component, _TAG_UNIT, n) and bridge keys
     # chain(seed, realization, component, _TAG_BRIDGE, interval, level, segment).
-    return chain(omega.master_seed, omega.realization_index, component, _TAG_BRIDGE)
+    return np.array([chain(o.master_seed, o.realization_index, component, tag)
+                     for o in rows], dtype=np.uint64)
 
 
-def _unit_increments(omega: NoiseRealization, component: int, n0: int, n1: int) -> np.ndarray:
-    """Quantized N(0,1) increments over unit intervals [n, n+1), n in [n0, n1)."""
-    if n1 <= n0:
-        return np.empty(0)
-    keys = chain_offsets(_unit_base(omega, component), np.arange(n0, n1))
+def _unit_increments(rows: tuple, component: int, n0: int, n1: int) -> np.ndarray:
+    """Quantized N(0,1) increments over unit intervals [n, n+1), n in [n0, n1),
+    one row per handle."""
+    keys = chain_offsets(_bases(rows, component, _TAG_UNIT)[:, None], np.arange(n0, n1))
     xs = _quantize(gauss_from_keys(keys))
-    for (comp, n), delta in omega.surgery:
-        if comp == component and n0 <= n < n1:
-            xs[n - n0] = _quantize(xs[n - n0] + delta)
+    for r, omega in enumerate(rows):
+        for (comp, n), delta in omega.surgery:
+            if comp == component and n0 <= n < n1:
+                xs[r, n - n0] = _quantize(xs[r, n - n0] + delta)
     return xs
 
 
-def _integer_values(omega: NoiseRealization, component: int, n0: int, n1: int) -> np.ndarray:
-    """W at the integers n0..n1 inclusive, anchored at W(0) = 0.
+def _integer_values(rows: tuple, component: int, n0: int, n1: int) -> np.ndarray:
+    """W at the integers n0..n1 inclusive, anchored at W(0) = 0, one row per handle.
 
     All additions are exact on the quantization grid, so the result does not
     depend on evaluation order or on the range requested.
     """
     lo, hi = min(n0, 0), max(n1, 0)
-    xs = _unit_increments(omega, component, lo, hi)
-    cums = np.concatenate(([0.0], np.cumsum(xs)))
-    w = cums - cums[-lo]
-    return w[n0 - lo : n1 - lo + 1]
+    xs = _unit_increments(rows, component, lo, hi)
+    cums = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(xs, axis=1)), axis=1)
+    w = cums - cums[:, -lo:1 - lo]
+    return w[:, n0 - lo : n1 - lo + 1]
 
 
 def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
@@ -180,12 +184,12 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     if t.numerator == 0:
         return 0.0
     if t.level == 0:
-        return float(_integer_values(omega, component, t.numerator, t.numerator)[0])
+        return float(_integer_values((omega,), component, t.numerator, t.numerator)[0, 0])
     n = t.floor_int
-    anchors = _integer_values(omega, component, n, n + 1)
+    anchors = _integer_values((omega,), component, n, n + 1)[0]
     w_left, w_right = float(anchors[0]), float(anchors[1])
     p = t.numerator - (n << t.level)  # odd, in (0, 2**level)
-    interval_key = extend_key(_bridge_root(omega, component), n)
+    interval_key = extend_key(int(_bases((omega,), component, _TAG_BRIDGE)[0]), n)
     seg = 0
     for lam in range(1, t.level + 1):
         z = gauss_from_key(extend_key(extend_key(interval_key, lam), seg))
@@ -202,67 +206,73 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     raise AssertionError("unreachable: canonical dyadic walk must terminate")
 
 
-def grid_values(
-    omega: NoiseRealization, component: int, s: DyadicTime, t: DyadicTime, level: int
-) -> np.ndarray:
-    """W at every level-grid point of [s, t], endpoints included."""
-    _check_component(omega, component)
+def _fill(rows: tuple, component: int, i0: int, i1: int, level: int) -> np.ndarray:
+    """W at level-grid indices i0..i1 of every handle in ``rows``, one row each."""
+    n0 = i0 >> level
+    n1 = -((-i1) >> level)  # ceil division
+    if level == 0:
+        return _integer_values(rows, component, i0, i1)
+    if n1 == n0:  # s == t on an integer
+        return _integer_values(rows, component, n0, n0)
+    anchors = _integer_values(rows, component, n0, n1)
+    interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None],
+                                  np.arange(n0, n1))
+    # vals[r, j] holds the level-lv grid of unit interval n0 + j, both ends included.
+    vals = np.stack([anchors[:, :-1], anchors[:, 1:]], axis=2)
+    for lv in range(1, level + 1):
+        level_keys = chain_offsets(interval_keys, lv)[..., None]
+        z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
+        mids = _quantize((vals[..., :-1] + vals[..., 1:]) * 0.5 + _bridge_scale(lv) * z)
+        merged = np.empty(vals.shape[:2] + ((1 << lv) + 1,))
+        merged[..., 0::2] = vals
+        merged[..., 1::2] = mids
+        vals = merged
+    full = np.concatenate((vals[..., :-1].reshape(len(rows), (n1 - n0) << level),
+                           vals[:, -1, -1:]), axis=1)
+    off = i0 - (n0 << level)
+    return full[:, off : off + (i1 - i0) + 1]
+
+
+def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int) -> np.ndarray:
+    """W at every level-grid point of [s, t], endpoints included: a 1-D array
+    for one handle, one row per handle for a sequence of them."""
+    rows, single = _rows(omegas)
+    for omega in rows:
+        _check_component(omega, component)
     _check_horizon(s)
     _check_horizon(t)
     if s > t:
         raise OrderingError(f"grid_values needs s <= t, got {s!r} > {t!r}")
     i0, i1 = s.at_level(level), t.at_level(level)
-    n0 = i0 >> level
-    n1 = -((-i1) >> level)  # ceil division
-    if level == 0:
-        return _integer_values(omega, component, i0, i1)
-    if n1 == n0:  # s == t on an integer
-        return _integer_values(omega, component, n0, n0)
-    anchors = _integer_values(omega, component, n0, n1)
-    interval_keys = chain_offsets(_bridge_root(omega, component), np.arange(n0, n1))
-    # Row j holds the level-lv grid of unit interval n0 + j, both ends included.
-    vals = np.stack([anchors[:-1], anchors[1:]], axis=1)
-    for lv in range(1, level + 1):
-        level_keys = chain_offsets(interval_keys, lv)[:, None]
-        z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
-        mids = _quantize((vals[:, :-1] + vals[:, 1:]) * 0.5 + _bridge_scale(lv) * z)
-        merged = np.empty((n1 - n0, (1 << lv) + 1))
-        merged[:, 0::2] = vals
-        merged[:, 1::2] = mids
-        vals = merged
-    full = np.append(vals[:, :-1].ravel(), vals[-1, -1])
-    off = i0 - (n0 << level)
-    return full[off : off + (i1 - i0) + 1]
+    width = ((-((-i1) >> level) - (i0 >> level)) << level) + 1  # filled points per row
+    vals = np.concatenate([_fill(block, component, i0, i1, level)
+                           for block in row_blocks(rows, width)])
+    return vals[0] if single else vals
 
 
-def increments(
-    omega: NoiseRealization, component: int, s: DyadicTime, t: DyadicTime, level: int
-) -> np.ndarray:
-    """Level-grid increments of W over [s, t].
+def increments(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int) -> np.ndarray:
+    """Level-grid increments of W over [s, t], one row per handle as in
+    ``grid_values``.
 
-    Each entry is a difference of two stored path values, so the array sums
+    Each entry is a difference of two stored path values, so a row sums
     exactly to ``wiener_at(t) - wiener_at(s)`` in any order.
     """
     if s > t:
         raise OrderingError(f"increments needs s <= t, got {s!r} > {t!r}")
-    gv = grid_values(omega, component, s, t, level)
-    return np.diff(gv)
+    return np.diff(grid_values(omegas, component, s, t, level))
 
 
-def ou_grid(
-    omega: NoiseRealization,
-    component: int,
-    cfg: OUConfig,
-    s: DyadicTime,
-    t: DyadicTime,
-) -> np.ndarray:
-    """Exponential moving average at every cfg.level grid point of [s, t].
+def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime) -> np.ndarray:
+    """Exponential moving average at every cfg.level grid point of [s, t], one
+    row per handle as in ``grid_values``.
 
     Each output value depends only on (omega, component, cfg, grid point), not
-    on the requested range, so overlapping calls agree bit-for-bit.
+    on the requested range or the other handles, so overlapping calls agree
+    bit-for-bit.
     """
     if s > t:
         raise OrderingError(f"ou_grid needs s <= t, got {s!r} > {t!r}")
+    rows, single = _rows(omegas)
     cut = cfg.cutoff_horizon
     start = s - cut
     if abs(start.value) > HORIZON or abs(t.value) > HORIZON:
@@ -270,15 +280,14 @@ def ou_grid(
     level = cfg.level
     h = 2.0**-level
     m = cut << level
-    dw = increments(omega, component, start, t, level)
     # Weight for the increment whose left endpoint is tau - cutoff + j*h.
     weights = np.exp(-cfg.rate * h * np.arange(m, 0, -1, dtype=np.float64))
     n_pts = (t.at_level(level) - s.at_level(level)) + 1
-    out = np.empty(n_pts)
-    for i in range(n_pts):
-        seg = np.array(dw[i : i + m])
-        out[i] = float(np.dot(weights, seg))
-    return out
+    # Each block of rows is reduced, one np.dot per row and point, before the next.
+    out = np.array([[np.dot(weights, dw[i : i + m]) for i in range(n_pts)]
+                    for block in row_blocks(rows, m + n_pts)
+                    for dw in increments(block, component, start, t, level)])
+    return out[0] if single else out
 
 
 def ou_at(omega: NoiseRealization, component: int, cfg: OUConfig, t: DyadicTime) -> float:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from stochflow import cli
+from stochflow import cli, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
 
 
@@ -108,24 +108,31 @@ def test_run_experiment_rejects_unknown_kind():
         run_experiment({"kind": "nope", "seed": 1})
 
 
-def test_parallel_jobs_merge_deterministically(tmp_path):
-    # the two kinds that split work over the process pool, the second at the
-    # golden-artifact sizes
-    runs = [("kind = noise\nseed = 4\nensemble = 600\nintervals = 50\n", "w1_samples.csv"),
-            ("kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
-             "pullback_points.csv")]
-    for i, (text, table) in enumerate(runs):
-        path = _write(tmp_path, f"{i}.cfg", text)
-        outs = [str(tmp_path / f"{i}-jobs{jobs}") for jobs in (1, 2)]
-        for jobs, out in zip((1, 2), outs):
-            assert main(["--config", path, "--out", out, "--jobs", str(jobs)]) in (0, 1)
-        assert filecmp.cmp(os.path.join(outs[0], table), os.path.join(outs[1], table),
-                           shallow=False)
-        verdicts = []
-        for out in outs:
-            with open(os.path.join(out, "summary.json")) as fh:
-                verdicts.append(json.load(fh)["verdicts"])
-        assert verdicts[0] == verdicts[1]
+@pytest.mark.parametrize("text", [
+    "kind = noise\nseed = 11\nensemble = 100\nintervals = 50\n",
+    "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
+], ids=["noise", "esm-verify"])
+def test_output_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, text):
+    # the two kinds whose ensembles run along the realization axis, at the
+    # golden-artifact sizes; blocks of one row take the one-realization path
+    path = _write(tmp_path, "run.cfg", text)
+    outs = []
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(wiener, "BLOCK_VALUES", block)
+        outs.append(tmp_path / f"block{block}")
+        assert main(["--config", path, "--out", str(outs[-1])]) in (0, 1)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "summary.json" in names
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+def test_jobs_flag_is_gone_and_jobs_key_is_ignored(tmp_path, capsys):
+    path = _write(tmp_path, "run.cfg", "kind = oracle\nseed = 1\ndepth = 4\njobs = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert main(["--config", path]) == 0
 
 
 def test_nse_lookback_order_does_not_change_verdicts():

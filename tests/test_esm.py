@@ -18,6 +18,7 @@ from stochflow.esm import (
     pullback_attractor,
     pullback_measure,
     pullback_point,
+    pullback_points,
     select_trajectory,
 )
 from stochflow.flow_core import IdentityFlow, ScalarExpFlow, ShiftFlow, evolve_batch, tanh_coordinate
@@ -151,7 +152,7 @@ class TestAttractor:
         assert cloud.converged
         deepest = sched.starts[len(cloud.history)].value
         bound = np.exp(-model.rate * (T0.value - deepest)) * 2.0
-        assert cloud.diameter <= bound * (1 + 1e-10)
+        assert np.ptp(cloud.particles) <= bound * (1 + 1e-10)
 
     def test_expanding_flow_does_not_converge(self):
         model = ScalarExpFlow(+1.0, 6)
@@ -219,6 +220,67 @@ class TestSelectTrajectory:
         times = [T0, dyadic(1, 1), dyadic(2)]
         traj = select_trajectory(model, OM, times, _schedule(depth=7))
         assert traj.consistency_residual(model, OM) <= 1e-10
+
+
+def test_martingale_flatness_rows_equal_per_handle_traces():
+    model = _linear(level=5)
+    fam = GaussianFamily(model.periodic_mean, model.stationary_std, salt=3)
+    lbs = [dyadic(1), dyadic(2), dyadic(4)]
+    report = martingale_mean_flatness(model, RealizationStream(8), T0, tanh_coordinate(0),
+                                      fam, lbs, 6, n_particles=32)
+    omegas = RealizationStream(8).take(6)
+    rows = np.array([martingale_trace(model, omega, T0, tanh_coordinate(0), fam, lbs,
+                                      n_particles=32).values for omega in omegas])
+    batched = martingale_trace(model, omegas, T0, tanh_coordinate(0), fam, lbs, n_particles=32)
+    assert np.array_equal(batched.values, rows)
+    assert np.array_equal(report["means"], rows.mean(axis=0))
+    assert np.array_equal(report["stderr"], rows.std(axis=0, ddof=1) / np.sqrt(6))
+
+
+def _pullback_loop(model, omega, t, schedule):
+    """The collapsed pullback point of one realization, start by start."""
+    probes = np.array([[0.0], [1.0]])
+    prev, hits = None, 0
+    for s in schedule.starts:
+        imgs = evolve_batch(model, omega, s, t, probes)
+        coll = float(np.max(cdist(imgs, imgs)))
+        if prev is not None:
+            move = float(np.max(np.linalg.norm(imgs - prev, axis=1)))
+            hits = hits + 1 if coll < schedule.tol and move < schedule.tol else 0
+            if hits >= 2:
+                return imgs[0]
+        prev = imgs
+    raise UnsupportedCaseError("no collapse")
+
+
+def test_pullback_points_equal_per_handle_points():
+    model = _linear(sigma=1.0)
+    omegas = [NoiseRealization(5, i) for i in range(12)]
+    deep = _schedule(depth=6)
+    got = pullback_points(model, omegas, T0, deep)
+    for omega, row in zip(omegas, got):
+        assert np.array_equal(row, pullback_point(model, omega, T0, deep))
+        assert np.array_equal(row, _pullback_loop(model, omega, T0, deep))
+    # realizations 4 and 7 leave one start earlier than the rest: at depth 5
+    # they still collapse, while realization 0 never does
+    short = _schedule(depth=5)
+    left = [omegas[4], omegas[7]]
+    assert np.array_equal(pullback_points(model, left, T0, short), got[[4, 7]])
+    for one_row in (pullback_point, _pullback_loop):
+        with pytest.raises(UnsupportedCaseError):
+            one_row(model, omegas[0], T0, short)
+    with pytest.raises(UnsupportedCaseError, match="realization 0"):
+        pullback_points(model, [omegas[4], omegas[0], omegas[7]], T0, short)
+
+
+def test_pullback_points_delegate_finite_lifts():
+    from stochflow import finite_oracle as fo
+    lift = fo.FiniteFlowLift(fo.synchronizing_pair())
+    sched = PullbackSchedule.geometric(T0, 6, dyadic(1))
+    omegas = [NoiseRealization(9, i) for i in range(5)]
+    got = pullback_points(lift, omegas, T0, sched)
+    for omega, row in zip(omegas, got):
+        assert np.array_equal(row, pullback_point(lift, omega, T0, sched))
 
 
 class TestEsmMeanResidual:
@@ -318,7 +380,6 @@ _sets_1d = st.lists(_gap_safe, min_size=1, max_size=40).map(lambda v: np.array(v
 @settings(max_examples=300, deadline=None)
 def test_sorted_semidistance_equals_dense_bitwise(a, b):
     assert hausdorff_semidistance(a, b) == _dense_semidistance(a, b)
-    assert AttractorCloud(T0, a).diameter == float(np.max(cdist(a, a)))
 
 
 @pytest.mark.parametrize("far", [None, 0, 255, 256, 511, 699])
@@ -330,7 +391,6 @@ def test_blocked_semidistance_equals_dense_bitwise(far):
         a[far] = 9.0
     assert hausdorff_semidistance(a, b) == _dense_semidistance(a, b)
     assert hausdorff_semidistance(b, a) == _dense_semidistance(b, a)
-    assert AttractorCloud(T0, a).diameter == float(np.max(cdist(a, a)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -340,8 +400,6 @@ def test_semidistance_non_finite_as_dense(bad):
     assert np.array_equal(hausdorff_semidistance(a, b), _dense_semidistance(a, b),
                           equal_nan=True)
     assert np.array_equal(hausdorff_semidistance(a[:1], b), _dense_semidistance(a[:1], b),
-                          equal_nan=True)
-    assert np.array_equal(AttractorCloud(T0, a).diameter, float(np.max(cdist(a, a))),
                           equal_nan=True)
     assert np.isnan(hausdorff_semidistance(np.array([[0.0], [np.nan]]), np.zeros((3, 1))))
     assert np.isnan(hausdorff_semidistance(np.zeros((3, 1)), np.array([[0.0], [np.nan]])))

@@ -12,6 +12,7 @@ from stochflow.flow_core import (
     coordinate,
     evolve,
     evolve_batch,
+    evolve_ensemble,
     flow_residual,
     indicator_box,
     markov_apply,
@@ -90,6 +91,80 @@ def test_adaptedness_key_surgery_outside_window():
     assert not np.array_equal(evolve(model, inside, s, t, x), base)
 
 
+def test_base_ensemble_equals_per_handle_batches():
+    # EMModel has no array code: the base class loops over evolve_batch
+    model = EMModel(LinearDrift(0.8), [[0.3, 0.1], [0.0, 0.5]], grid_level=5)
+    omegas = [NoiseRealization(3, i, num_components=2) for i in (4, 0, 9)]
+    states = np.random.default_rng(2).normal(size=(3, 5, 2))
+    got = evolve_ensemble(model, omegas, dyadic(-1), dyadic(1), states)
+    assert got.shape == states.shape
+    for omega, x, row in zip(omegas, states, got):
+        assert np.array_equal(row, model.evolve_batch(omega, dyadic(-1), dyadic(1), x))
+
+
+def test_ensemble_states_are_validated():
+    model = IdentityFlow(2, 4)
+    omegas = [NoiseRealization(1, 0), NoiseRealization(1, 1)]
+    with pytest.raises(StateError):
+        evolve_ensemble(model, omegas, dyadic(0), dyadic(1), np.zeros((2, 2)))
+    with pytest.raises(StateError):
+        evolve_ensemble(model, omegas, dyadic(0), dyadic(1), np.zeros((3, 1, 2)))
+    with pytest.raises(StateError):
+        evolve_ensemble(model, omegas, dyadic(0), dyadic(1), np.full((2, 1, 2), np.nan))
+    with pytest.raises(OrderingError):
+        evolve_ensemble(model, omegas, dyadic(1), dyadic(0), np.zeros((2, 1, 2)))
+
+
+def _markov_loop(model, s, t, f, x, n, stream):
+    """markov_apply as a loop of one-realization steps."""
+    vals = np.array([f(model.evolve_state(omega, s, t, np.asarray(x, float)))
+                     for omega in stream.take(n)])
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+
+
+def _chapman_loop(model, s, t, u, f, x, n, stream, n_inner):
+    """chapman_residual as a loop of one-realization steps."""
+    direct, direct_se = _markov_loop(model, s, u, f, x, n, stream)
+    mids = np.array([_markov_loop(model, t, u, f, model.evolve_state(omega, s, t,
+                                                                     np.asarray(x, float)),
+                                  n_inner, stream)[0]
+                     for omega in stream.take(n)])
+    composed_se = float(mids.std(ddof=1) / np.sqrt(n))
+    return abs(direct - float(mids.mean())), float(np.hypot(direct_se, composed_se))
+
+
+_MARKOV = {  # the TestMarkov configs
+    "constant": (EMModel(LinearDrift(1.0), [[1.0]], grid_level=5), dyadic(0), dyadic(1),
+                 lambda x: 4.25, [0.0], 16, 1),
+    "noise_free": (ScalarExpFlow(-0.5, 6), dyadic(0), dyadic(2), coordinate(0), [2.0], 8, 2),
+    "linear": (LinearOUModel(rate=0.7, sigma=0.5, forcing=FourierForcing(cos_coeffs=(1.0,)),
+                             grid_level=6), dyadic(-2), dyadic(1), coordinate(0), [1.5], 600, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MARKOV))
+def test_markov_apply_equals_realization_loop(name):
+    model, s, t, f, x, n, seed = _MARKOV[name]
+    stream, loop_stream = RealizationStream(seed), RealizationStream(seed)
+    assert markov_apply(model, s, t, f, x, n, stream) == \
+        _markov_loop(model, s, t, f, x, n, loop_stream)
+    assert stream.next() == loop_stream.next()
+
+
+@pytest.mark.parametrize("model, f, seed, n, n_inner", [
+    (IdentityFlow(1, 5), coordinate(0), 3, 8, 2),
+    (ScalarExpFlow(-1.0, 5), coordinate(0), 4, 8, 2),
+    # test_chapman_statistical's model and function at a tenth of its sizes
+    (LinearOUModel(rate=1.0, sigma=0.4, grid_level=5), tanh_coordinate(0), 5, 40, 6),
+], ids=["identity", "deterministic", "linear"])
+def test_chapman_residual_equals_realization_loop(model, f, seed, n, n_inner):
+    args = (model, dyadic(0), dyadic(1), dyadic(2), f, [0.5])
+    stream, loop_stream = RealizationStream(seed), RealizationStream(seed)
+    assert chapman_residual(*args, n, stream, n_inner=n_inner) == \
+        _chapman_loop(*args, n, loop_stream, n_inner)
+    assert stream.next() == loop_stream.next()
+
+
 class TestMarkov:
     def test_constant_function(self):
         model = EMModel(LinearDrift(1.0), [[1.0]], grid_level=5)
@@ -152,3 +227,6 @@ def test_markov_requires_two_realizations():
     with pytest.raises(ConfigError):
         markov_apply(IdentityFlow(1, 4), dyadic(0), dyadic(1), coordinate(0),
                      [0.0], 1, RealizationStream(0))
+    with pytest.raises(ConfigError):
+        chapman_residual(IdentityFlow(1, 4), dyadic(0), dyadic(1), dyadic(2), coordinate(0),
+                         [0.0], 8, RealizationStream(0), n_inner=1)

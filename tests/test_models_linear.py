@@ -4,9 +4,10 @@ import scipy.integrate
 
 from stochflow.dyadic import dyadic
 from stochflow.errors import DivergenceError
-from stochflow.flow_core import evolve, evolve_batch
+from stochflow.flow_core import evolve, evolve_batch, evolve_ensemble
 from stochflow.models import EMModel, FourierForcing, LinearDrift, LinearOUModel
-from stochflow.wiener import NoiseRealization
+from stochflow import wiener
+from stochflow.wiener import NoiseRealization, increments
 
 OM = NoiseRealization(41, 2)
 
@@ -111,6 +112,35 @@ def test_batch_matches_single():
     batch = evolve_batch(model, OM, dyadic(-1), dyadic(1), pts)
     for i, p in enumerate(pts):
         assert np.array_equal(batch[i], evolve(model, OM, dyadic(-1), dyadic(1), p))
+
+
+def _closed_form(model, omega, s, t, states):
+    """The affine flow map for one realization, evaluated directly."""
+    h = 2.0**-model.grid_level
+    grid = np.arange(s.at_level(model.grid_level), t.at_level(model.grid_level) + 1) * h
+    decay = np.exp(-model.rate * (t.value - grid))
+    integrand = decay * model.forcing(grid)
+    shift = 0.0
+    shift += h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
+    shift += model.sigma * float(np.dot(decay[:-1], increments(omega, 0, s, t,
+                                                               model.grid_level)))
+    return states * decay[0] + shift
+
+
+@pytest.mark.parametrize("block", [1, 200, wiener.BLOCK_VALUES])
+def test_ensemble_rows_equal_per_handle_batches(monkeypatch, block):
+    monkeypatch.setattr(wiener, "BLOCK_VALUES", block)
+    model = LinearOUModel(rate=0.5, sigma=0.3,
+                          forcing=FourierForcing(cos_coeffs=(1.0,)), grid_level=6)
+    omegas = [NoiseRealization(41, i) for i in (2, 0, 7, 7, 30)]
+    omegas[3] = omegas[3].with_unit_surgery(0, -1, 0.5)
+    states = np.random.default_rng(3).normal(size=(5, 4, 1))
+    s, t = dyadic(-3), dyadic(1, 1)
+    got = evolve_ensemble(model, omegas, s, t, states)
+    for omega, x, row in zip(omegas, states, got):
+        assert np.array_equal(row, model.evolve_batch(omega, s, t, x))
+        assert np.array_equal(row, _closed_form(model, omega, s, t, x))
+    assert not np.array_equal(got[2], got[3])
 
 
 def test_spread_contracts_exactly():

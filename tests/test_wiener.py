@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochflow import wiener
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import OrderingError, ResolutionError
 from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys
@@ -109,8 +112,8 @@ def _reference_grid_values(omega, component, s, t, level):
     i0, i1 = s.at_level(level), t.at_level(level)
     n0, n1 = i0 >> level, -((-i1) >> level)
     if level == 0 or n1 == n0:
-        return _integer_values(omega, component, i0 >> level, i1 >> level)
-    anchors = _integer_values(omega, component, n0, n1)
+        return _integer_values((omega,), component, i0 >> level, i1 >> level)[0]
+    anchors = _integer_values((omega,), component, n0, n1)[0]
     pieces = []
     for j, n in enumerate(range(n0, n1)):
         fill = _reference_bridge_fill(omega, component, n, float(anchors[j]),
@@ -142,6 +145,53 @@ def test_grid_values_bitwise_equal_to_per_interval_fill(seed, real, comp, lev, s
     want = _reference_grid_values(omega, comp, s, t, lev)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# (seed, realization index, surgery on this row?) per row
+_handles = st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 50), st.booleans()),
+                    min_size=1, max_size=6)
+_blocks = st.sampled_from([1, 100, wiener.BLOCK_VALUES])
+
+
+def _rows(handles, comp, interval):
+    omegas = []
+    for seed, real, cut in handles:
+        omega = NoiseRealization(seed, real, num_components=2)
+        omegas.append(omega.with_unit_surgery(comp, interval, 0.375) if cut else omega)
+    return omegas
+
+
+@given(st.integers(0, 9), st.integers(0, 1), st.integers(-1500, 1500),
+       st.integers(0, 1500), _handles, _blocks)
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_equal_one_realization_calls(lev, comp, start, span, handles, block):
+    omegas = _rows(handles, comp, (start >> lev) + 1)
+    s, t = DyadicTime(start, lev), DyadicTime(start + span, lev)
+    with mock.patch.object(wiener, "BLOCK_VALUES", block):
+        grid = grid_values(omegas, comp, s, t, lev)
+        incs = increments(omegas, comp, s, t, lev)
+    assert grid.shape == (len(omegas), span + 1)
+    for r, omega in enumerate(omegas):
+        assert _bits_equal(grid[r], grid_values(omega, comp, s, t, lev))
+        assert _bits_equal(incs[r], increments(omega, comp, s, t, lev))
+
+
+@given(st.integers(0, 6), st.integers(0, 1), st.integers(-300, 300), st.integers(0, 8),
+       _handles, _blocks)
+@settings(max_examples=60, deadline=None)
+def test_batched_ou_rows_equal_one_realization_calls(lev, comp, start, span, handles, block):
+    cfg = OUConfig(rate=4.0, level=lev)  # a five-unit history
+    omegas = _rows(handles, comp, (start >> lev) - 2)
+    s, t = DyadicTime(start, lev), DyadicTime(start + span, lev)
+    with mock.patch.object(wiener, "BLOCK_VALUES", block):
+        got = ou_grid(omegas, comp, cfg, s, t)
+    assert got.shape == (len(omegas), span + 1)
+    for r, omega in enumerate(omegas):
+        assert _bits_equal(got[r], ou_grid(omega, comp, cfg, s, t))
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
