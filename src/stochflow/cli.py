@@ -46,12 +46,11 @@ class Verdict:
     passed: bool
     value: object = None
     threshold: object = None
-    stderr: float | None = None
     note: str = ""
 
     def to_dict(self):
         out = {"name": self.name, "passed": bool(self.passed)}
-        for key in ("value", "threshold", "stderr", "note"):
+        for key in ("value", "threshold", "note"):
             val = getattr(self, key)
             if val not in (None, ""):
                 out[key] = float(val) if isinstance(val, (int, float, np.floating)) and key != "note" else val
@@ -137,7 +136,7 @@ EXPERIMENTS = tuple(_TABLES)
 # ``jobs`` does nothing: it is still accepted because existing configs set it.
 _COMMON = {"seed": 0, "jobs": 1, "out": ""}
 _FLOORS = {"seed": None, "anchor": None, "level": 0, "model.level": 0, "realization": 0,
-           "schedule.depth": 2}
+           "schedule.depth": 2, "resolution": 8}
 
 
 def _checked(key: str, val, default):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dyadic import DyadicTime, dyadic
 from .errors import ConfigError, DivergenceError, UnsupportedCaseError
@@ -21,6 +20,7 @@ from .measure import (
     EmpiricalMeasure,
     MeasureFamily,
     RandomMeasure,
+    _pair_distances,
     distance,
     mixture,
 )
@@ -173,8 +173,9 @@ def martingale_mean_flatness(
 def hausdorff_semidistance(a: np.ndarray, b: np.ndarray) -> float:
     """sup over a of the distance to the set b (exact nearest neighbor).
 
-    Finite 1D sets sort b and search it; others run ``cdist`` on row blocks
-    of a, which equals ``|a - b|`` unless a gap under- or overflows when squared.
+    Finite 1D sets sort b and search it; others take the minimum over each row
+    block of ``measure._pair_distances``, which equals ``|a - b|`` unless a gap
+    under- or overflows when squared.
     """
     a, b = np.atleast_2d(a), np.atleast_2d(b)
     finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
@@ -184,7 +185,7 @@ def hausdorff_semidistance(a: np.ndarray, b: np.ndarray) -> float:
         left = np.abs(x - bs[np.maximum(k - 1, 0)])
         right = np.abs(bs[np.minimum(k, bs.size - 1)] - x)
         return float(np.max(np.minimum(left, right)))
-    rows = [np.min(cdist(a[i:i + 256], b), axis=1) for i in range(0, a.shape[0], 256)]
+    rows = [np.min(d, axis=1) for d in _pair_distances(a, b)]
     return float(np.max(np.concatenate(rows)))
 
 

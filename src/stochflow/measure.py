@@ -6,6 +6,13 @@ weighted particle sets; it is zero iff the two discrete distributions
 coincide, and its square root satisfies the triangle inequality.  In 1D it
 is ``2 * integral of (F - G)^2`` over the merged sorted support, a sum of
 non-negative terms, so it is exactly >= 0.
+
+For d > 1 no n x m distance matrix is built: ``_pair_distances`` yields the
+matrix in blocks of ``_BLOCK_ROWS`` rows, so memory grows with n + m.  Each
+pair distance adds the squared coordinate gaps one coordinate at a time, first
+to last, then takes the root; a pairwise or einsum sum would round otherwise,
+and the tests hold this order to a reference bit for bit.  The energy terms add
+the blocks' contributions in block order.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dyadic import DyadicTime
 from .errors import ConfigError, EvaluationError, StateError
@@ -22,6 +28,7 @@ from .keyed import chain, chain_offsets, gauss_from_keys
 
 _WEIGHT_TOL = 1e-12
 DEFAULT_PARTICLES = 1 << 10
+_BLOCK_ROWS = 256
 
 _TAG_SAMPLE = 0x53414D50
 
@@ -104,16 +111,66 @@ def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     if mu.dim != nu.dim:
         raise StateError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.dim == 1:
-        # stable: the order of tied particles sets how the cumulative weights
-        # round, so it must not depend on the platform's sort
+        # tied points are merged in an order of their own, so the result does
+        # not depend on how the sort orders them
         z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
         order = np.argsort(z, kind="stable")
-        gap = np.cumsum(np.concatenate((mu.weights, -nu.weights))[order][:-1])
-        return float(2.0 * np.dot(np.diff(z[order]), gap * gap))
-    cross = mu.weights @ cdist(mu.particles, nu.particles) @ nu.weights
-    within_mu = mu.weights @ cdist(mu.particles, mu.particles) @ mu.weights
-    within_nu = nu.weights @ cdist(nu.particles, nu.particles) @ nu.weights
-    return float(2.0 * cross - within_mu - within_nu)
+        z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
+        new = z[1:] != z[:-1]
+        if not new.all():
+            z, w = _merge_ties(z, w, new)
+        gap = np.cumsum(w[:-1])
+        return float(2.0 * np.dot(np.diff(z), gap * gap))
+    return float(2.0 * _mean_pair_distance(mu, nu) - _mean_pair_distance(mu, mu)
+                 - _mean_pair_distance(nu, nu))
+
+
+def _merge_ties(z: np.ndarray, w: np.ndarray, new: np.ndarray):
+    """Collapse each run of equal sorted points to one point with the run's net weight.
+
+    Each measure's weights in a run are added smallest first, so the net weight
+    depends neither on which measure is passed first nor on the particle order.
+    Without ties both orders already fix the signed weights' sequence up to sign.
+    """
+    start = np.concatenate(([True], new))
+    tied = ~(start & np.concatenate((new, [True])))
+    run = np.cumsum(start[tied]) - 1
+    v = w[tied]
+    order = np.lexsort((np.abs(v), run))
+    run, v = run[order], v[order]
+    k = run[-1] + 1
+    pos = v > 0
+    net = w[start]
+    net[tied[start]] = (np.bincount(run[pos], v[pos], minlength=k)
+                        - np.bincount(run[~pos], -v[~pos], minlength=k))
+    return z[start], net
+
+
+def _mean_pair_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """E|X - Y| for independent X ~ mu and Y ~ nu, summed block by block."""
+    w = np.split(mu.weights, range(_BLOCK_ROWS, mu.size, _BLOCK_ROWS))
+    blocks = _pair_distances(mu.particles, nu.particles)
+    return sum(wi @ (d @ nu.weights) for wi, d in zip(w, blocks))
+
+
+def _pair_distances(a: np.ndarray, b: np.ndarray):
+    """Row blocks of the matrix ``|a_i - b_j|``, ``_BLOCK_ROWS`` rows of a each.
+
+    NaN and infinite coordinates propagate as in ``sqrt(sum of squares)``,
+    without warnings.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    for i in range(0, a.shape[0], _BLOCK_ROWS):
+        rows = a[i:i + _BLOCK_ROWS]
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = np.subtract.outer(rows[:, 0], b[:, 0])
+            s = gap * gap
+            for k in range(1, a.shape[1]):
+                np.subtract.outer(rows[:, k], b[:, k], out=gap)
+                gap *= gap
+                s += gap
+        yield np.sqrt(s, out=s)
 
 
 def mixture(measures, mix_weights) -> EmpiricalMeasure:
@@ -165,16 +222,6 @@ def from_table(text: str) -> EmpiricalMeasure:
     w = np.array([float(r[0]) for r in rows])
     pts = np.array([[float(c) for c in r[1:]] for r in rows])
     return EmpiricalMeasure(pts, w)
-
-
-def save_measure(path, mu: EmpiricalMeasure):
-    with open(path, "w") as fh:
-        fh.write(to_table(mu))
-
-
-def load_measure(path) -> EmpiricalMeasure:
-    with open(path) as fh:
-        return from_table(fh.read())
 
 
 # -- deterministic time-indexed samplers ------------------------------------

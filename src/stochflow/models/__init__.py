@@ -8,9 +8,7 @@ from .nse import (
     energy_diagnostics,
     estimate_beta,
     leray_project,
-    load_field,
     random_divfree,
-    save_field,
     shear_mode,
     taylor_green,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "energy_diagnostics",
     "estimate_beta",
     "leray_project",
-    "load_field",
     "random_divfree",
-    "save_field",
     "shear_mode",
     "taylor_green",
 ]

@@ -44,7 +44,6 @@ class FourierForcing:
 
 
 ZERO_FORCING = FourierForcing()
-COSINE_FORCING = FourierForcing(cos_coeffs=(1.0,))
 
 
 @dataclass(frozen=True)

@@ -535,34 +535,3 @@ def estimate_beta(
     if rows.size:
         raise IterationError(f"power iteration did not settle in {max_iter} steps")
     return float(betas[0]) if phi.ndim == 3 else betas
-
-
-# -- snapshots ------------------------------------------------------------------
-
-def save_field(path, field: np.ndarray, time: float = 0.0, seed: int = 0):
-    n = field.shape[-1]
-    g = grid_for(n)
-    with open(path, "w") as fh:
-        fh.write(f"# n={n} time={time:.17g} seed={seed}\n")
-        for i in range(n):
-            for j in range(n):
-                fh.write(
-                    f"{int(g.kx[i, 0])} {int(g.ky[0, j])} "
-                    f"{field[0, i, j].real:.17g} {field[0, i, j].imag:.17g} "
-                    f"{field[1, i, j].real:.17g} {field[1, i, j].imag:.17g}\n"
-                )
-
-
-def load_field(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(p.split("=") for p in header.lstrip("# ").split())
-        n = int(parts["n"])
-        field = np.zeros((2, n, n), dtype=complex)
-        for line in fh:
-            k1, k2, r1, i1, r2, i2 = line.split()
-            i = int(k1) % n
-            j = int(k2) % n
-            field[0, i, j] = complex(float(r1), float(i1))
-            field[1, i, j] = complex(float(r2), float(i2))
-    return field, float(parts["time"]), int(parts["seed"])

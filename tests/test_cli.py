@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +21,14 @@ def test_list_experiments(capsys):
     out = capsys.readouterr().out
     for kind in ("noise", "oracle", "nse", "counterexamples"):
         assert kind in out
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, stochflow.cli; print(sorted(m for m in sys.modules if 'scipy.spatial' in m))"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_parse_config_text():
@@ -168,6 +178,7 @@ _BAD_SIZES = [
     ("nse", "steps = 0", "steps"),
     ("nse", "steps = 2.5", "steps"),
     ("nse", "resolution = abc", "resolution"),
+    ("nse", "resolution = 6", "resolution"),
     ("nse", "level = 5.5", "level"),
     ("nse", "viscosity = abc", "viscosity"),
     ("pullback", "particles = -5", "particles"),

@@ -102,14 +102,3 @@ def test_finite_flow_lift_rejects_bad_state():
     lift = fo.FiniteFlowLift(fo.two_state_noisy())
     with pytest.raises(ConfigError):
         lift.evolve_batch(OM, dyadic(0), dyadic(1), np.array([[7.0]]))
-
-
-def test_measure_file_roundtrip(tmp_path):
-    from stochflow.measure import load_measure, save_measure
-    mu = EmpiricalMeasure(np.array([[0.1, -2.0], [np.pi, 1e-7]]),
-                          np.array([0.25, 0.75]))
-    path = tmp_path / "mu.tsv"
-    save_measure(path, mu)
-    again = load_measure(path)
-    assert np.array_equal(again.particles, mu.particles)
-    assert np.array_equal(again.weights, mu.weights)

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import erf
 
 from stochflow.errors import ConfigError, StateError
@@ -148,6 +150,40 @@ def test_distance_1d_matches_exact_rational_oracle():
         assert abs(Fraction(distance(mu, nu)) - exact) <= Fraction(1e-13) * exact
 
 
+def _dense_energy_terms(mu, nu):
+    """E|X-Y|, E|X-X'| and E|Y-Y'| from the dense matrices the blocked sums replace."""
+    def mean_dist(a, b):
+        return a.weights @ cdist(a.particles, b.particles) @ b.weights
+    return mean_dist(mu, nu), mean_dist(mu, mu), mean_dist(nu, nu)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_distance_matches_dense_form(dim):
+    # 300 particles span two row blocks
+    rng = np.random.default_rng(dim)
+    mu = EmpiricalMeasure(rng.normal(size=(300, dim)), rng.random(300) + 0.1)
+    nu = EmpiricalMeasure(rng.normal(0.5, 2.0, size=(170, dim)), rng.random(170) + 0.1)
+    terms = _dense_energy_terms(mu, nu)
+    want = 2.0 * terms[0] - terms[1] - terms[2]
+    assert abs(distance(mu, nu) - want) <= 1e-12 * max(terms)
+    # the cross and within terms run the same blocks
+    assert distance(mu, mu) == 0.0
+
+
+def test_distance_memory_stays_below_one_dense_matrix():
+    rng = np.random.default_rng(11)
+    mu, nu = (EmpiricalMeasure.equal_weight(rng.normal(size=(3000, 2))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        distance(mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 3000 x 3000 matrix takes 72 MB; the blocked sums hold at most three
+    # 256 x 3000 blocks (18 MB): the new block, its gap scratch and the previous block
+    assert peak < 24e6
+
+
 def test_distance_dimension_mismatch():
     with pytest.raises(StateError):
         distance(_mk([0.0]), EmpiricalMeasure(np.zeros((1, 2)), np.ones(1)))
@@ -180,8 +216,11 @@ def test_mass_conservation(points):
     assert abs(nu.weights.sum() - 1.0) <= 1e-12
 
 
-def test_serialization_roundtrip_bitwise():
-    mu = _mk(np.array([0.1, -1.0 / 3.0, np.pi]), weights=np.array([0.2, 0.3, 0.5]))
+@pytest.mark.parametrize("mu", [
+    _mk(np.array([0.1, -1.0 / 3.0, np.pi]), weights=np.array([0.2, 0.3, 0.5])),
+    EmpiricalMeasure(np.array([[0.1, -2.0], [np.pi, 1e-7]]), np.array([0.25, 0.75])),
+], ids=["1d", "2d"])
+def test_serialization_roundtrip_bitwise(mu):
     again = from_table(to_table(mu))
     assert np.array_equal(again.particles, mu.particles)
     assert np.array_equal(again.weights, mu.weights)

@@ -15,9 +15,7 @@ from stochflow.models.nse import (
     energy_diagnostics,
     estimate_beta,
     leray_project,
-    load_field,
     random_divfree,
-    save_field,
     shear_mode,
     taylor_green,
 )
@@ -227,15 +225,6 @@ class TestDiagnostics:
                                              lookbacks=(4, 16, 32))
         assert out["t_star"] is not None
         assert out["gaps"][32] <= 0.05
-
-
-def test_snapshot_roundtrip(tmp_path):
-    u = random_divfree(16, 55)
-    path = tmp_path / "field.txt"
-    save_field(path, u, time=1.5, seed=9)
-    again, t, seed = load_field(path)
-    assert np.array_equal(again, u)
-    assert t == 1.5 and seed == 9
 
 
 def test_config_stability_guard():
