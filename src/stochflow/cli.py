@@ -188,6 +188,15 @@ def _resolve(cfg: dict) -> dict:
     return resolved
 
 
+def _refused(cfg: dict, keys: tuple, make):
+    """``make()``; a model's refusal is raised again naming the keys it rests on."""
+    try:
+        return make()
+    except StochFlowError as err:
+        shown = ", ".join(f"{key!r} = {_shown(cfg[key])}" for key in keys)
+        raise ConfigError(f"{shown} refused by the model: {err}") from err
+
+
 def validate_config(cfg: dict) -> str | None:
     """The first problem with ``cfg``, or None when its kind's table accepts it."""
     try:
@@ -210,6 +219,8 @@ def run_noise(cfg: dict, report: RunReport):
     seed = cfg["seed"]
     n = cfg["ensemble"]
     level = cfg["level"]
+    ou_cfg = _refused(cfg, ("ou_rate", "level"),
+                      lambda: OUConfig(rate=cfg["ou_rate"], level=level))
     one, zero, two = dyadic(1), dyadic(0), dyadic(2)
     omegas = RealizationStream(seed).take(n)
 
@@ -242,7 +253,6 @@ def run_noise(cfg: dict, report: RunReport):
         Verdict("wiener.refinement_bit_exact", bit_exact == n_int, bit_exact, n_int)
     )
 
-    ou_cfg = OUConfig(rate=cfg["ou_rate"], level=level)
     z0 = ou_grid(omegas[:4000], 0, ou_cfg, zero, zero)[:, 0]
     z1 = ou_grid(omegas[:4000], 0, ou_cfg, one, one)[:, 0]
     target = ou_cfg.stationary_variance
@@ -258,12 +268,12 @@ def run_noise(cfg: dict, report: RunReport):
 
 
 def _linear_model(cfg: dict) -> LinearOUModel:
-    return LinearOUModel(
+    return _refused(cfg, ("model.rate", "model.sigma"), lambda: LinearOUModel(
         rate=cfg["model.rate"],
         sigma=cfg["model.sigma"],
         forcing=FourierForcing(cos_coeffs=(cfg["model.forcing_amp"],)),
         grid_level=cfg["model.level"],
-    )
+    ))
 
 
 def run_pullback(cfg: dict, report: RunReport):
@@ -329,7 +339,7 @@ def run_esm_verify(cfg: dict, report: RunReport):
     n_particles = cfg["particles"]
     t = dyadic(cfg["anchor"])
     depth = cfg["depth"]
-    schedule = esm.PullbackSchedule.geometric(t, depth, 2)
+    schedule = _refused(cfg, ("depth",), lambda: esm.PullbackSchedule.geometric(t, depth, 2))
 
     points = esm.pullback_points(model, RealizationStream(seed).take(ensemble), t, schedule)[:, 0]
     family = ms.RandomMeasure({i: ms.EmpiricalMeasure.dirac([points[i]])
@@ -427,15 +437,17 @@ def run_nse(cfg: dict, report: RunReport):
     seed = cfg["seed"]
     lbs = cfg["lookbacks"]
     res = cfg["resolution"]
-    nse_cfg = default_nse_config(
+    _refused(cfg, ("resolution",), lambda: nse_mod.grid_for(res))
+    nse_cfg = _refused(cfg, ("viscosity", "resolution", "level"), lambda: default_nse_config(
         resolution=res,
         viscosity=cfg["viscosity"],
         level=cfg["level"],
         forcing_field=nse_mod.taylor_green(res, cfg["forcing_amp"]),
         noise_modes=nse_mod.default_noise_modes(res, cfg["noise_amp"]),
         ou_rate=cfg["ou_rate"],
-    )
-    model = NSEModel(nse_cfg)
+    ))
+    model = _refused(cfg, ("ou_rate", "level"), lambda: NSEModel(nse_cfg))
+    beta_hat = _refused(cfg, ("resolution", "noise_amp"), lambda: model.beta_hat)
     omega = NoiseRealization(seed, cfg["realization"], num_components=max(model.n_noise, 1))
 
     u = nse_mod.random_divfree(res, seed)
@@ -467,7 +479,7 @@ def run_nse(cfg: dict, report: RunReport):
     report.verdicts.append(Verdict(
         "models.poincare_exact", bool(np.all(trace.v_h_sq <= trace.v_v_sq))
     ))
-    diag = nse_mod.energy_diagnostics(nse_cfg, trace, model.beta_hat)
+    diag = nse_mod.energy_diagnostics(nse_cfg, trace, beta_hat)
     rows = list(zip(map(float, diag.times), map(float, diag.v_h_sq),
                     map(float, diag.v_v_sq), map(float, diag.z_abs_sum),
                     map(float, diag.lhs), map(float, diag.g_surrogate),

@@ -19,9 +19,9 @@ spectral operators (``leray_project``, ``bilinear_b``, the stepping, the trace
 and ``estimate_beta``) also take a stack (..., 2, n, n) with leading row axes,
 so that one FFT call serves every row.  Each row of a stack gets exactly the
 bits it would get alone: elementwise operations and the batched 2D FFTs act
-row by row, and every reduction (``norm_h_sq``, ``norm_v_sq``, the divergence
-guard) is still made by one call per row, because a sum along an axis of a
-stack may add in a different order.
+row by row, and ``norm_h_sq``/``norm_v_sq`` reduce each row's (2, n, n) block
+in one call over the last three axes, which adds a row's terms in the order
+the sum over that row alone does (``test_stacked_norms_match_single_rows``).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def bilinear_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise StateError("fields must share one resolution")
     g = grid_for(u.shape[-1])
     um = u * g.dealias
-    vm = v * g.dealias
+    vm = um if v is u else v * g.dealias
     u_ph, dvx, dvy = to_phys(np.stack([um, 1j * g.kx * vm, 1j * g.ky * vm]))
     w = u_ph[..., :1, :, :] * dvx + u_ph[..., 1:, :, :] * dvy
     return _finalize(to_spec(w))
@@ -131,13 +131,19 @@ def inner_h(u: np.ndarray, v: np.ndarray) -> float:
     return float(TWO_PI_SQ * np.sum(np.real(u * np.conj(v))))
 
 
-def norm_h_sq(u: np.ndarray) -> float:
-    return float(TWO_PI_SQ * np.sum(np.real(u * np.conj(u))))
+def _rowwise(total: np.ndarray, u: np.ndarray):
+    return float(total) if u.ndim == 3 else total
 
 
-def norm_v_sq(u: np.ndarray) -> float:
+def norm_h_sq(u: np.ndarray):
+    """|u|^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row."""
+    return _rowwise(TWO_PI_SQ * np.sum(np.real(u * np.conj(u)), axis=(-3, -2, -1)), u)
+
+
+def norm_v_sq(u: np.ndarray):
+    """||u||^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row."""
     g = grid_for(u.shape[-1])
-    return float(TWO_PI_SQ * np.sum(g.ksq * np.real(u * np.conj(u))))
+    return _rowwise(TWO_PI_SQ * np.sum(g.ksq * np.real(u * np.conj(u)), axis=(-3, -2, -1)), u)
 
 
 def divergence_residual(u: np.ndarray) -> float:
@@ -308,9 +314,7 @@ class NSEModel(FlowModelBase):
             z_now = self._z_field(zvals[k + 1])
             u = (v + z_now) * self.grid.dealias
             u[..., 0, 0] = 0.0
-            if not np.all(np.isfinite(u.view(float))) or any(
-                norm_h_sq(row) > self.cfg.guard for row in u
-            ):
+            if not np.all(np.isfinite(u.view(float))) or np.any(norm_h_sq(u) > self.cfg.guard):
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
             record(n_steps, u, u - z_now, zvals[n_steps], z_now)
@@ -350,10 +354,9 @@ class NSEModel(FlowModelBase):
         z_v_norm = np.empty(n_pts)
 
         def record(k, u_k, v_k, zrow, z_field):
-            for r in range(rows):
-                v_h_sq[r, k] = norm_h_sq(v_k[r])
-                v_v_sq[r, k] = norm_v_sq(v_k[r])
-                u_h_sq[r, k] = norm_h_sq(u_k[r])
+            v_h_sq[:, k] = norm_h_sq(v_k)
+            v_v_sq[:, k] = norm_v_sq(v_k)
+            u_h_sq[:, k] = norm_h_sq(u_k)
             z_abs_sum[k] = float(np.sum(np.abs(zrow)))
             z_v_norm[k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
 
@@ -380,9 +383,11 @@ class NSETrace:
     z_abs_sum: np.ndarray
     z_v_norm: np.ndarray
 
+    SERIES = ("times", "v_h_sq", "v_v_sq", "u_h_sq", "z_abs_sum", "z_v_norm")
+
     def __post_init__(self):
         n = len(self.times)
-        for name in ("v_h_sq", "v_v_sq", "u_h_sq", "z_abs_sum", "z_v_norm"):
+        for name in self.SERIES[1:]:
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"trace series {name} has mismatched length")
 
@@ -435,6 +440,16 @@ def energy_diagnostics(cfg: NSEConfig, trace: NSETrace, beta_hat: float) -> Ener
     )
 
 
+def _joined(pieces: list) -> NSETrace:
+    """One trace from consecutive pieces, each starting where the last ended;
+    the repeated boundary point is kept once."""
+    first = pieces[0]
+    return NSETrace(first.level, *(
+        np.concatenate([getattr(first, name)] + [getattr(p, name)[1:] for p in pieces[1:]])
+        for name in NSETrace.SERIES
+    ))
+
+
 def absorbing_radius_experiment(
     model: NSEModel,
     omega,
@@ -446,16 +461,32 @@ def absorbing_radius_experiment(
 ):
     """Evolve initial fields of different sizes from ever earlier starts and
     compare the trailing-window radius.  Returns per-lookback radii, relative
-    gaps, and the first lookback at which the gap is within 5 percent."""
+    gaps, and the first lookback at which the gap is within 5 percent.
+
+    All lookbacks ride one stack run from the deepest start: at each shallower
+    start the stack takes on that lookback's rows, and each row's trace is
+    joined from the pieces it rode.  Rows of a stack step exactly as alone and
+    aligned pieces compose bit-for-bit, so every radius has the bits of its
+    own run from ``t - lookback``."""
     base = random_divfree(model.cfg.resolution, seed)
     base = base / math.sqrt(norm_h_sq(base))
+    starts = np.stack([mag * base for mag in magnitudes])
+    deepest_first = sorted(set(lookbacks), reverse=True)
+    ends = [t - int(lb) for lb in deepest_first[1:]] + [t]
+    u = starts[:0]
+    pieces = []  # pieces[r]: the trace pieces of stack row r
+    for lb, end in zip(deepest_first, ends):
+        u = np.concatenate([u, starts])
+        pieces += [[] for _ in starts]
+        u, traces = model.evolve_trace(omega, t - int(lb), end, u)
+        for row, trace in zip(pieces, traces):
+            row.append(trace)
     radii = {}
     gaps = {}
-    starts = np.stack([mag * base for mag in magnitudes])
     for lb in lookbacks:
-        _, traces = model.evolve_trace(omega, t - int(lb), t, starts)
-        rs = [energy_diagnostics(model.cfg, trace, model.beta_hat).absorbing_radius(window)
-              for trace in traces]
+        first = deepest_first.index(lb) * len(starts)
+        rs = [energy_diagnostics(model.cfg, _joined(row), model.beta_hat).absorbing_radius(window)
+              for row in pieces[first:first + len(starts)]]
         radii[lb] = rs
         gaps[lb] = (max(rs) - min(rs)) / max(max(rs), 1e-300)
     t_star = next((lb for lb in lookbacks if gaps[lb] <= 0.05), None)
@@ -513,10 +544,11 @@ def estimate_beta(
         su = _apply_sym(u, dphi)
         s2 = _apply_sym(su, dphi)
         going = np.ones(rows.size, dtype=bool)
+        su_sq, s2_sq = norm_h_sq(su), norm_h_sq(s2)
         for i in range(rows.size):
-            beta = math.sqrt(norm_h_sq(su[i]))
+            beta = math.sqrt(su_sq[i])
             # beta == 0 settles at 0.0, a null second application at beta
-            n2 = math.sqrt(norm_h_sq(s2[i])) if beta != 0.0 else 0.0
+            n2 = math.sqrt(s2_sq[i]) if beta != 0.0 else 0.0
             if n2 == 0.0:
                 betas[rows[i]] = beta
                 going[i] = False

@@ -181,6 +181,14 @@ _BAD_SIZES = [
     ("nse", "resolution = 6", "resolution"),
     ("nse", "level = 5.5", "level"),
     ("nse", "viscosity = abc", "viscosity"),
+    # values of the right type and floor that the model refuses
+    ("nse", "resolution = 9", "resolution"),
+    ("nse", "level = 0", "level"),
+    ("nse", "level = 3", "level"),
+    ("nse", "ou_rate = 0", "ou_rate"),
+    ("nse", "viscosity = 0", "viscosity"),
+    # the power iteration for the noise bound does not settle
+    ("nse", "resolution = 18", "resolution"),
     ("pullback", "particles = -5", "particles"),
     ("pullback", "particles = 2.5", "particles"),
     ("pullback", "schedule.depth = 2.5", "schedule.depth"),
@@ -194,6 +202,10 @@ _BAD_SIZES = [
     ("pullback", "anchor = 0.3", "anchor"),
     ("pullback", "schedule.tol = nan", "schedule.tol"),
     ("esm-verify", "depth = 2.5", "depth"),
+    ("esm-verify", "depth = 1", "depth"),
+    ("pullback", "model.rate = 0", "model.rate"),
+    ("noise", "ou_rate = 0", "ou_rate"),
+    ("noise", "level = 40", "level"),
     ("oracle", "depth = -1", "depth"),
     ("oracle", "seed = true", "seed"),
     # run_attractor reads no linear-model key but the grid level

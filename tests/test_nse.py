@@ -366,3 +366,82 @@ def test_beta_hat_matches_reference_oracle_sum():
     for phi in model.cfg.noise_modes:
         want += _old_estimate_beta(phi)
     assert model.beta_hat == want
+
+
+def test_stacked_norms_match_single_rows():
+    rng = np.random.default_rng(5)
+    for n in (8, 16, 18, 32, 64):
+        for rows in range(1, 8):
+            mags = 10.0 ** rng.uniform(-8, 8, size=(rows, 1, 1, 1))
+            stack = mags * (rng.standard_normal((rows, 2, n, n))
+                            + 1j * rng.standard_normal((rows, 2, n, n)))
+            stack[rng.integers(rows)] = 0.0
+            for norm in (nm.norm_h_sq, nm.norm_v_sq):
+                got = norm(stack)
+                assert got.shape == (rows,)
+                for r in range(rows):
+                    one = norm(stack[r])
+                    assert type(one) is float
+                    assert got[r] == one, (norm.__name__, n, rows, r)
+
+
+def _old_absorbing_radius_experiment(model, omega, t, magnitudes=(1.0, 10.0),
+                                     lookbacks=(8, 16, 32), window=1.0, seed=11):
+    """Reference oracle: each lookback runs on its own from t - lookback."""
+    base = random_divfree(model.cfg.resolution, seed)
+    base = base / math.sqrt(nm.norm_h_sq(base))
+    radii = {}
+    gaps = {}
+    starts = np.stack([mag * base for mag in magnitudes])
+    for lb in lookbacks:
+        _, traces = model.evolve_trace(omega, t - int(lb), t, starts)
+        rs = [energy_diagnostics(model.cfg, trace, model.beta_hat).absorbing_radius(window)
+              for trace in traces]
+        radii[lb] = rs
+        gaps[lb] = (max(rs) - min(rs)) / max(max(rs), 1e-300)
+    t_star = next((lb for lb in lookbacks if gaps[lb] <= 0.05), None)
+    return {"radii": radii, "gaps": gaps, "t_star": t_star}
+
+
+@pytest.mark.parametrize("lookbacks", [(8, 16, 32), (32, 8, 16), (8, 8, 16), (1,), (2, 4)])
+def test_absorbing_radius_sweep_matches_reference_oracle(lookbacks):
+    model = _model(resolution=8, level=5, viscosity=0.2)
+    om = NoiseRealization(21, 0, num_components=2)
+    magnitudes = (1.0, 10.0, 0.1)
+    got = nm.absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks)
+    want = _old_absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks)
+    assert list(got["radii"]) == list(want["radii"])
+    for lb in lookbacks:
+        assert got["radii"][lb] == want["radii"][lb]
+        assert got["gaps"][lb] == want["gaps"][lb]
+    assert got["t_star"] == want["t_star"]
+
+
+def test_absorbing_radius_sweep_steps_the_deepest_start_once(monkeypatch):
+    model = _model(resolution=8, level=5)
+    om = NoiseRealization(21, 0, num_components=2)
+    rows = []  # the stack height of each bilinear_b call
+    real = nm.bilinear_b
+
+    def counted(u, v):
+        rows.append(u.shape[0])
+        return real(u, v)
+
+    monkeypatch.setattr(nm, "bilinear_b", counted)
+    lookbacks = (8, 2, 4, 4)
+    nm.absorbing_radius_experiment(model, om, dyadic(0), (1.0, 10.0), lookbacks)
+    assert len(rows) == max(lookbacks) << model.cfg.level
+    # row steps are those of one run per distinct lookback
+    assert sum(rows) == sum(2 * lb << model.cfg.level for lb in set(lookbacks))
+
+
+def test_joined_trace_pieces_match_direct_trace():
+    model = _model(resolution=8, level=5)
+    s, r, t = dyadic(-2), DyadicTime(-19, 4), dyadic(0)
+    u0 = taylor_green(8, 1.0)
+    u_r, first = model.evolve_trace(OM, s, r, u0)
+    _, second = model.evolve_trace(OM, r, t, u_r)
+    _, direct = model.evolve_trace(OM, s, t, u0)
+    joined = nm._joined([first, second])
+    for name in nm.NSETrace.SERIES:
+        assert np.array_equal(getattr(joined, name), getattr(direct, name)), name
