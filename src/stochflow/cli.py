@@ -268,7 +268,7 @@ def run_noise(cfg: dict, report: RunReport):
 
 
 def _linear_model(cfg: dict) -> LinearOUModel:
-    return _refused(cfg, ("model.rate", "model.sigma"), lambda: LinearOUModel(
+    return _refused(cfg, ("model.rate", "model.sigma", "model.level"), lambda: LinearOUModel(
         rate=cfg["model.rate"],
         sigma=cfg["model.sigma"],
         forcing=FourierForcing(cos_coeffs=(cfg["model.forcing_amp"],)),
@@ -397,7 +397,8 @@ def run_oracle(cfg: dict, report: RunReport):
                                    cond.independence_ok and cond.max_residual == 0,
                                    str(cond.max_residual), "0"))
 
-    mart = fo.ff_martingale_check(flow, 0, (fo.Fraction(0), fo.Fraction(1)), depth)
+    mart = _refused(cfg, ("depth",), lambda: fo.ff_martingale_check(
+        flow, 0, (fo.Fraction(0), fo.Fraction(1)), depth))
     report.verdicts.append(Verdict("finite_oracle.martingale_all_cylinders",
                                    mart.ok, str(mart.max_residual), "0",
                                    note=f"{mart.cylinders_checked} cylinders"))
@@ -469,7 +470,9 @@ def run_nse(cfg: dict, report: RunReport):
 
     t0 = dyadic(0)
     t1 = DyadicTime(cfg["steps"], nse_cfg.level)
-    u_t, trace = model.evolve_trace(omega, t0, t1, nse_mod.taylor_green(res, 1.0))
+    drivers = ("viscosity", "forcing_amp", "noise_amp")  # they set the energy balance
+    u_t, trace = _refused(cfg, drivers, lambda: model.evolve_trace(
+        omega, t0, t1, nse_mod.taylor_green(res, 1.0)))
     report.verdicts.append(Verdict(
         "models.reality_preserved_bitwise", nse_mod.reality_residual(u_t) == 0.0
     ))
@@ -488,7 +491,8 @@ def run_nse(cfg: dict, report: RunReport):
         ("time", "v_h_sq", "v_v_sq", "z_abs_sum", "lhs", "g_surrogate", "slack"), rows
     )
 
-    absorb = nse_mod.absorbing_radius_experiment(model, omega, dyadic(0), lookbacks=lbs)
+    absorb = _refused(cfg, drivers, lambda: nse_mod.absorbing_radius_experiment(
+        model, omega, dyadic(0), lookbacks=lbs))
     deepest = lbs[-1]
     report.verdicts.append(Verdict("models.absorbing_radius_agreement",
                                    absorb["gaps"][deepest] <= 0.05,

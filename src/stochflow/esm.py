@@ -14,7 +14,7 @@ import numpy as np
 
 from .dyadic import DyadicTime, dyadic
 from .errors import ConfigError, DivergenceError, UnsupportedCaseError
-from .flow_core import BoundedFunction, FlowModelBase, evolve_batch, evolve_ensemble
+from .flow_core import BoundedFunction, FlowModelBase, evolve, evolve_batch, evolve_ensemble
 from .measure import (
     DEFAULT_PARTICLES,
     EmpiricalMeasure,
@@ -272,8 +272,7 @@ class SelectedTrajectory:
     def consistency_residual(self, model: FlowModelBase, omega: NoiseRealization) -> float:
         worst = 0.0
         for k in range(len(self.times) - 1):
-            stepped = model.evolve_state(omega, self.times[k], self.times[k + 1],
-                                         self.states[k])
+            stepped = evolve(model, omega, self.times[k], self.times[k + 1], self.states[k])
             worst = max(worst, float(np.max(np.abs(stepped - self.states[k + 1]))))
         return worst
 
@@ -344,7 +343,7 @@ def select_trajectory(
         return SelectedTrajectory(tuple(times), np.asarray(states, float))
     states = [pullback_points(model, (omega,), times[0], schedule, probes, tol)[0]]
     for a, b in zip(times, times[1:]):
-        states.append(model.evolve_state(omega, a, b, states[-1]))
+        states.append(evolve(model, omega, a, b, states[-1]))
     return SelectedTrajectory(tuple(times), np.stack(states))
 
 
@@ -378,7 +377,7 @@ def esm_residual(
     worst = 0.0
     for s, t in pairs:
         rho_s = family.sample(s, n_particles)
-        out = model.evolve_ensemble(stream.take(n_particles), s, t, rho_s.particles[:, None])
+        out = evolve_ensemble(model, stream.take(n_particles), s, t, rho_s.particles[:, None])
         transported = EmpiricalMeasure(out[:, 0], rho_s.weights)
         worst = max(worst, distance(transported, family.sample(t, n_particles)))
     return worst

@@ -4,6 +4,10 @@ A flow model supplies the state map for grid-aligned dyadic time pairs.  On
 its own grid a stepper model composes bit-exactly: running s -> r -> t
 executes the identical per-step operation sequence as s -> t.
 
+Every caller reaches a model through ``evolve_batch`` or ``evolve_ensemble``
+(``evolve`` is the one-row case), which first make one check: s <= t, both
+on the model grid, and finite states of the model's shape.
+
 ``evolve_ensemble`` adds a leading realization axis.  The base class loops over
 ``evolve_batch``; array code reads the path store in blocks of rows
 (``wiener.row_blocks``).  Either way a row equals the one-realization
@@ -26,7 +30,8 @@ class FlowModelBase:
     """Base contract: subclasses override ``evolve_batch``.
 
     ``evolve_batch`` maps an (n, state_dim) array of states forward under the
-    single realized map S(t, s; omega); all rows ride the same noise.
+    single realized map S(t, s; omega); all rows ride the same noise.  Models
+    are called through the checked functions below, never directly.
     """
 
     state_dim: int = 1
@@ -40,64 +45,50 @@ class FlowModelBase:
         """Map an (R, n, state_dim) array: row r rides ``omegas[r]``."""
         return np.stack([self.evolve_batch(omega, s, t, x) for omega, x in zip(omegas, states)])
 
-    def evolve_state(self, omega, s, t, x: np.ndarray) -> np.ndarray:
-        return self.evolve_batch(omega, s, t, np.atleast_1d(np.asarray(x, float))[None, :])[0]
 
-
-def _validate_times(model, s: DyadicTime, t: DyadicTime):
+def _checked(model, s: DyadicTime, t: DyadicTime, states, rows: int | None = None) -> np.ndarray:
+    """``states`` as floats, once the call is well posed: s <= t, both on the
+    model grid, and finite states of shape (n, state_dim), or
+    (rows, n, state_dim) for an ensemble of ``rows`` realizations."""
     if s > t:
         raise OrderingError(f"flow requires s <= t, got {s!r} > {t!r}")
     if not (s.is_aligned(model.grid_level) and t.is_aligned(model.grid_level)):
         raise AlignmentError(
             f"times must sit on the level-{model.grid_level} grid: {s!r}, {t!r}"
         )
-
-
-def _validate_state(model, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.state_dim,):
-        raise StateError(f"state must have shape ({model.state_dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise StateError("state contains non-finite entries")
-    return x
+    states = np.asarray(states, dtype=float)
+    lead = () if rows is None else (rows,)
+    if states.ndim != len(lead) + 2 or states.shape[:len(lead)] != lead \
+            or states.shape[-1] != model.state_dim:
+        shape = ", ".join(map(str, lead + ("n", model.state_dim)))
+        raise StateError(f"states must have shape ({shape}), got {states.shape}")
+    if not np.all(np.isfinite(states)):
+        raise StateError("states contain non-finite entries")
+    return states
 
 
 def evolve(model: FlowModelBase, omega: NoiseRealization, s: DyadicTime, t: DyadicTime,
            x) -> np.ndarray:
-    """Validated application of the flow map to one state."""
-    _validate_times(model, s, t)
-    x = _validate_state(model, x)
-    return model.evolve_state(omega, s, t, x)
+    """The flow map on one state: the one-row case of ``evolve_batch``."""
+    return evolve_batch(model, omega, s, t, np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
 
 
 def evolve_batch(model, omega, s, t, states: np.ndarray) -> np.ndarray:
-    _validate_times(model, s, t)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    if states.shape[1] != model.state_dim:
-        raise StateError(f"states must have {model.state_dim} columns")
-    if not np.all(np.isfinite(states)):
-        raise StateError("states contain non-finite entries")
-    return model.evolve_batch(omega, s, t, states)
+    """Checked ``model.evolve_batch``: the rows of ``states`` under S(t, s; omega)."""
+    return model.evolve_batch(omega, s, t, _checked(model, s, t, np.atleast_2d(states)))
 
 
 def evolve_ensemble(model, omegas, s, t, states: np.ndarray) -> np.ndarray:
-    """Validated ``model.evolve_ensemble``: row r of the (R, n, state_dim)
+    """Checked ``model.evolve_ensemble``: row r of the (R, n, state_dim)
     ``states`` under S(t, s; omegas[r])."""
-    _validate_times(model, s, t)
-    omegas, states = tuple(omegas), np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[::2] != (len(omegas), model.state_dim):
-        raise StateError(f"states must have shape ({len(omegas)}, n, {model.state_dim})")
-    if not np.all(np.isfinite(states)):
-        raise StateError("states contain non-finite entries")
-    return model.evolve_ensemble(omegas, s, t, states)
+    omegas = tuple(omegas)
+    return model.evolve_ensemble(omegas, s, t, _checked(model, s, t, states, len(omegas)))
 
 
 def _f_values(model, s, t, f: Callable, states: np.ndarray, stream) -> np.ndarray:
     """f(S(t, s; omega_i) x_i) for the rows x_i of ``states``, row i on the i-th
     fresh realization from ``stream``: one ``evolve_ensemble`` call."""
-    if not np.all(np.isfinite(states)):
-        raise StateError("state contains non-finite entries")
-    ys = model.evolve_ensemble(stream.take(len(states)), s, t, states[:, None])[:, 0]
+    ys = evolve_ensemble(model, stream.take(len(states)), s, t, states[:, None])[:, 0]
     vals = np.array([f(y) for y in ys], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("test function overflowed during Markov estimate")
@@ -111,14 +102,8 @@ def flow_residual(model, omega, s: DyadicTime, r: DyadicTime, t: DyadicTime,
     Zero for steppers on aligned triples; bounded by accumulated rounding for
     closed-form models.
     """
-    if not (s <= r <= t):
-        raise OrderingError("flow_residual requires s <= r <= t")
-    _validate_times(model, s, r)
-    _validate_times(model, r, t)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    direct = evolve_batch(model, omega, s, t, pts)
-    mid = evolve_batch(model, omega, s, r, pts)
-    composed = model.evolve_batch(omega, r, t, mid)
+    composed = evolve_batch(model, omega, r, t, evolve_batch(model, omega, s, r, points))
+    direct = evolve_batch(model, omega, s, t, points)
     num = np.linalg.norm(composed - direct, axis=1)
     den = np.maximum(1.0, np.linalg.norm(direct, axis=1))
     return float(np.max(num / den))
@@ -133,9 +118,8 @@ def markov_apply(model, s: DyadicTime, t: DyadicTime, f: Callable, x,
     """
     if n_realizations < 2:
         raise ConfigError("n_realizations must be at least 2")
-    x = _validate_state(model, x)
-    _validate_times(model, s, t)
-    vals = _f_values(model, s, t, f, np.broadcast_to(x, (n_realizations, x.size)), stream)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = _f_values(model, s, t, f, np.broadcast_to(x, (n_realizations,) + x.shape), stream)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_realizations))
 
 
@@ -153,14 +137,13 @@ def chapman_residual(model, s: DyadicTime, t: DyadicTime, u: DyadicTime, f: Call
     exact = getattr(model, "exact_chapman_residual", None)
     if exact is not None:
         return float(exact(s, t, u)), 0.0
-    x = _validate_state(model, x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     n_inner = n_inner or max(2, n_realizations // 4)
     if n_inner < 2:
         raise ConfigError("n_inner must be at least 2")
     direct, direct_se = markov_apply(model, s, u, f, x, n_realizations, stream)
-    _validate_times(model, t, u)
-    outer = np.broadcast_to(x, (n_realizations, 1, x.size))
-    ys = model.evolve_ensemble(stream.take(n_realizations), s, t, outer)[:, 0]
+    outer = np.broadcast_to(x, (n_realizations, 1) + x.shape)
+    ys = evolve_ensemble(model, stream.take(n_realizations), s, t, outer)[:, 0]
     inner = _f_values(model, t, u, f, np.repeat(ys, n_inner, axis=0), stream)
     mids = inner.reshape(n_realizations, n_inner).mean(axis=1)
     composed = float(mids.mean())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dyadic import DyadicTime
+from ..dyadic import MAX_LEVEL, DyadicTime
 from ..errors import ConfigError
 from ..flow_core import FlowModelBase
 from ..wiener import increments, row_blocks
@@ -23,24 +23,21 @@ from ..wiener import increments, row_blocks
 
 @dataclass(frozen=True)
 class FourierForcing:
-    """Trigonometric polynomial in t with period 2*pi, as a callable."""
+    """Cosine series sum_k c_k cos(k t), k = 1, 2, ..., with period 2*pi and
+    mean zero, as a callable; ``cos_coeffs`` holds c_1, c_2, ..."""
 
-    constant: float = 0.0
     cos_coeffs: tuple = ()
-    sin_coeffs: tuple = ()
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.constant, dtype=float)
+        out = np.zeros_like(t)
         for k, c in enumerate(self.cos_coeffs, start=1):
             out = out + c * np.cos(k * t)
-        for k, c in enumerate(self.sin_coeffs, start=1):
-            out = out + c * np.sin(k * t)
         return out
 
     @property
     def is_zero(self):
-        return self.constant == 0 and not self.cos_coeffs and not self.sin_coeffs
+        return not self.cos_coeffs
 
 
 ZERO_FORCING = FourierForcing()
@@ -52,7 +49,6 @@ class LinearOUModel(FlowModelBase):
     sigma: float = 0.0
     forcing: FourierForcing = ZERO_FORCING
     grid_level: int = 6
-    component: int = 0
     state_dim: int = field(default=1, init=False)
 
     def __post_init__(self):
@@ -60,16 +56,16 @@ class LinearOUModel(FlowModelBase):
             raise ConfigError("rate must be positive")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
+        if not 0 <= self.grid_level <= MAX_LEVEL:
+            raise ConfigError(f"grid_level {self.grid_level} outside [0, {MAX_LEVEL}]")
 
     def periodic_mean(self, t: float) -> float:
         """The unique 2*pi-periodic solution of m' = -rate*m + forcing, for
-        forcing = c*cos + s*sin series (closed form)."""
+        a cosine series forcing (closed form)."""
         a = self.rate
-        m = self.forcing.constant / a
+        m = 0.0 / a
         for k, c in enumerate(self.forcing.cos_coeffs, start=1):
             m += c * (a * np.cos(k * t) + k * np.sin(k * t)) / (a * a + k * k)
-        for k, c in enumerate(self.forcing.sin_coeffs, start=1):
-            m += c * (a * np.sin(k * t) - k * np.cos(k * t)) / (a * a + k * k)
         return float(m)
 
     @property
@@ -97,7 +93,7 @@ class LinearOUModel(FlowModelBase):
         if self.sigma != 0.0:  # one np.dot per row, each block before the next query
             shifts = np.array([shift + self.sigma * float(np.dot(decay[:-1], dw))
                                for block in row_blocks(tuple(omegas), i1 - i0 + 1)
-                               for dw in increments(block, self.component, s, t, lv)])
+                               for dw in increments(block, 0, s, t, lv)])
         return states * decay[0] + shifts.reshape((-1,) + (1,) * (states.ndim - 1))
 
 

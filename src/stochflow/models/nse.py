@@ -37,9 +37,11 @@ from ..errors import ConfigError, DivergenceError, IterationError, StateError
 from ..flow_core import FlowModelBase
 from ..keyed import chain, chain_offsets, gauss_from_keys
 from ..wiener import OUConfig, ou_grid
-from .linear import FourierForcing
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
+# Velocity scale of the advective stability bound: a step must not exceed
+# 1 / (cutoff * CFL_VELOCITY_SCALE).
+CFL_VELOCITY_SCALE = 2.0
 
 _TAG_FIELD = 0x4649454C
 
@@ -189,12 +191,13 @@ def shear_mode(n: int, amplitude: float = 1.0, along_x: bool = True) -> np.ndarr
     return _finalize(to_spec(field))
 
 
-def random_divfree(n: int, seed: int, decay: float = 2.0) -> np.ndarray:
-    """Deterministic random smooth divergence-free field."""
+def random_divfree(n: int, seed: int) -> np.ndarray:
+    """Deterministic random smooth divergence-free field: keyed Gaussian
+    coefficients divided by 1 + |k|^2."""
     g = grid_for(n)
     keys = chain_offsets(chain(_TAG_FIELD, seed), np.arange(4 * n * n))
     raw = gauss_from_keys(keys).reshape(2, 2, n, n)
-    coeff = (raw[0] + 1j * raw[1]) / (1.0 + g.ksq) ** (decay / 2.0)
+    coeff = (raw[0] + 1j * raw[1]) / (1.0 + g.ksq)
     return _finalize(coeff)
 
 
@@ -202,16 +205,15 @@ def random_divfree(n: int, seed: int, decay: float = 2.0) -> np.ndarray:
 
 @dataclass(eq=False)
 class NSEConfig:
+    """Model settings.  The forcing at time t is cos(t) * ``forcing_field``."""
+
     viscosity: float = 0.1
     resolution: int = 16
     level: int = 6
     forcing_field: np.ndarray | None = None
-    forcing_series: FourierForcing = FourierForcing(cos_coeffs=(1.0,))
     noise_modes: tuple = ()
     ou_rate: float = 1.0
-    ou_tolerance: float = 1e-8
     guard: float = 1e6
-    cfl_velocity_scale: float = 2.0
 
     def __post_init__(self):
         if self.viscosity <= 0:
@@ -225,7 +227,7 @@ class NSEConfig:
             if phi.shape[-1] != self.resolution:
                 raise ConfigError("noise modes must live on the model grid")
         h = 2.0**-self.level
-        bound = 1.0 / (max(g.cutoff, 1) * self.cfl_velocity_scale)
+        bound = 1.0 / (max(g.cutoff, 1) * CFL_VELOCITY_SCALE)
         if h > bound:
             raise ConfigError(
                 f"step 2**-{self.level} exceeds the advective stability bound {bound:g}"
@@ -262,7 +264,7 @@ class NSEModel(FlowModelBase):
             if self.n_noise
             else np.zeros((0, 2, n, n), dtype=complex)
         )
-        self.ou_cfg = OUConfig(rate=cfg.ou_rate, level=cfg.level, tolerance=cfg.ou_tolerance)
+        self.ou_cfg = OUConfig(rate=cfg.ou_rate, level=cfg.level)
         h = cfg.step
         self.inv_denom = 1.0 / (1.0 + cfg.viscosity * h * self.grid.ksq)
         self.source_coef = cfg.ou_rate - cfg.viscosity * self.grid.ksq
@@ -297,27 +299,32 @@ class NSEModel(FlowModelBase):
         return np.tensordot(zrow, self.phi, axes=1)
 
     def _forcing_at(self, tval: float) -> np.ndarray:
-        return float(self.cfg.forcing_series(tval)) * self.cfg.forcing_field
+        return float(np.cos(tval)) * self.cfg.forcing_field
 
     def _advance(self, u: np.ndarray, zvals: np.ndarray, i0: int, record=None) -> np.ndarray:
-        """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``."""
+        """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``.
+
+        ``record(k, u_h_sq, v, zrow, z_field)`` sees each grid point; its |u|^2
+        per row is the guard's, which squares only a finite stack."""
         h = self.cfg.step
         n_steps = zvals.shape[0] - 1
         z_now = self._z_field(zvals[0])
+        u_sq = norm_h_sq(u) if record is not None else None
         for k in range(n_steps):
             tk = (i0 + k) * h
             v = u - z_now
             if record is not None:
-                record(k, u, v, zvals[k], z_now)
+                record(k, u_sq, v, zvals[k], z_now)
             rhs = -bilinear_b(u, u) + self._forcing_at(tk) + self.source_coef * z_now
             v = (v + h * rhs) * self.inv_denom
             z_now = self._z_field(zvals[k + 1])
             u = (v + z_now) * self.grid.dealias
             u[..., 0, 0] = 0.0
-            if not np.all(np.isfinite(u.view(float))) or np.any(norm_h_sq(u) > self.cfg.guard):
+            u_sq = norm_h_sq(u) if np.all(np.isfinite(u.view(float))) else None
+            if u_sq is None or np.any(u_sq > self.cfg.guard):
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
-            record(n_steps, u, u - z_now, zvals[n_steps], z_now)
+            record(n_steps, u_sq, u - z_now, zvals[n_steps], z_now)
         return u
 
     def evolve_field(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray) -> np.ndarray:
@@ -353,10 +360,10 @@ class NSEModel(FlowModelBase):
         z_abs_sum = np.empty(n_pts)
         z_v_norm = np.empty(n_pts)
 
-        def record(k, u_k, v_k, zrow, z_field):
+        def record(k, u_sq, v_k, zrow, z_field):
             v_h_sq[:, k] = norm_h_sq(v_k)
             v_v_sq[:, k] = norm_v_sq(v_k)
-            u_h_sq[:, k] = norm_h_sq(u_k)
+            u_h_sq[:, k] = u_sq
             z_abs_sum[k] = float(np.sum(np.abs(zrow)))
             z_v_norm[k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
 
@@ -396,9 +403,10 @@ class NSETrace:
 class EnergyDiagnostics:
     """Discrete balance series for the transformed velocity.
 
-    ``lhs`` is d|v|^2/dt + (nu/4)||v||^2 + (nu*lambda1/4 - 2*beta*sum|z_j|)|v|^2
-    per step; ``g_surrogate`` is the forcing level max(lhs, 0)/2 that would
-    saturate the balance, and ``slack`` is the dissipation surplus max(-lhs, 0).
+    ``lhs`` is d|v|^2/dt + (nu/4)||v||^2 + (nu/4 - 2*beta*sum|z_j|)|v|^2 per
+    step (the Poincare constant lambda1 is 1 on this torus); ``g_surrogate``
+    is the forcing level max(lhs, 0)/2 that would saturate the balance, and
+    ``slack`` is the dissipation surplus max(-lhs, 0).
     """
 
     times: np.ndarray
@@ -411,7 +419,6 @@ class EnergyDiagnostics:
     g_surrogate: np.ndarray
     slack: np.ndarray
     beta_hat: float
-    lambda_1: float = 1.0
 
     def absorbing_radius(self, window: float = 1.0) -> float:
         """max over the trailing time window of ||v|| + ||z||_V."""
@@ -495,6 +502,10 @@ def absorbing_radius_experiment(
 
 # -- noise intensity bound -----------------------------------------------------
 
+_BETA_TOL = 1e-12  # relative change that counts as settled, twice in a row
+_BETA_SEED = 7  # key of the power iteration's start field
+
+
 def _apply_sym(u: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Symmetrized advection against phi, 0.5 * (A + A^T) u, on a stack of
     rows (m, 2, n, n); ``dphi[r, a, b]`` is the physical d phi_a / d x_b of
@@ -508,12 +519,7 @@ def _apply_sym(u: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return 0.5 * (both[0] + both[1])
 
 
-def estimate_beta(
-    phi: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    seed: int = 7,
-):
+def estimate_beta(phi: np.ndarray, max_iter: int = 2000):
     """Numerical sup of |<B(u, phi), u>| / |u|^2 over the truncated space.
 
     Power iteration on the square of the symmetrized advection-against-phi
@@ -531,7 +537,7 @@ def estimate_beta(
     rows = np.flatnonzero([float(np.max(np.abs(p))) != 0.0 for p in phim])
     pm = phim[rows]
     dphi = to_phys(np.stack([1j * g.kx * pm, 1j * g.ky * pm], axis=-3))
-    u = random_divfree(n, seed)
+    u = random_divfree(n, _BETA_SEED)
     nrm = math.sqrt(norm_h_sq(u))
     if nrm == 0.0:
         raise IterationError("empty start vector for the power iteration")
@@ -554,7 +560,7 @@ def estimate_beta(
                 going[i] = False
                 continue
             u[i] = s2[i] / n2
-            if abs(beta - beta_prev[i]) <= tol * max(beta, 1e-300):
+            if abs(beta - beta_prev[i]) <= _BETA_TOL * max(beta, 1e-300):
                 hits[i] += 1
                 if hits[i] >= 2:
                     betas[rows[i]] = beta

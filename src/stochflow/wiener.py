@@ -36,6 +36,7 @@ from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_
 
 HORIZON = 1 << 16
 BLOCK_VALUES = 1 << 14  # so memory does not grow with the number of handles
+OU_TOLERANCE = 1e-8  # weight of the history beyond the OU cutoff
 
 _TAG_UNIT = 0x5749454E
 _TAG_BRIDGE = 0x4252_4447
@@ -96,27 +97,25 @@ class RealizationStream:
 
 @dataclass(frozen=True)
 class OUConfig:
-    """Exponential-kernel moving average of a Wiener path.
+    """Exponential-kernel moving average of a Wiener path, sampled on the
+    ``level`` grid.
 
-    ``cutoff_horizon`` truncates the history integral; the default is the
-    smallest integer with ``exp(-rate * cutoff) <= tolerance``.
+    The history integral is truncated at ``cutoff_horizon``, the smallest
+    integer with ``exp(-rate * cutoff) <= OU_TOLERANCE``.
     """
 
     rate: float = 1.0
     level: int = 6
-    cutoff_horizon: int = 0
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
         if not (0 <= self.level <= MAX_LEVEL):
             raise ResolutionError(f"level {self.level} outside [0, {MAX_LEVEL}]")
-        if self.cutoff_horizon == 0:
-            cut = int(math.ceil(math.log(1.0 / self.tolerance) / self.rate))
-            object.__setattr__(self, "cutoff_horizon", max(cut, 1))
-        if math.exp(-self.rate * self.cutoff_horizon) > self.tolerance * (1 + 1e-12):
-            raise ConfigError("cutoff_horizon too short for the requested tolerance")
+
+    @property
+    def cutoff_horizon(self) -> int:
+        return max(int(math.ceil(math.log(1.0 / OU_TOLERANCE) / self.rate)), 1)
 
     @property
     def stationary_variance(self) -> float:

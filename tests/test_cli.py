@@ -31,6 +31,16 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert run.stdout.strip() == "[]"
 
 
+def test_layer_tracer_finds_every_name_it_wraps():
+    # the benchmark's traced runs wrap stochflow functions and methods by name
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join(os.path.join(here, os.pardir, d) for d in ("src", "bench"))
+    code = "import stochflow.cli, layertrace; layertrace.install()"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_parse_config_text():
     cfg = parse_config_text("""
     # comment
@@ -208,6 +218,10 @@ _BAD_SIZES = [
     ("noise", "level = 40", "level"),
     ("oracle", "depth = -1", "depth"),
     ("oracle", "seed = true", "seed"),
+    # refusals raised while the run steps or enumerates
+    ("pullback", "model.level = 40", "model.level"),
+    ("oracle", "depth = 40", "depth"),
+    ("nse", "noise_amp = 1000000.0", "noise_amp"),
     # run_attractor reads no linear-model key but the grid level
     ("attractor", "model.rate = 7", "model.rate"),
 ]

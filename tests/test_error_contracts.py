@@ -7,16 +7,34 @@ import pytest
 import stochflow.finite_oracle as fo
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import (
+    AlignmentError,
     ConfigError,
     EvaluationError,
     IterationError,
+    OrderingError,
     ResolutionError,
     StateError,
     UnsupportedCaseError,
 )
-from stochflow.esm import PullbackSchedule, pullback_attractor, select_trajectory
-from stochflow.flow_core import IdentityFlow, coordinate, markov_apply
-from stochflow.measure import EmpiricalMeasure, expect, mixture, pushforward
+from stochflow.esm import (
+    PullbackSchedule,
+    esm_residual,
+    martingale_trace,
+    pullback_attractor,
+    pullback_measure,
+    select_trajectory,
+)
+from stochflow.flow_core import (
+    IdentityFlow,
+    ScalarExpFlow,
+    chapman_residual,
+    coordinate,
+    evolve,
+    flow_residual,
+    markov_apply,
+)
+from stochflow.measure import EmpiricalMeasure, GaussianFamily, expect, mixture, pushforward
+from stochflow.models import LinearOUModel
 from stochflow.models import nse as nm
 from stochflow.wiener import NoiseRealization, OUConfig, RealizationStream
 
@@ -31,8 +49,6 @@ def test_dyadic_negative_level_rejected():
 def test_ou_config_validation():
     with pytest.raises(ConfigError):
         OUConfig(rate=-1.0)
-    with pytest.raises(ConfigError):
-        OUConfig(rate=1.0, cutoff_horizon=2)  # exp(-2) >> 1e-8
 
 
 def test_noise_realization_validation():
@@ -102,3 +118,46 @@ def test_finite_flow_lift_rejects_bad_state():
     lift = fo.FiniteFlowLift(fo.two_state_noisy())
     with pytest.raises(ConfigError):
         lift.evolve_batch(OM, dyadic(0), dyadic(1), np.array([[7.0]]))
+
+
+# -- time checks: every estimator refuses what ``evolve`` refuses ----------------
+
+_FAMILY = GaussianFamily(lambda _t: 0.0, 1.0, salt=3)
+_AT_ZERO = PullbackSchedule.geometric(dyadic(0), 6, 2)
+# One estimator call per case, given times (a, b, c) where (a, b) is the bad pair
+# and b <= c; each case starts from state 0.5 where it takes one.
+_TIMED = {
+    "esm_residual": lambda m, a, b, c: esm_residual(m, _FAMILY, [(a, b)], 8, RealizationStream(1)),
+    "markov_apply": lambda m, a, b, c: markov_apply(m, a, b, coordinate(0), [0.5], 4,
+                                                    RealizationStream(1)),
+    "chapman_residual": lambda m, a, b, c: chapman_residual(m, a, b, c, coordinate(0), [0.5], 4,
+                                                            RealizationStream(1)),
+    "flow_residual": lambda m, a, b, c: flow_residual(m, OM, a, b, c, [[0.5]]),
+    "martingale_trace": lambda m, a, b, c: martingale_trace(m, OM, b, coordinate(0), _FAMILY,
+                                                            [b - a], n_particles=4),
+    # a schedule's starts never exceed its anchor, so only off-grid starts apply
+    "pullback_measure": lambda m, a, b, c: pullback_measure(
+        m, OM, PullbackSchedule(b, (a, a - 1)), _FAMILY, 4),
+    # the times are sorted, so only off-grid times apply
+    "select_trajectory": lambda m, a, b, c: select_trajectory(m, OM, [dyadic(0), b], _AT_ZERO),
+}
+_TIME_MODELS = {"exp": ScalarExpFlow(-1.0, 6), "linear": LinearOUModel(rate=1.0, sigma=0.5)}
+_BAD_PAIRS = {  # times (a, b, c) on the level-6 models above
+    "s_after_t": (dyadic(1), dyadic(0), dyadic(2)),
+    "off_grid": (dyadic(0), dyadic(1, 7), dyadic(1)),
+}
+_TIME_CASES = [(est, bad) for est in _TIMED for bad in _BAD_PAIRS
+               if bad == "off_grid" or est not in ("pullback_measure", "select_trajectory")]
+
+
+@pytest.mark.parametrize("model", sorted(_TIME_MODELS))
+@pytest.mark.parametrize("estimator, bad", _TIME_CASES)
+def test_estimators_refuse_times_as_evolve_does(estimator, bad, model):
+    flow = _TIME_MODELS[model]
+    a, b, c = _BAD_PAIRS[bad]
+    with pytest.raises((OrderingError, AlignmentError)) as want:
+        evolve(flow, OM, a, b, [0.5])
+    with pytest.raises(type(want.value)) as got:
+        _TIMED[estimator](flow, a, b, c)
+    if (estimator, bad) != ("chapman_residual", "s_after_t"):  # it orders its triple first
+        assert str(got.value) == str(want.value)

@@ -117,16 +117,14 @@ def test_ensemble_states_are_validated():
 
 def _markov_loop(model, s, t, f, x, n, stream):
     """markov_apply as a loop of one-realization steps."""
-    vals = np.array([f(model.evolve_state(omega, s, t, np.asarray(x, float)))
-                     for omega in stream.take(n)])
+    vals = np.array([f(evolve(model, omega, s, t, x)) for omega in stream.take(n)])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
 def _chapman_loop(model, s, t, u, f, x, n, stream, n_inner):
     """chapman_residual as a loop of one-realization steps."""
     direct, direct_se = _markov_loop(model, s, u, f, x, n, stream)
-    mids = np.array([_markov_loop(model, t, u, f, model.evolve_state(omega, s, t,
-                                                                     np.asarray(x, float)),
+    mids = np.array([_markov_loop(model, t, u, f, evolve(model, omega, s, t, x),
                                   n_inner, stream)[0]
                      for omega in stream.take(n)])
     composed_se = float(mids.std(ddof=1) / np.sqrt(n))
