@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicTime
+from .dyadic import MAX_LEVEL, DyadicTime
 from .errors import AlignmentError, ConfigError, EvaluationError, OrderingError, StateError
 from .wiener import NoiseRealization, RealizationStream
 
@@ -44,6 +44,13 @@ class FlowModelBase:
     def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states) -> np.ndarray:
         """Map an (R, n, state_dim) array: row r rides ``omegas[r]``."""
         return np.stack([self.evolve_batch(omega, s, t, x) for omega, x in zip(omegas, states)])
+
+
+def checked_grid_level(level: int) -> int:
+    """``level`` once it names a dyadic grid: an integer in [0, MAX_LEVEL]."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ConfigError(f"grid_level {level} outside [0, {MAX_LEVEL}]")
+    return level
 
 
 def _checked(model, s: DyadicTime, t: DyadicTime, states, rows: int | None = None) -> np.ndarray:
@@ -188,7 +195,7 @@ class IdentityFlow(FlowModelBase):
 
     def __init__(self, state_dim: int = 1, grid_level: int = 6):
         self.state_dim = state_dim
-        self.grid_level = grid_level
+        self.grid_level = checked_grid_level(grid_level)
 
     def evolve_batch(self, omega, s, t, states):
         return np.array(states, dtype=float)
@@ -200,7 +207,7 @@ class ScalarExpFlow(FlowModelBase):
     def __init__(self, rate: float, grid_level: int = 6):
         self.rate = float(rate)
         self.state_dim = 1
-        self.grid_level = grid_level
+        self.grid_level = checked_grid_level(grid_level)
 
     def evolve_batch(self, omega, s, t, states):
         return np.asarray(states, float) * np.exp(self.rate * (t.value - s.value))
@@ -211,7 +218,7 @@ class ShiftFlow(FlowModelBase):
 
     def __init__(self, grid_level: int = 6):
         self.state_dim = 1
-        self.grid_level = grid_level
+        self.grid_level = checked_grid_level(grid_level)
 
     def evolve_batch(self, omega, s, t, states):
         return np.asarray(states, float) + (t.value - s.value)

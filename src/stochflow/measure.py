@@ -112,9 +112,9 @@ def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         raise StateError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.dim == 1:
         # tied points are merged in an order of their own, so the result does
-        # not depend on how the sort orders them
+        # not depend on how the sort orders them, and no stable sort is needed
         z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
-        order = np.argsort(z, kind="stable")
+        order = np.argsort(z)
         z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
         new = z[1:] != z[:-1]
         if not new.all():

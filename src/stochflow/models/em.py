@@ -11,7 +11,7 @@ import numpy as np
 
 from ..dyadic import DyadicTime
 from ..errors import ConfigError, DivergenceError
-from ..flow_core import FlowModelBase
+from ..flow_core import FlowModelBase, checked_grid_level
 from ..wiener import increments
 
 
@@ -26,7 +26,7 @@ class EMModel(FlowModelBase):
         self.diffusion = diffusion
         self.state_dim = diffusion.shape[0]
         self.n_components = diffusion.shape[1]
-        self.grid_level = grid_level
+        self.grid_level = checked_grid_level(grid_level)
         self.guard = float(guard)
 
     def evolve_batch(self, omega, s: DyadicTime, t: DyadicTime, states):

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dyadic import MAX_LEVEL, DyadicTime
+from ..dyadic import DyadicTime
 from ..errors import ConfigError
-from ..flow_core import FlowModelBase
+from ..flow_core import FlowModelBase, checked_grid_level
 from ..wiener import increments, row_blocks
 
 
@@ -56,8 +56,7 @@ class LinearOUModel(FlowModelBase):
             raise ConfigError("rate must be positive")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
-        if not 0 <= self.grid_level <= MAX_LEVEL:
-            raise ConfigError(f"grid_level {self.grid_level} outside [0, {MAX_LEVEL}]")
+        checked_grid_level(self.grid_level)
 
     def periodic_mean(self, t: float) -> float:
         """The unique 2*pi-periodic solution of m' = -rate*m + forcing, for

@@ -5,15 +5,19 @@ time).  Unit-interval endpoint increments are keyed by their integer interval
 index, and interior dyadic points are filled in by midpoint displacement keyed
 by (interval, level, segment).  Because disjoint intervals use disjoint keys,
 increments over disjoint intervals are independent, and a query never touches
-keys outside the intervals it spans.  ``grid_values`` fills level by level
-across all unit intervals of a query at once; since a value is a pure
-function of its key, this gives the same bits as filling one interval at a
-time.
+keys outside the intervals it spans.  One fill, ``_fill``, serves every
+query: it runs level by level across a sorted set of unit intervals at once;
+since a value is a pure function of its key, this gives the same bits as
+filling one interval at a time.
 
-``grid_values``, ``increments`` and ``ou_grid`` also take a sequence of
+Queries have two batch axes.  The realization axis: ``grid_values``,
+``increments``, ``window_increments`` and ``ou_grid`` also take a sequence of
 handles and return one row per handle; one handle is the one-row case of the
 same fill.  Rows go through in blocks of about ``BLOCK_VALUES`` path values
 (rows x points per row), and ``ou_grid`` reduces each block before the next.
+The window axis: ``window_increments`` takes many short windows
+[k, k + 1] * 2**-span_level at once and fills each unit interval they touch
+once, where ``grid_values`` fills the contiguous run of intervals of one span.
 
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
@@ -31,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
-from .errors import ConfigError, OrderingError, ResolutionError
+from .errors import AlignmentError, ConfigError, OrderingError, ResolutionError
 from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
@@ -205,19 +209,20 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     raise AssertionError("unreachable: canonical dyadic walk must terminate")
 
 
-def _fill(rows: tuple, component: int, i0: int, i1: int, level: int) -> np.ndarray:
-    """W at level-grid indices i0..i1 of every handle in ``rows``, one row each."""
-    n0 = i0 >> level
-    n1 = -((-i1) >> level)  # ceil division
-    if level == 0:
-        return _integer_values(rows, component, i0, i1)
-    if n1 == n0:  # s == t on an integer
-        return _integer_values(rows, component, n0, n0)
-    anchors = _integer_values(rows, component, n0, n1)
-    interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None],
-                                  np.arange(n0, n1))
-    # vals[r, j] holds the level-lv grid of unit interval n0 + j, both ends included.
-    vals = np.stack([anchors[:, :-1], anchors[:, 1:]], axis=2)
+def _fill(rows: tuple, component: int, units: np.ndarray, level: int) -> np.ndarray:
+    """W at the 2**level + 1 level-grid points of each unit interval [n, n + 1],
+    n in the sorted ``units``, ends included: shape (rows, units, 2**level + 1).
+
+    The integer anchors come from one ``_integer_values`` call over the hull of
+    ``units``, and the bridge touches only the keys of the intervals named.
+    """
+    n0 = int(units[0])
+    anchors = _integer_values(rows, component, n0, int(units[-1]) + 1)
+    at = units - n0
+    if level:  # level 0 needs no bridge keys
+        interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None], units)
+    # vals[r, j] holds the level-lv grid of unit interval units[j], both ends included.
+    vals = np.stack([anchors[:, at], anchors[:, at + 1]], axis=2)
     for lv in range(1, level + 1):
         level_keys = chain_offsets(interval_keys, lv)[..., None]
         z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
@@ -226,15 +231,16 @@ def _fill(rows: tuple, component: int, i0: int, i1: int, level: int) -> np.ndarr
         merged[..., 0::2] = vals
         merged[..., 1::2] = mids
         vals = merged
-    full = np.concatenate((vals[..., :-1].reshape(len(rows), (n1 - n0) << level),
-                           vals[:, -1, -1:]), axis=1)
-    off = i0 - (n0 << level)
-    return full[:, off : off + (i1 - i0) + 1]
+    return vals
 
 
 def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int) -> np.ndarray:
     """W at every level-grid point of [s, t], endpoints included: a 1-D array
-    for one handle, one row per handle for a sequence of them."""
+    for one handle, one row per handle for a sequence of them.
+
+    This is the contiguous case of ``_fill``: its intervals are stitched end to
+    end, each shared endpoint kept once.
+    """
     rows, single = _rows(omegas)
     for omega in rows:
         _check_component(omega, component)
@@ -243,10 +249,63 @@ def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int
     if s > t:
         raise OrderingError(f"grid_values needs s <= t, got {s!r} > {t!r}")
     i0, i1 = s.at_level(level), t.at_level(level)
-    width = ((-((-i1) >> level) - (i0 >> level)) << level) + 1  # filled points per row
-    vals = np.concatenate([_fill(block, component, i0, i1, level)
-                           for block in row_blocks(rows, width)])
-    return vals[0] if single else vals
+    n0 = i0 >> level
+    units = np.arange(n0, max(-((-i1) >> level), n0 + 1))  # s == t on an integer: one
+    width = units.size << level  # filled points per row, the last endpoint aside
+    off = i0 - (n0 << level)
+    # C order, so that a row is contiguous: np.dot's bits depend on the stride
+    out = np.empty((len(rows), i1 - i0 + 1))
+    lo = 0
+    for block in row_blocks(rows, width + 1):
+        vals = _fill(block, component, units, level)
+        full = np.concatenate((vals[..., :-1].reshape(len(block), width), vals[:, -1, -1:]),
+                              axis=1)
+        out[lo:lo + len(block)] = full[:, off : off + (i1 - i0) + 1]
+        lo += len(block)
+    return out[0] if single else out
+
+
+def window_increments(omegas, component: int, starts, span_level: int,
+                      level: int) -> np.ndarray:
+    """Level-grid increments of W over the windows [k, k + 1] * 2**-span_level,
+    k in ``starts``: shape (windows, 2**(level - span_level)) for one handle,
+    (rows, windows, 2**(level - span_level)) for a sequence of them.
+
+    Entry [r, j] equals ``increments(omegas[r], component, s, e, level)`` for
+    the j-th window [s, e], bit for bit.  Each window lies in one unit
+    interval, so one ``_fill`` over the distinct intervals serves every window.
+    Fills go through in blocks of about ``BLOCK_VALUES`` path values (rows x
+    intervals x points per interval).
+    """
+    rows, single = _rows(omegas)
+    for omega in rows:
+        _check_component(omega, component)
+    if not 0 <= span_level <= MAX_LEVEL:
+        raise ResolutionError(f"span_level {span_level} outside [0, {MAX_LEVEL}]")
+    if level < span_level:
+        raise AlignmentError(f"level {level} is coarser than the windows' level {span_level}")
+    if level > MAX_LEVEL:
+        raise ResolutionError(f"level {level} exceeds MAX_LEVEL={MAX_LEVEL}")
+    ks = np.asarray(starts, dtype=np.int64).ravel()
+    if ks.size and max(-int(ks.min()), int(ks.max()) + 1) > HORIZON << span_level:
+        raise ResolutionError(f"a window leaves the horizon {HORIZON}")
+    width = 1 << (level - span_level)
+    units, where = np.unique(ks >> span_level, return_inverse=True)
+    # the grid points of window j within the fill of its unit interval
+    first = (ks & ((1 << span_level) - 1)) << (level - span_level)
+    cols = first[:, None] + np.arange(width + 1)
+    points = (1 << level) + 1
+    out = np.empty((len(rows), ks.size, width))
+    lo = 0
+    for block in row_blocks(rows, units.size * points):
+        step = max(1, BLOCK_VALUES // (max(len(block), 1) * points))
+        for u0 in range(0, units.size, step):
+            vals = _fill(block, component, units[u0:u0 + step], level)
+            sel = (where >= u0) & (where < u0 + step)
+            picked = vals[:, where[sel, None] - u0, cols[sel]]
+            out[lo:lo + len(block), sel] = np.diff(picked, axis=-1)
+        lo += len(block)
+    return out[0] if single else out
 
 
 def increments(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int) -> np.ndarray:

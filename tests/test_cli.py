@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -147,6 +148,18 @@ def test_output_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, text):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
+def test_refinement_check_makes_one_fill_per_level_and_grid():
+    # ten levels, each one coarse and one child window query of one fill; the
+    # run's other four queries (W(1), the [0, 2] increments, two OU points)
+    # take one fill each at this ensemble size
+    cfg = {"kind": "noise", "seed": 1, "ensemble": 8, "intervals": 200}
+    with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+        report = run_experiment(cfg)
+    assert fill.call_count <= 2 * 10 + 4
+    check = next(v for v in report.verdicts if v.name == "wiener.refinement_bit_exact")
+    assert check.passed and check.value == 200
+
+
 def test_jobs_flag_is_gone_and_jobs_key_is_ignored(tmp_path, capsys):
     path = _write(tmp_path, "run.cfg", "kind = oracle\nseed = 1\ndepth = 4\njobs = 3\n")
     with pytest.raises(SystemExit) as exc:
@@ -220,6 +233,7 @@ _BAD_SIZES = [
     ("oracle", "seed = true", "seed"),
     # refusals raised while the run steps or enumerates
     ("pullback", "model.level = 40", "model.level"),
+    ("attractor", "model.level = 40", "model.level"),
     ("oracle", "depth = 40", "depth"),
     ("nse", "noise_amp = 1000000.0", "noise_amp"),
     # run_attractor reads no linear-model key but the grid level

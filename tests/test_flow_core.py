@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from stochflow.dyadic import DyadicTime, dyadic
+from stochflow.dyadic import MAX_LEVEL, DyadicTime, dyadic
 from stochflow.errors import AlignmentError, ConfigError, OrderingError, StateError
 from stochflow.flow_core import (
     IdentityFlow,
@@ -219,6 +219,20 @@ def test_function_library():
     box = indicator_box([-1.0], [1.0])
     assert box([0.5]) == 1.0 and box([1.5]) == 0.0
     assert f.id == "coord[1]" and "tanh" in g.id and "box" in box.id
+
+
+@pytest.mark.parametrize("make", [
+    lambda lv: IdentityFlow(1, lv),
+    lambda lv: ScalarExpFlow(-1.0, lv),
+    lambda lv: ShiftFlow(lv),
+    lambda lv: EMModel(LinearDrift(1.0), [[1.0]], grid_level=lv),
+    lambda lv: LinearOUModel(rate=1.0, grid_level=lv),
+], ids=["identity", "exp", "shift", "em", "linear"])
+def test_every_model_refuses_a_level_without_a_grid(make):
+    assert make(0).grid_level == 0 and make(MAX_LEVEL).grid_level == MAX_LEVEL
+    for lv in (-1, MAX_LEVEL + 1, 40):
+        with pytest.raises(ConfigError, match=f"grid_level {lv} outside"):
+            make(lv)
 
 
 def test_markov_requires_two_realizations():

@@ -9,6 +9,7 @@ from scipy.special import erf
 
 from stochflow.errors import ConfigError, StateError
 from stochflow.measure import (
+    _merge_ties,
     ConstantFamily,
     EmpiricalMeasure,
     GaussianFamily,
@@ -126,6 +127,30 @@ def test_distance_1d_properties(mu, nu, rnd):
     rnd.shuffle(perm)
     shuffled = EmpiricalMeasure(mu.particles[perm], mu.weights[perm])
     assert distance(shuffled, nu) == pytest.approx(d, rel=1e-12, abs=1e-28)
+
+
+def _stable_sort_distance(mu, nu):
+    """The 1D energy distance as ``distance`` computes it, but with a stable sort."""
+    z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
+    order = np.argsort(z, kind="stable")
+    z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
+    new = z[1:] != z[:-1]
+    if not new.all():
+        z, w = _merge_ties(z, w, new)
+    gap = np.cumsum(w[:-1])
+    return float(2.0 * np.dot(np.diff(z), gap * gap))
+
+
+@given(weighted_1d(), weighted_1d(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_distance_1d_bits_do_not_depend_on_particle_or_sort_order(mu, nu, rnd):
+    d = distance(mu, nu).hex()
+    assert _stable_sort_distance(mu, nu).hex() == d
+    for _ in range(3):
+        pm, pn = rnd.sample(range(mu.size), mu.size), rnd.sample(range(nu.size), nu.size)
+        shuffled = (EmpiricalMeasure(mu.particles[pm], mu.weights[pm]),
+                    EmpiricalMeasure(nu.particles[pn], nu.weights[pn]))
+        assert distance(*shuffled).hex() == d
 
 
 def _energy_exact(mu, nu):
