@@ -48,10 +48,11 @@ class Verdict:
     value: object = None
     threshold: object = None
     note: str = ""
+    target: object = None  # the centre of a two-sided band; threshold is its half-width
 
     def to_dict(self):
         out = {"name": self.name, "passed": bool(self.passed)}
-        for key in ("value", "threshold", "note"):
+        for key in ("value", "threshold", "target", "note"):
             val = getattr(self, key)
             if val not in (None, ""):
                 out[key] = float(val) if isinstance(val, (int, float, np.floating)) and key != "note" else val
@@ -227,7 +228,8 @@ def run_noise(cfg: dict, report: RunReport):
 
     w1 = grid_values(omegas, 0, one, one, 0)[:, 0]
     var = float(w1.var(ddof=1))
-    report.verdicts.append(Verdict("wiener.w1_variance", 0.94 <= var <= 1.06, var, "[0.94, 1.06]"))
+    report.verdicts.append(Verdict("wiener.w1_variance", 0.94 <= var <= 1.06, var, 0.06,
+                                   target=1.0))
     report.tables["w1_samples.csv"] = _fmt_rows(("index", "w1"), list(enumerate(map(float, w1))))
 
     half = 1 << level  # increments over [0, 2], split at 1; row sums are exact
@@ -255,15 +257,14 @@ def run_noise(cfg: dict, report: RunReport):
     z0 = ou_grid(omegas[:4000], 0, ou_cfg, zero, zero)[:, 0]
     z1 = ou_grid(omegas[:4000], 0, ou_cfg, one, one)[:, 0]
     target = ou_cfg.stationary_variance
+    bound = 0.1 * target
     ou_var = float(z0.var(ddof=1))
-    report.verdicts.append(
-        Verdict("wiener.ou_variance", abs(ou_var - target) <= 0.1 * target, ou_var, target)
-    )
+    report.verdicts.append(Verdict("wiener.ou_variance", abs(ou_var - target) <= bound,
+                                   ou_var, bound, target=target))
     ac = float(np.corrcoef(z0, z1)[0, 1])
     expected = float(np.exp(-ou_cfg.rate))
-    report.verdicts.append(
-        Verdict("wiener.ou_autocorr_lag1", abs(ac - expected) <= 0.05, ac, expected)
-    )
+    report.verdicts.append(Verdict("wiener.ou_autocorr_lag1", abs(ac - expected) <= 0.05,
+                                   ac, 0.05, target=expected))
 
 
 def _linear_model(cfg: dict) -> LinearOUModel:
@@ -448,7 +449,6 @@ def run_nse(cfg: dict, report: RunReport):
         ou_rate=cfg["ou_rate"],
     ))
     model = _refused(cfg, ("ou_rate", "level"), lambda: NSEModel(nse_cfg))
-    beta_hat = _refused(cfg, ("resolution", "noise_amp"), lambda: model.beta_hat)
     omega = NoiseRealization(seed, cfg["realization"], num_components=max(model.n_noise, 1))
 
     u = nse_mod.random_divfree(res, seed)
@@ -482,7 +482,7 @@ def run_nse(cfg: dict, report: RunReport):
     report.verdicts.append(Verdict(
         "models.poincare_exact", bool(np.all(trace.v_h_sq <= trace.v_v_sq))
     ))
-    diag = nse_mod.energy_diagnostics(nse_cfg, trace, beta_hat)
+    diag = nse_mod.energy_diagnostics(nse_cfg, trace, model.beta_hat)
     rows = list(zip(map(float, diag.times), map(float, diag.v_h_sq),
                     map(float, diag.v_v_sq), map(float, diag.z_abs_sum),
                     map(float, diag.lhs), map(float, diag.g_surrogate),

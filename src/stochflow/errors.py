@@ -41,10 +41,6 @@ class EnumerationLimitError(StochFlowError, ValueError):
     """An exact enumeration would exceed the configured depth limit."""
 
 
-class IterationError(StochFlowError, RuntimeError):
-    """An iterative scheme failed to converge within its budget."""
-
-
 class UnsupportedCaseError(StochFlowError, ValueError):
     """The requested construction is only defined for a restricted model class."""
 

@@ -15,25 +15,29 @@ time and the noise handle, so running a span in aligned pieces reproduces the
 direct run bit-for-bit.
 
 Shape convention: a velocity field is a complex (2, n, n) array, and the
-spectral operators (``leray_project``, ``bilinear_b``, the stepping, the trace
-and ``estimate_beta``) also take a stack (..., 2, n, n) with leading row axes,
-so that one FFT call serves every row.  Each row of a stack gets exactly the
-bits it would get alone: elementwise operations and the batched 2D FFTs act
-row by row, and ``norm_h_sq``/``norm_v_sq`` reduce each row's (2, n, n) block
-in one call over the last three axes, which adds a row's terms in the order
-the sum over that row alone does (``test_stacked_norms_match_single_rows``).
+spectral operators (``leray_project``, ``bilinear_b``, the stepping and the
+trace) also take a stack (..., 2, n, n) with leading row axes, so that one FFT
+call serves every row.  Each row of a stack gets exactly the bits it would get
+alone: elementwise operations and the batched 2D FFTs act row by row, and
+``norm_h_sq``/``norm_v_sq`` reduce each row's (2, n, n) block in one call over
+the last three axes, which adds a row's terms in the order the sum over that
+row alone does (``test_stacked_norms_match_single_rows``).
+
+The noise bound ``estimate_beta`` is exact, with no iteration: the form's
+matrix on a real basis of the truncated space, Householder tridiagonalisation
+and Sturm bisection, from elementwise operations alone (no BLAS, no threads).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ..dyadic import DyadicTime
-from ..errors import ConfigError, DivergenceError, IterationError, StateError
+from ..errors import ConfigError, DivergenceError, StateError
 from ..flow_core import FlowModelBase
 from ..keyed import chain, chain_offsets, gauss_from_keys
 from ..wiener import OUConfig, ou_grid
@@ -259,16 +263,11 @@ class NSEModel(FlowModelBase):
         n = cfg.resolution
         self.state_dim = 4 * n * n
         self.n_noise = len(cfg.noise_modes)
-        self.phi = (
-            np.stack(cfg.noise_modes)
-            if self.n_noise
-            else np.zeros((0, 2, n, n), dtype=complex)
-        )
+        self.phi = np.array(cfg.noise_modes, dtype=complex).reshape(-1, 2, n, n)
         self.ou_cfg = OUConfig(rate=cfg.ou_rate, level=cfg.level)
         h = cfg.step
         self.inv_denom = 1.0 / (1.0 + cfg.viscosity * h * self.grid.ksq)
         self.source_coef = cfg.ou_rate - cfg.viscosity * self.grid.ksq
-        self._beta_hat = None
 
     # state packing: complex (2, n, n) <-> flat float vector
     def pack(self, field: np.ndarray) -> np.ndarray:
@@ -278,11 +277,10 @@ class NSEModel(FlowModelBase):
         n = self.cfg.resolution
         return np.ascontiguousarray(x, dtype=float).view(complex).reshape(2, n, n).copy()
 
-    @property
+    @cached_property
     def beta_hat(self) -> float:
-        if self._beta_hat is None:
-            self._beta_hat = float(sum(estimate_beta(self.phi)))
-        return self._beta_hat
+        """The noise bound summed over the modes."""
+        return float(sum(estimate_beta(phi) for phi in self.phi))
 
     def z_values(self, omega, s: DyadicTime, t: DyadicTime) -> np.ndarray:
         """Noise-average scalars on the step grid of [s, t]; shape (n_pts, m)."""
@@ -293,10 +291,7 @@ class NSEModel(FlowModelBase):
         return np.stack(cols, axis=1)
 
     def _z_field(self, zrow: np.ndarray) -> np.ndarray:
-        if self.n_noise == 0:
-            n = self.cfg.resolution
-            return np.zeros((2, n, n), dtype=complex)
-        return np.tensordot(zrow, self.phi, axes=1)
+        return np.tensordot(zrow, self.phi, axes=1)  # zeros when there is no mode
 
     def _forcing_at(self, tval: float) -> np.ndarray:
         return float(np.cos(tval)) * self.cfg.forcing_field
@@ -502,74 +497,82 @@ def absorbing_radius_experiment(
 
 # -- noise intensity bound -----------------------------------------------------
 
-_BETA_TOL = 1e-12  # relative change that counts as settled, twice in a row
-_BETA_SEED = 7  # key of the power iteration's start field
+_FORM_BLOCK = 8  # basis fields per bilinear_b call; small blocks keep transforms small
 
 
-def _apply_sym(u: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """Symmetrized advection against phi, 0.5 * (A + A^T) u, on a stack of
-    rows (m, 2, n, n); ``dphi[r, a, b]`` is the physical d phi_a / d x_b of
-    row r.  The forward and adjoint products share one inverse and one
-    forward transform."""
-    uph = to_phys(u)
-    u0, u1 = uph[:, :1], uph[:, 1:]
-    fwd = u0 * dphi[:, :, 0] + u1 * dphi[:, :, 1]
-    adj = u0 * dphi[:, 0] + u1 * dphi[:, 1]
-    both = _finalize(to_spec(np.stack([fwd, adj])))
-    return 0.5 * (both[0] + both[1])
+def _advection_form(phi: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of u -> <B(u, phi), u> on an orthonormal real basis
+    of the truncated space: for each pair +-k with |k_x|, |k_y| <= cutoff and
+    p = k_perp / |k|, the cosine field c(k) = c(-k) = p / s, and after all of
+    them the sine fields c(k) = -c(-k) = -i p / s, with s = 2 pi sqrt(2).
+    B(e_j, phi) is conjugate symmetric, so its coordinates are s p.Re w(k)
+    on a cosine field and -s p.Im w(k) on a sine field."""
+    n = phi.shape[-1]
+    c = grid_for(n).cutoff
+    k = np.array([(kx, ky) for kx in range(c + 1) for ky in range(-c, c + 1)
+                  if kx > 0 or ky > 0]).T
+    at, neg = k % n, -k % n  # grid indices of k and of -k
+    p = np.stack([-k[1], k[0]]) / np.sqrt(k[0] * k[0] + k[1] * k[1])
+    pairs, s = p.shape[1], 2.0 * math.pi * math.sqrt(2.0)
+    m = np.empty((2 * pairs, 2 * pairs))
+    for j0 in range(0, 2 * pairs, _FORM_BLOCK):
+        j = np.arange(j0, min(j0 + _FORM_BLOCK, 2 * pairs))
+        q, rows = j % pairs, np.arange(j.size)[:, None]
+        coef = (p[:, q] / s).T * np.where(j < pairs, 1.0, -1j)[:, None]
+        e = np.zeros((j.size, 2, n, n), dtype=complex)
+        e[rows, [0, 1], at[0, q, None], at[1, q, None]] = coef
+        e[rows, [0, 1], neg[0, q, None], neg[1, q, None]] = np.conj(coef)
+        w = bilinear_b(e, np.broadcast_to(phi, e.shape))[:, :, at[0], at[1]]
+        m[j, :pairs] = s * (p[0] * w.real[:, 0] + p[1] * w.real[:, 1])
+        m[j, pairs:] = -s * (p[0] * w.imag[:, 0] + p[1] * w.imag[:, 1])
+    return 0.5 * (m + m.T)
 
 
-def estimate_beta(phi: np.ndarray, max_iter: int = 2000):
-    """Numerical sup of |<B(u, phi), u>| / |u|^2 over the truncated space.
+def _tridiagonal(a: np.ndarray):
+    """Diagonal and off-diagonal of a tridiagonal matrix similar to the
+    symmetric ``a``, by Householder reflections (Golub & Van Loan, Algorithm
+    8.3.1), with elementwise products and ``np.add.reduce`` only."""
+    a = np.array(a, dtype=float)
+    off = np.zeros(max(len(a) - 1, 0))
+    for k in range(len(a) - 2):
+        x = a[k + 1:, k]
+        off[k] = -math.copysign(math.sqrt(np.add.reduce(x * x)), x[0])
+        v = x.copy()
+        v[0] -= off[k]
+        vv = np.add.reduce(v * v)
+        if vv == 0.0:  # the column is reduced already
+            continue
+        rest = a[k + 1:, k + 1:]
+        pv = np.add.reduce(rest * v, axis=1) * (2.0 / vv)
+        w = pv - (np.add.reduce(pv * v) / vv) * v
+        rest -= v[:, None] * w + w[:, None] * v
+    off[-1:] = a[-1, -2:-1]  # empty for a 1 x 1 matrix
+    return np.diagonal(a).copy(), off
 
-    Power iteration on the square of the symmetrized advection-against-phi
-    operator; robust to a sign-symmetric extreme spectrum.  ``phi`` is one
-    mode (2, n, n), giving a float, or a stack (m, 2, n, n), giving an array
-    of m values.  The rows of a stack share each transform call, but each
-    settles at its own iteration and gets the bits it would get alone; a zero
-    row gives 0.0.
-    """
-    phis = phi[None] if phi.ndim == 3 else phi
-    n = phis.shape[-1]
-    g = grid_for(n)
-    phim = phis * g.dealias
-    betas = np.zeros(len(phim))
-    rows = np.flatnonzero([float(np.max(np.abs(p))) != 0.0 for p in phim])
-    pm = phim[rows]
-    dphi = to_phys(np.stack([1j * g.kx * pm, 1j * g.ky * pm], axis=-3))
-    u = random_divfree(n, _BETA_SEED)
-    nrm = math.sqrt(norm_h_sq(u))
-    if nrm == 0.0:
-        raise IterationError("empty start vector for the power iteration")
-    u = np.repeat((u / nrm)[None], rows.size, axis=0)
-    beta_prev = np.full(rows.size, np.nan)
-    hits = np.zeros(rows.size, dtype=int)
-    for _ in range(max_iter):
-        if not rows.size:
-            break
-        su = _apply_sym(u, dphi)
-        s2 = _apply_sym(su, dphi)
-        going = np.ones(rows.size, dtype=bool)
-        su_sq, s2_sq = norm_h_sq(su), norm_h_sq(s2)
-        for i in range(rows.size):
-            beta = math.sqrt(su_sq[i])
-            # beta == 0 settles at 0.0, a null second application at beta
-            n2 = math.sqrt(s2_sq[i]) if beta != 0.0 else 0.0
-            if n2 == 0.0:
-                betas[rows[i]] = beta
-                going[i] = False
-                continue
-            u[i] = s2[i] / n2
-            if abs(beta - beta_prev[i]) <= _BETA_TOL * max(beta, 1e-300):
-                hits[i] += 1
-                if hits[i] >= 2:
-                    betas[rows[i]] = beta
-                    going[i] = False
-                    continue
-            else:
-                hits[i] = 0
-            beta_prev[i] = beta
-        rows, u, dphi, beta_prev, hits = (a[going] for a in (rows, u, dphi, beta_prev, hits))
-    if rows.size:
-        raise IterationError(f"power iteration did not settle in {max_iter} steps")
-    return float(betas[0]) if phi.ndim == 3 else betas
+
+def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal (``diag``, ``off``):
+    bisection on the Sturm count of eigenvalues below a shift (Golub & Van
+    Loan, Section 8.4.1) from the Gershgorin interval, until the bracket
+    cannot shrink; returns its upper end."""
+    bound = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    radius = bound[:-1] + bound[1:]
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    terms = list(zip(diag.tolist(), [0.0] + (off * off).tolist()))
+    pivmin = np.finfo(float).tiny * max(1.0, *(b for _, b in terms))  # keeps b / q finite
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        below, q = 0, 1.0
+        for d, b in terms:
+            q = d - mid - b / q
+            q = q if abs(q) >= pivmin else -pivmin
+            below += q < 0.0
+        lo, hi = (lo, mid) if below == len(terms) else (mid, hi)
+    return hi
+
+
+def estimate_beta(phi: np.ndarray) -> float:
+    """sup |<B(u, phi), u>| / |u|^2 over the truncated space, for one mode
+    (2, n, n): the largest |eigenvalue| of ``_advection_form``, the larger
+    top eigenvalue of its tridiagonal form and of the negated form."""
+    diag, off = _tridiagonal(_advection_form(phi))
+    return max(_top_eigenvalue(diag, off), _top_eigenvalue(-diag, off))

@@ -210,8 +210,6 @@ _BAD_SIZES = [
     ("nse", "level = 3", "level"),
     ("nse", "ou_rate = 0", "ou_rate"),
     ("nse", "viscosity = 0", "viscosity"),
-    # the power iteration for the noise bound does not settle
-    ("nse", "resolution = 18", "resolution"),
     ("pullback", "particles = -5", "particles"),
     ("pullback", "particles = 2.5", "particles"),
     ("pullback", "schedule.depth = 2.5", "schedule.depth"),
@@ -246,6 +244,17 @@ _BAD_SIZES = [
     f"{line}-{key}" if kind == "nse" else f"{kind}-{line}-{key}" for kind, line, key in _BAD_SIZES])
 def test_bad_nse_sizes_exit_2(tmp_path, capsys, kind, line, key):
     _assert_rejected(tmp_path, capsys, kind, line, key)
+
+
+@pytest.mark.parametrize("res", [18, 32])
+def test_nse_reaches_a_verdict_above_resolution_16(tmp_path, capsys, res):
+    # the noise bound is exact at every size, so larger grids run to a verdict
+    path = _write(tmp_path, "nse.cfg", f"kind = nse\nseed = 1\nresolution = {res}\n"
+                  "steps = 2\nlookbacks = 1\n")
+    out_dir = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out_dir)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out_dir / "energy.csv").read_text().count("\n") == 3
 
 
 # a value of the wrong type for each type a table default can have

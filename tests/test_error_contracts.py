@@ -10,7 +10,6 @@ from stochflow.errors import (
     AlignmentError,
     ConfigError,
     EvaluationError,
-    IterationError,
     OrderingError,
     ResolutionError,
     StateError,
@@ -35,7 +34,6 @@ from stochflow.flow_core import (
 )
 from stochflow.measure import EmpiricalMeasure, GaussianFamily, expect, mixture, pushforward
 from stochflow.models import LinearOUModel
-from stochflow.models import nse as nm
 from stochflow.wiener import NoiseRealization, OUConfig, RealizationStream
 
 OM = NoiseRealization(1, 0)
@@ -107,11 +105,6 @@ def test_select_trajectory_schedule_anchor_mismatch():
     from stochflow.flow_core import ScalarExpFlow
     with pytest.raises(ConfigError):
         select_trajectory(ScalarExpFlow(-1.0, 6), OM, [dyadic(0), dyadic(1)], sched)
-
-
-def test_estimate_beta_iteration_budget():
-    with pytest.raises(IterationError):
-        nm.estimate_beta(nm.shear_mode(16, 0.05), max_iter=1)
 
 
 def test_finite_flow_lift_rejects_bad_state():

@@ -39,12 +39,14 @@ GOLDEN = {
         "summary.json": "9f485fa43e73fcb7e235a6c97853808440e332277ca059cddf42d73e0f6bfb52",
     }),
     "noise": (1, {
-        "summary.json": "b36c46b50c8225bfdcc0b693d8cc59e62118e20fb0e6256a2dee7cd1ca2fbde5",
+        # each band check stores its half-width as threshold and its centre as target
+        "summary.json": "57004b20f6449e24fa2991f53efb1bb7fba6e48ddaf482f5577fcc79c06f945e",
         "w1_samples.csv": "cdf7a6144d52dfdab342378cdfbca7085716593276a796a5e3b8b063721a63a2",
     }),
     "nse": (1, {
         "absorbing.csv": "e0a5df968b277d8c6930e3a3c761a0de24b046d08cee2cf9f1e502893eb37233",
-        "energy.csv": "03b98ad9ae927874790912d07184512961d81e261304ff4819535d17f48b7c3a",
+        # beta_hat from the exact spectrum of the advection form
+        "energy.csv": "11de1fd8371cdfd221342847fba217183c5de63c0e5442ed0a1a766a577bf9e4",
         "summary.json": "16cf9450cc3564f49b03356766891d15b37b51b9698500461d2b118cd9daa599",
     }),
     "pullback": (0, {

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -344,28 +347,102 @@ def _old_estimate_beta(phi, tol=1e-12, max_iter=2000, seed=7):
     raise AssertionError("reference power iteration did not settle")
 
 
-def test_stacked_estimate_beta_matches_reference_oracle():
-    modes = np.stack([
-        shear_mode(8, 0.05, True),
-        0.0 * shear_mode(8),
-        0.2 * random_divfree(8, 90),
-        shear_mode(8, 0.3, False),
-    ])
-    stacked = estimate_beta(modes)
-    assert stacked.shape == (4,)
-    assert stacked[1] == 0.0
-    for r, phi in enumerate(modes):
-        want = _old_estimate_beta(phi)
-        assert stacked[r] == want
-        assert estimate_beta(phi) == want
+def _power_iteration_modes():
+    return [shear_mode(8, 0.05, True), 0.2 * random_divfree(8, 90), shear_mode(8, 0.3, False),
+            *nm.default_noise_modes(16, 0.05)]
 
 
-def test_beta_hat_matches_reference_oracle_sum():
+@pytest.mark.parametrize("phi", _power_iteration_modes(), ids=["shear8", "random8", "shear8y",
+                                                                "shear16", "shear16y"])
+def test_power_iteration_lies_just_below_beta(phi):
+    # power iteration approaches the top of the spectrum from below
+    beta = estimate_beta(phi)
+    old = _old_estimate_beta(phi)
+    assert old <= beta
+    assert beta - old <= 1e-9 * beta
+
+
+def test_beta_hat_sums_the_modes():
     model = _model()
-    want = 0.0
-    for phi in model.cfg.noise_modes:
-        want += _old_estimate_beta(phi)
-    assert model.beta_hat == want
+    phi0, phi1 = model.cfg.noise_modes
+    assert model.beta_hat == estimate_beta(phi0) + estimate_beta(phi1)
+
+
+def _dense_form(phi):
+    """The form <B(u, phi), u> on a basis built in physical space: a unit
+    field along k_perp times cos(k.x) and sin(k.x) for each pair +-k."""
+    n = phi.shape[-1]
+    g = nm.grid_for(n)
+    c = g.cutoff
+    fields = []
+    for kx in range(-c, c + 1):
+        for ky in range(-c, c + 1):
+            if (kx, ky) <= (0, 0):
+                continue
+            length = math.hypot(kx, ky)
+            arg = kx * g.x + ky * g.y
+            for wave in (np.cos(arg), np.sin(arg)):
+                e = nm.to_spec(np.stack([-ky / length * wave, kx / length * wave]))
+                fields.append(e / math.sqrt(nm.norm_h_sq(e)))
+    basis = np.stack(fields)
+    assert len(basis) == (2 * c + 1) ** 2 - 1
+    images = np.stack([bilinear_b(e, phi) for e in basis])
+    form = nm.TWO_PI_SQ * np.real(np.conj(basis.reshape(len(basis), -1))
+                                  @ images.reshape(len(basis), -1).T)
+    return 0.5 * (form + form.T)
+
+
+@pytest.mark.parametrize("n", [8, 16, 18])
+def test_estimate_beta_matches_dense_oracle(n):
+    for phi in (*nm.default_noise_modes(n, 0.05), 0.2 * random_divfree(n, 90)):
+        eig = np.linalg.eigvalsh(_dense_form(phi))
+        want = max(eig[-1], -eig[0])
+        assert abs(estimate_beta(phi) - want) <= 1e-12 * want
+
+
+def _symmetric_cases():
+    rng = np.random.default_rng(3)
+    cases = {}
+    for d in (1, 2, 3, 120):
+        a = rng.normal(size=(d, d))
+        cases[f"random{d}"] = a + a.T
+    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    spectrum = np.repeat([-2.0, 0.5, 0.5 + 1e-9, 3.0], 10)
+    cases["repeated"] = (q * spectrum) @ q.T
+    cases["repeated_top"] = (q * np.repeat([-1.0, 2.0], 20)) @ q.T
+    cases["zero"] = np.zeros((5, 5))
+    cases["negative"] = -(q * np.linspace(0.5, 4.0, 40)) @ q.T
+    cases["negative1"] = np.array([[-3.0]])
+    cases["diagonal"] = np.diag([1.0, -5.0, 2.0, 2.0])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_symmetric_cases()))
+def test_tridiagonal_bisection_matches_eigvalsh(name):
+    s = _symmetric_cases()[name]
+    s = 0.5 * (s + s.T)
+    want = np.linalg.eigvalsh(s)
+    scale = max(np.max(np.abs(want)), 1e-300)
+    diag, off = nm._tridiagonal(s)
+    assert diag.shape == (len(s),) and off.shape == (len(s) - 1,)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.abs(np.linalg.eigvalsh(t) - want)) <= 1e-13 * scale
+    assert abs(nm._top_eigenvalue(diag, off) - want[-1]) <= 1e-13 * scale
+    assert abs(-nm._top_eigenvalue(-diag, off) - want[0]) <= 1e-13 * scale
+
+
+def test_beta_bits_do_not_depend_on_thread_count():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("from stochflow.models import nse\n"
+            "print(nse.estimate_beta(nse.shear_mode(32, 0.05)).hex())")
+    bits = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        bits.add(run.stdout.strip())
+    assert len(bits) == 1, bits
 
 
 def test_stacked_norms_match_single_rows():
@@ -419,6 +496,7 @@ def test_absorbing_radius_sweep_matches_reference_oracle(lookbacks):
 
 def test_absorbing_radius_sweep_steps_the_deepest_start_once(monkeypatch):
     model = _model(resolution=8, level=5)
+    model.beta_hat  # the noise bound applies bilinear_b too; it is computed once, here
     om = NoiseRealization(21, 0, num_components=2)
     rows = []  # the stack height of each bilinear_b call
     real = nm.bilinear_b
