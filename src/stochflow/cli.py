@@ -169,6 +169,8 @@ def _checked(key: str, val, default):
 
 def _shown(val) -> str:
     """``val`` as a config line spells it."""
+    if isinstance(val, tuple):
+        return ",".join(map(str, val))
     return str(val).lower() if isinstance(val, bool) else repr(val)
 
 
@@ -313,6 +315,8 @@ def run_attractor(cfg: dict, report: RunReport):
     schedule_t = esm.PullbackSchedule.geometric(t, depth, 1, tol)
     schedule_s = esm.PullbackSchedule.geometric(s_earlier, depth, 1, tol)
     radius = cfg["box_radius"]
+    if not np.isfinite(2.0 * radius):  # the width linspace forms
+        raise ConfigError(f"'box_radius' = {_shown(radius)} gives a box too wide for a float")
     box = np.linspace(-radius, radius, cfg["box_points"])[:, None]
     omega = NoiseRealization(seed, cfg["realization"])
     cloud_t = esm.pullback_attractor(model, omega, t, [box], schedule_t)
@@ -544,8 +548,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_experiments:
-        for kind in EXPERIMENTS:
-            print(kind)
+        for kind, table in _TABLES.items():  # the kind, then each key=default
+            print(kind, *(f"{key}={_shown(val)}" for key, val in table.items()))
         return 0
     if not args.config:
         print("error: --config is required (or --list-experiments)", file=sys.stderr)

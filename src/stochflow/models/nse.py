@@ -18,10 +18,11 @@ Shape convention: a velocity field is a complex (2, n, n) array, and the
 spectral operators (``leray_project``, ``bilinear_b``, the stepping and the
 trace) also take a stack (..., 2, n, n) with leading row axes, so that one FFT
 call serves every row.  Each row of a stack gets exactly the bits it would get
-alone: elementwise operations and the batched 2D FFTs act row by row, and
-``norm_h_sq``/``norm_v_sq`` reduce each row's (2, n, n) block in one call over
-the last three axes, which adds a row's terms in the order the sum over that
-row alone does (``test_stacked_norms_match_single_rows``).
+alone: elementwise operations and the transforms (two 1D passes, the bits of
+``ifft2``/``fft2``) act row by row, and ``norm_h_sq``/``norm_v_sq`` reduce each
+row's (2, n, n) block in one call over the last three axes, which adds a row's
+terms in the order the sum over that row alone does.  The grid's factors are
+stored complex, so that no product casts them.
 
 The noise bound ``estimate_beta`` is exact, with no iteration: the form's
 matrix on a real basis of the truncated space, Householder tridiagonalisation
@@ -56,18 +57,15 @@ class SpectralGrid:
     def __init__(self, n: int):
         if n < 8 or n % 2:
             raise ConfigError("grid size must be even and at least 8")
-        self.n = n
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
-        self.kx = k[:, None]
-        self.ky = k[None, :]
-        self.ksq = self.kx**2 + self.ky**2
+        self.ksq = k[:, None] ** 2 + k[None, :] ** 2
+        self.kx, self.ky = k[:, None].astype(complex), k[None, :].astype(complex)
+        self.ikx, self.iky = 1j * self.kx, 1j * self.ky
         self.kvec = np.stack(np.broadcast_arrays(self.kx, self.ky))
-        inv = np.zeros_like(self.ksq)
-        nz = self.ksq > 0
-        inv[nz] = 1.0 / self.ksq[nz]
-        self.inv_ksq = inv
+        self.inv_ksq = np.divide(1.0, self.ksq, np.zeros_like(self.ksq), where=self.ksq > 0) + 0j
         self.cutoff = n // 3
-        self.dealias = (np.abs(self.kx) <= self.cutoff) & (np.abs(self.ky) <= self.cutoff)
+        self.dealias = ((abs(k[:, None]) <= self.cutoff) & (abs(k) <= self.cutoff)).astype(complex)
+        self.neg = ((-np.arange(n) % n)[:, None] * n + -np.arange(n) % n).ravel()  # flat -k
         xs = 2.0 * np.pi * np.arange(n) / n
         self.x = xs[:, None]
         self.y = xs[None, :]
@@ -78,30 +76,20 @@ def grid_for(n: int) -> SpectralGrid:
     return SpectralGrid(n)
 
 
+# ifft2/fft2 as two 1D passes, bit for bit; never pass out= to a 2D transform (wrong in numpy 2.4)
 def to_phys(spec: np.ndarray) -> np.ndarray:
-    n = spec.shape[-1]
-    return np.real(np.fft.ifft2(spec, axes=(-2, -1))) * (n * n)
+    return np.fft.ifft(np.fft.ifft(spec, axis=-1), axis=-2).real * spec.shape[-1] ** 2
 
 
 def to_spec(phys: np.ndarray) -> np.ndarray:
-    n = phys.shape[-1]
-    return np.fft.fft2(phys, axes=(-2, -1)) / (n * n)
-
-
-@lru_cache(maxsize=8)
-def _negated_index(n: int) -> np.ndarray:
-    return (-np.arange(n)) % n
+    return np.fft.fft(np.fft.fft(phys, axis=-1), axis=-2) / phys.shape[-1] ** 2
 
 
 def _conj_reflect(spec: np.ndarray) -> np.ndarray:
     """conj(c[-k]) at every wavevector k, for the last two axes."""
-    neg = _negated_index(spec.shape[-1])
-    return np.conj(spec.take(neg, axis=-2).take(neg, axis=-1))
-
-
-def symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Project onto exactly conjugate-symmetric (real-field) coefficients."""
-    return (spec + _conj_reflect(spec)) * 0.5
+    n = spec.shape[-1]
+    flat = spec.reshape(spec.shape[:-2] + (n * n,))
+    return np.conj(flat.take(grid_for(n).neg, axis=-1)).reshape(spec.shape)
 
 
 def leray_project(field: np.ndarray) -> np.ndarray:
@@ -116,7 +104,8 @@ def leray_project(field: np.ndarray) -> np.ndarray:
 
 def _finalize(field: np.ndarray) -> np.ndarray:
     g = grid_for(field.shape[-1])
-    out = symmetrize(leray_project(field * g.dealias))
+    out = leray_project(field * g.dealias)
+    out = (out + _conj_reflect(out)) * 0.5  # exactly conjugate symmetric: a real field
     out[..., 0, 0] = 0.0
     return out
 
@@ -126,9 +115,12 @@ def bilinear_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise StateError("fields must share one resolution")
     g = grid_for(u.shape[-1])
-    um = u * g.dealias
+    fields = np.empty((3,) + u.shape, dtype=complex)  # u, d/dx v and d/dy v, masked
+    um = np.multiply(u, g.dealias, out=fields[0])
     vm = um if v is u else v * g.dealias
-    u_ph, dvx, dvy = to_phys(np.stack([um, 1j * g.kx * vm, 1j * g.ky * vm]))
+    np.multiply(g.ikx, vm, out=fields[1])
+    np.multiply(g.iky, vm, out=fields[2])
+    u_ph, dvx, dvy = to_phys(fields)
     w = u_ph[..., :1, :, :] * dvx + u_ph[..., 1:, :, :] * dvy
     return _finalize(to_spec(w))
 
@@ -137,19 +129,20 @@ def inner_h(u: np.ndarray, v: np.ndarray) -> float:
     return float(TWO_PI_SQ * np.sum(np.real(u * np.conj(v))))
 
 
-def _rowwise(total: np.ndarray, u: np.ndarray):
-    return float(total) if u.ndim == 3 else total
+def _summed(density: np.ndarray):
+    """(2 pi)^2 times the sum over each (2, n, n) block: a float for a field, else per row."""
+    total = TWO_PI_SQ * np.sum(density, axis=(-3, -2, -1))
+    return float(total) if density.ndim == 3 else total
 
 
 def norm_h_sq(u: np.ndarray):
     """|u|^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row."""
-    return _rowwise(TWO_PI_SQ * np.sum(np.real(u * np.conj(u)), axis=(-3, -2, -1)), u)
+    return _summed(np.real(u * np.conj(u)))
 
 
 def norm_v_sq(u: np.ndarray):
     """||u||^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row."""
-    g = grid_for(u.shape[-1])
-    return _rowwise(TWO_PI_SQ * np.sum(g.ksq * np.real(u * np.conj(u)), axis=(-3, -2, -1)), u)
+    return _summed(grid_for(u.shape[-1]).ksq * np.real(u * np.conj(u)))
 
 
 def divergence_residual(u: np.ndarray) -> float:
@@ -264,10 +257,11 @@ class NSEModel(FlowModelBase):
         self.state_dim = 4 * n * n
         self.n_noise = len(cfg.noise_modes)
         self.phi = np.array(cfg.noise_modes, dtype=complex).reshape(-1, 2, n, n)
+        self._phi_rows = self.phi.reshape(self.n_noise, 2 * n * n)  # tensordot's own operand
         self.ou_cfg = OUConfig(rate=cfg.ou_rate, level=cfg.level)
         h = cfg.step
-        self.inv_denom = 1.0 / (1.0 + cfg.viscosity * h * self.grid.ksq)
-        self.source_coef = cfg.ou_rate - cfg.viscosity * self.grid.ksq
+        self.inv_denom = (1.0 / (1.0 + cfg.viscosity * h * self.grid.ksq)).astype(complex)
+        self.source_coef = (cfg.ou_rate - cfg.viscosity * self.grid.ksq).astype(complex)
 
     # state packing: complex (2, n, n) <-> flat float vector
     def pack(self, field: np.ndarray) -> np.ndarray:
@@ -290,17 +284,18 @@ class NSEModel(FlowModelBase):
         cols = [ou_grid(omega, j, self.ou_cfg, s, t) for j in range(self.n_noise)]
         return np.stack(cols, axis=1)
 
-    def _z_field(self, zrow: np.ndarray) -> np.ndarray:
-        return np.tensordot(zrow, self.phi, axes=1)  # zeros when there is no mode
+    def _z_field(self, zrow: np.ndarray) -> np.ndarray:  # zeros when there is no mode
+        return np.dot(zrow.reshape(1, -1), self._phi_rows).reshape(self.phi.shape[1:])
 
     def _forcing_at(self, tval: float) -> np.ndarray:
         return float(np.cos(tval)) * self.cfg.forcing_field
 
+    @np.errstate(over="ignore", invalid="ignore")  # the guard judges inf and NaN itself
     def _advance(self, u: np.ndarray, zvals: np.ndarray, i0: int, record=None) -> np.ndarray:
         """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``.
 
-        ``record(k, u_h_sq, v, zrow, z_field)`` sees each grid point; its |u|^2
-        per row is the guard's, which squares only a finite stack."""
+        ``record(k, u_h_sq, v, z_field)`` sees each grid point; its |u|^2 per
+        row is the guard's, which squares only a finite stack."""
         h = self.cfg.step
         n_steps = zvals.shape[0] - 1
         z_now = self._z_field(zvals[0])
@@ -309,17 +304,17 @@ class NSEModel(FlowModelBase):
             tk = (i0 + k) * h
             v = u - z_now
             if record is not None:
-                record(k, u_sq, v, zvals[k], z_now)
+                record(k, u_sq, v, z_now)
             rhs = -bilinear_b(u, u) + self._forcing_at(tk) + self.source_coef * z_now
             v = (v + h * rhs) * self.inv_denom
             z_now = self._z_field(zvals[k + 1])
             u = (v + z_now) * self.grid.dealias
             u[..., 0, 0] = 0.0
-            u_sq = norm_h_sq(u) if np.all(np.isfinite(u.view(float))) else None
-            if u_sq is None or np.any(u_sq > self.cfg.guard):
+            u_sq = norm_h_sq(u) if np.isfinite(u.view(float)).all() else None
+            if u_sq is None or (u_sq > self.cfg.guard).any():
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
-            record(n_steps, u_sq, u - z_now, zvals[n_steps], z_now)
+            record(n_steps, u_sq, u - z_now, z_now)
         return u
 
     def evolve_field(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray) -> np.ndarray:
@@ -352,17 +347,17 @@ class NSEModel(FlowModelBase):
         n_pts = zvals.shape[0]
         times = (np.arange(n_pts) + i0) * h
         v_h_sq, v_v_sq, u_h_sq = np.empty((3, rows, n_pts))
-        z_abs_sum = np.empty(n_pts)
         z_v_norm = np.empty(n_pts)
 
-        def record(k, u_sq, v_k, zrow, z_field):
-            v_h_sq[:, k] = norm_h_sq(v_k)
-            v_v_sq[:, k] = norm_v_sq(v_k)
+        def record(k, u_sq, v_k, z_field):
+            density = np.real(v_k * np.conj(v_k))  # one |v(k)|^2 for both norms
+            v_h_sq[:, k] = _summed(density)
+            v_v_sq[:, k] = _summed(self.grid.ksq * density)
             u_h_sq[:, k] = u_sq
-            z_abs_sum[k] = float(np.sum(np.abs(zrow)))
             z_v_norm[k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
 
         u_t = self._advance(stack, zvals, i0, record=record)
+        z_abs_sum = np.sum(np.abs(zvals), axis=1)
         traces = [
             NSETrace(level=self.grid_level, times=times, v_h_sq=v_h_sq[r], v_v_sq=v_v_sq[r],
                      u_h_sq=u_h_sq[r], z_abs_sum=z_abs_sum, z_v_norm=z_v_norm)
@@ -417,9 +412,13 @@ class EnergyDiagnostics:
 
     def absorbing_radius(self, window: float = 1.0) -> float:
         """max over the trailing time window of ||v|| + ||z||_V."""
-        t_end = self.times[-1]
-        mask = self.times >= t_end - window
-        return float(np.max(np.sqrt(self.v_v_sq[mask]) + self.z_v_norm[mask]))
+        return _window_peak(self.times, self.v_v_sq, self.z_v_norm, self.times[-1], window)
+
+
+def _window_peak(times, v_v_sq, z_v_norm, t_end, window, peak=-math.inf) -> float:
+    """max(peak, max of ||v|| + ||z||_V at or after t_end - window): the window rule."""
+    mask = times >= t_end - window
+    return float(np.max(np.sqrt(v_v_sq[mask]) + z_v_norm[mask], initial=peak))
 
 
 def energy_diagnostics(cfg: NSEConfig, trace: NSETrace, beta_hat: float) -> EnergyDiagnostics:
@@ -442,16 +441,6 @@ def energy_diagnostics(cfg: NSEConfig, trace: NSETrace, beta_hat: float) -> Ener
     )
 
 
-def _joined(pieces: list) -> NSETrace:
-    """One trace from consecutive pieces, each starting where the last ended;
-    the repeated boundary point is kept once."""
-    first = pieces[0]
-    return NSETrace(first.level, *(
-        np.concatenate([getattr(first, name)] + [getattr(p, name)[1:] for p in pieces[1:]])
-        for name in NSETrace.SERIES
-    ))
-
-
 def absorbing_radius_experiment(
     model: NSEModel,
     omega,
@@ -465,30 +454,37 @@ def absorbing_radius_experiment(
     compare the trailing-window radius.  Returns per-lookback radii, relative
     gaps, and the first lookback at which the gap is within 5 percent.
 
-    All lookbacks ride one stack run from the deepest start: at each shallower
-    start the stack takes on that lookback's rows, and each row's trace is
-    joined from the pieces it rode.  Rows of a stack step exactly as alone and
-    aligned pieces compose bit-for-bit, so every radius has the bits of its
-    own run from ``t - lookback``."""
+    All lookbacks ride one stack run from the deepest start, which takes on
+    each lookback's rows at its start and records only from the grid point
+    before the window.  A row's radius is a running maximum over its pieces
+    without their first points (the row's start, or a point counted already).
+    Rows step exactly as alone and aligned pieces compose bit-for-bit, so every
+    radius has the bits of its own run from ``t - lookback``."""
     base = random_divfree(model.cfg.resolution, seed)
     base = base / math.sqrt(norm_h_sq(base))
     starts = np.stack([mag * base for mag in magnitudes])
+    level, h = model.grid_level, model.cfg.step
+    t_end = t.at_level(level) * h  # the last trace time, as the trace computes it
     deepest_first = sorted(set(lookbacks), reverse=True)
-    ends = [t - int(lb) for lb in deepest_first[1:]] + [t]
+    begins = [t - int(lb) for lb in deepest_first]
+    before = np.ceil((t_end - window) / h) - 1  # the grid point just before the window
+    lead = DyadicTime(int(max(before, begins[0].at_level(level))), level)
     u = starts[:0]
-    pieces = []  # pieces[r]: the trace pieces of stack row r
-    for lb, end in zip(deepest_first, ends):
+    peaks = [-math.inf] * (len(starts) * len(begins))  # the running radius of each row
+    for s, end in zip(begins, begins[1:] + [t]):
         u = np.concatenate([u, starts])
-        pieces += [[] for _ in starts]
-        u, traces = model.evolve_trace(omega, t - int(lb), end, u)
-        for row, trace in zip(pieces, traces):
-            row.append(trace)
+        quiet = min(max(s, lead), end)  # step without recording up to here
+        flat = model.evolve_batch(omega, s, quiet, u.view(float).reshape(len(u), -1))
+        u = flat.view(complex).reshape(u.shape)
+        if quiet < end:
+            u, traces = model.evolve_trace(omega, quiet, end, u)
+            peaks[:len(u)] = [_window_peak(tr.times[1:], tr.v_v_sq[1:], tr.z_v_norm[1:], t_end,
+                                           window, peak) for tr, peak in zip(traces, peaks)]
     radii = {}
     gaps = {}
     for lb in lookbacks:
         first = deepest_first.index(lb) * len(starts)
-        rs = [energy_diagnostics(model.cfg, _joined(row), model.beta_hat).absorbing_radius(window)
-              for row in pieces[first:first + len(starts)]]
+        rs = peaks[first:first + len(starts)]
         radii[lb] = rs
         gaps[lb] = (max(rs) - min(rs)) / max(max(rs), 1e-300)
     t_star = next((lb for lb in lookbacks if gaps[lb] <= 0.05), None)

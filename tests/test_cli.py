@@ -18,10 +18,17 @@ def _write(tmp_path, name, text):
 
 
 def test_list_experiments(capsys):
+    # one line per kind, the kind first, then each key=default of its table
     assert main(["--list-experiments"]) == 0
-    out = capsys.readouterr().out
-    for kind in ("noise", "oracle", "nse", "counterexamples"):
-        assert kind in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(cli._TABLES)
+    for line, (kind, table) in zip(lines, cli._TABLES.items()):
+        listed = dict(token.split("=", 1) for token in line.split()[1:])
+        assert list(listed) == list(table), kind
+        for key, shown in listed.items():
+            # each default, read back as a config line would be, is the default
+            assert cli._checked(key, parse_config_text(f"{key} = {shown}")[key],
+                                table[key]) == table[key], (kind, key)
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -215,6 +222,7 @@ _BAD_SIZES = [
     ("pullback", "schedule.depth = 2.5", "schedule.depth"),
     ("attractor", "box_points = -3", "box_points"),
     ("attractor", "box_points = abc", "box_points"),
+    ("attractor", "box_radius = 1e+308", "box_radius"),
     ("esm-verify", "particles = 0", "particles"),
     ("noise", "level = 5.5", "level"),
     ("noise", "ensemble = -2", "ensemble"),
@@ -244,6 +252,21 @@ _BAD_SIZES = [
     f"{line}-{key}" if kind == "nse" else f"{kind}-{line}-{key}" for kind, line, key in _BAD_SIZES])
 def test_bad_nse_sizes_exit_2(tmp_path, capsys, kind, line, key):
     _assert_rejected(tmp_path, capsys, kind, line, key)
+
+
+@pytest.mark.parametrize("key", ["forcing_amp", "noise_amp"])
+def test_nse_blow_up_writes_one_stderr_line(tmp_path, capfd, key):
+    # the guard judges the overflowing norms, so no numpy warning comes first
+    path = _write(tmp_path, "nse.cfg", f"kind = nse\nseed = 1\n{key} = 1e300\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = subprocess.run([sys.executable, "-m", "stochflow.cli", "--config", path],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 2
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    for name in ("viscosity", "forcing_amp", "noise_amp"):
+        assert repr(name) in err, err
+    assert f"{key!r} = 1e+300" in err
 
 
 @pytest.mark.parametrize("res", [18, 32])

@@ -258,6 +258,102 @@ def test_leray_and_bilinear_stack_match_single_fields():
             assert np.array_equal(deep[1, r], bilinear_b(v[r], u[r]))
 
 
+def test_trace_noise_sum_matches_per_point_sums():
+    # more modes than numpy's pairwise sum takes in one block
+    n = 8
+    modes = tuple(0.01 * random_divfree(n, 200 + j) for j in range(9))
+    model = NSEModel(default_nse_config(resolution=n, level=5, noise_modes=modes))
+    om = NoiseRealization(4, 0, num_components=9)
+    s, t = dyadic(-1), dyadic(0)
+    _, trace = model.evolve_trace(om, s, t, taylor_green(n, 1.0))
+    want = np.array([float(np.sum(np.abs(row))) for row in model.z_values(om, s, t)])
+    assert np.array_equal(trace.z_abs_sum.view(np.int64), want.view(np.int64))
+
+
+# -- the spectral operators against their first formulations ---------------------
+
+def _real_grid(n):
+    """The grid constants as real arrays and a boolean mask."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kx, ky = k[:, None], k[None, :]
+    ksq = kx**2 + ky**2
+    inv = np.zeros_like(ksq)
+    inv[ksq > 0] = 1.0 / ksq[ksq > 0]
+    c = n // 3
+    dealias = (np.abs(kx) <= c) & (np.abs(ky) <= c)
+    return kx, ky, inv, np.stack(np.broadcast_arrays(kx, ky)), dealias
+
+
+def _ref_to_phys(spec):
+    n = spec.shape[-1]
+    return np.real(np.fft.ifft2(spec, axes=(-2, -1))) * (n * n)
+
+
+def _ref_to_spec(phys):
+    n = phys.shape[-1]
+    return np.fft.fft2(phys, axes=(-2, -1)) / (n * n)
+
+
+def _ref_conj_reflect(spec):
+    neg = (-np.arange(spec.shape[-1])) % spec.shape[-1]
+    return np.conj(spec.take(neg, axis=-2).take(neg, axis=-1))
+
+
+def _ref_leray_project(field):
+    kx, ky, inv_ksq, kvec, _ = _real_grid(field.shape[-1])
+    coef = (kx * field[..., 0, :, :] + ky * field[..., 1, :, :]) * inv_ksq
+    out = field - kvec * coef[..., None, :, :]
+    out[..., 0, 0] = field[..., 0, 0]
+    return out
+
+
+def _ref_bilinear_b(u, v):
+    kx, ky, _, _, dealias = _real_grid(u.shape[-1])
+    um = u * dealias
+    vm = um if v is u else v * dealias
+    u_ph, dvx, dvy = _ref_to_phys(np.stack([um, 1j * kx * vm, 1j * ky * vm]))
+    w = u_ph[..., :1, :, :] * dvx + u_ph[..., 1:, :, :] * dvy
+    out = _ref_leray_project(_ref_to_spec(w) * dealias)
+    out = (out + _ref_conj_reflect(out)) * 0.5
+    out[..., 0, 0] = 0.0
+    return out
+
+
+def _assert_same_bits(got, want):
+    # int64 views tell -0.0 from +0.0 and compare NaN payloads
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+def _spectral_inputs(n):
+    """Random stacks with signed zeros in both parts, and stacks of real
+    fields, of shape (2, n, n), (rows, 2, n, n) and (3, rows, 2, n, n)."""
+    rng = np.random.default_rng(n)
+    for shape in ((2, n, n), (1, 2, n, n), (4, 2, n, n), (3, 2, 2, n, n)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parts = x.view(float)
+        pick = rng.random(parts.shape)
+        parts[pick < 0.1] = 0.0
+        parts[pick > 0.9] = -0.0
+        yield x
+        fields = np.stack([random_divfree(n, seed) for seed in range(int(np.prod(shape[:-3])))])
+        yield fields.reshape(shape)
+
+
+@pytest.mark.parametrize("n", [8, 16, 18, 32])
+def test_spectral_operators_keep_the_bits_of_their_first_formulations(n):
+    for x in _spectral_inputs(n):
+        _assert_same_bits(nm.to_phys(x), _ref_to_phys(x))
+        _assert_same_bits(nm.to_spec(x.real.copy()), _ref_to_spec(x.real.copy()))
+        _assert_same_bits(nm.to_spec(x), _ref_to_spec(x))
+        _assert_same_bits(nm._conj_reflect(x), _ref_conj_reflect(x))
+        _assert_same_bits(leray_project(x), _ref_leray_project(x))
+        _assert_same_bits(bilinear_b(x, x), _ref_bilinear_b(x, x))
+        y = x[..., ::-1, :, :, :] if x.ndim > 3 else x[::-1]
+        _assert_same_bits(bilinear_b(x, y), _ref_bilinear_b(x, y))
+
+
 def test_evolve_batch_rows_match_evolve_field():
     model = _model()
     fields = [taylor_green(16, 0.5), 0.3 * random_divfree(16, 80), shear_mode(16, 2.0)]
@@ -462,9 +558,16 @@ def test_stacked_norms_match_single_rows():
                     assert got[r] == one, (norm.__name__, n, rows, r)
 
 
+def _old_absorbing_radius(diag, window):
+    t_end = diag.times[-1]
+    mask = diag.times >= t_end - window
+    return float(np.max(np.sqrt(diag.v_v_sq[mask]) + diag.z_v_norm[mask]))
+
+
 def _old_absorbing_radius_experiment(model, omega, t, magnitudes=(1.0, 10.0),
                                      lookbacks=(8, 16, 32), window=1.0, seed=11):
-    """Reference oracle: each lookback runs on its own from t - lookback."""
+    """Reference oracle: each lookback runs on its own from t - lookback and
+    records every grid point."""
     base = random_divfree(model.cfg.resolution, seed)
     base = base / math.sqrt(nm.norm_h_sq(base))
     radii = {}
@@ -472,7 +575,7 @@ def _old_absorbing_radius_experiment(model, omega, t, magnitudes=(1.0, 10.0),
     starts = np.stack([mag * base for mag in magnitudes])
     for lb in lookbacks:
         _, traces = model.evolve_trace(omega, t - int(lb), t, starts)
-        rs = [energy_diagnostics(model.cfg, trace, model.beta_hat).absorbing_radius(window)
+        rs = [_old_absorbing_radius(energy_diagnostics(model.cfg, trace, model.beta_hat), window)
               for trace in traces]
         radii[lb] = rs
         gaps[lb] = (max(rs) - min(rs)) / max(max(rs), 1e-300)
@@ -485,13 +588,15 @@ def test_absorbing_radius_sweep_matches_reference_oracle(lookbacks):
     model = _model(resolution=8, level=5, viscosity=0.2)
     om = NoiseRealization(21, 0, num_components=2)
     magnitudes = (1.0, 10.0, 0.1)
-    got = nm.absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks)
-    want = _old_absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks)
-    assert list(got["radii"]) == list(want["radii"])
-    for lb in lookbacks:
-        assert got["radii"][lb] == want["radii"][lb]
-        assert got["gaps"][lb] == want["gaps"][lb]
-    assert got["t_star"] == want["t_star"]
+    for window in (0.25, 1.0, 3.0):  # at 3.0 the rows of lookbacks 1 and 2 start inside it
+        got = nm.absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks, window)
+        want = _old_absorbing_radius_experiment(model, om, dyadic(0), magnitudes, lookbacks,
+                                                window)
+        assert list(got["radii"]) == list(want["radii"])
+        for lb in lookbacks:
+            assert got["radii"][lb] == want["radii"][lb], (window, lb)
+            assert got["gaps"][lb] == want["gaps"][lb], (window, lb)
+        assert got["t_star"] == want["t_star"]
 
 
 def test_absorbing_radius_sweep_steps_the_deepest_start_once(monkeypatch):
@@ -520,6 +625,39 @@ def test_joined_trace_pieces_match_direct_trace():
     u_r, first = model.evolve_trace(OM, s, r, u0)
     _, second = model.evolve_trace(OM, r, t, u_r)
     _, direct = model.evolve_trace(OM, s, t, u0)
-    joined = nm._joined([first, second])
     for name in nm.NSETrace.SERIES:
-        assert np.array_equal(getattr(joined, name), getattr(direct, name)), name
+        # the piece boundary r is the last point of the first piece and the first of the second
+        joined = np.concatenate([getattr(first, name), getattr(second, name)[1:]])
+        assert np.array_equal(joined, getattr(direct, name)), name
+
+
+def test_energy_diagnostics_radius_matches_reference():
+    model = _model(resolution=8, level=5)
+    _, trace = model.evolve_trace(OM, dyadic(-2), dyadic(0), taylor_green(8, 1.0))
+    diag = energy_diagnostics(model.cfg, trace, model.beta_hat)
+    for window in (0.0, 0.1, 0.25, 1.0, 1.5, 5.0):
+        assert diag.absorbing_radius(window) == _old_absorbing_radius(diag, window)
+
+
+@pytest.mark.parametrize("window", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("lookbacks", [(8, 2, 4, 4), (1, 8), (3,)])
+def test_absorbing_radius_sweep_records_only_the_window(monkeypatch, lookbacks, window):
+    model = _model(resolution=8, level=5)
+    h = model.cfg.step
+    om = NoiseRealization(21, 0, num_components=2)
+    recorded = []  # the grid times of every recorded point
+    real = nm.NSEModel.evolve_trace
+
+    def spy(self, omega, s, t, u):
+        out = real(self, omega, s, t, u)
+        recorded.extend(out[1][0].times)
+        return out
+
+    monkeypatch.setattr(nm.NSEModel, "evolve_trace", spy)
+    nm.absorbing_radius_experiment(model, om, dyadic(0), (1.0, 10.0), lookbacks, window)
+    recorded = np.array(recorded)
+    assert recorded.min() >= -window - h and recorded.max() <= 0.0
+    inside = np.arange(-min(window, max(lookbacks)) / h, 1) * h
+    assert set(inside) <= set(recorded)  # every point inside the window is recorded
+    # each piece repeats at most its first point
+    assert len(recorded) <= len(inside) + 1 + len(set(lookbacks))
