@@ -38,7 +38,6 @@ from .wiener import (
     grid_values,
     increments,
     ou_grid,
-    window_increments,
 )
 
 @dataclass
@@ -118,6 +117,7 @@ def _coerce(val: str):
 # float key a finite real, and the tuple ``lookbacks`` comma-separated positive
 # integers, used in ascending order.  A bool is never a number.
 _LINEAR = {"model.rate": 0.5, "model.sigma": 0.3, "model.level": 6, "model.forcing_amp": 1.0}
+_LINEAR_DRIVERS = ("model.rate", "model.sigma", "model.forcing_amp")  # named if a run blows up
 _TABLES = {
     "noise": {"ensemble": 10_000, "level": 6, "ou_rate": 1.0, "intervals": 1000},
     "pullback": {**_LINEAR, "schedule.depth": 6, "schedule.coeff": 2, "schedule.tol": 0.02,
@@ -219,6 +219,21 @@ def _fmt_rows(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _refinement_pairs(omega: NoiseRealization, lvs: np.ndarray, starts: np.ndarray):
+    """The increments of W over the intervals [k, k + 1] * 2**-lv, k in ``starts``
+    and lv in ``lvs``, and each one's two halves: one query per level and grid,
+    over the hull of that level's intervals."""
+    coarse, children = np.empty(starts.size), np.empty((starts.size, 2))
+    for lv in map(int, np.unique(lvs)):
+        at = lvs == lv
+        ks = starts[at]
+        k0 = int(ks.min())  # DyadicTime takes Python ints
+        s, e = DyadicTime(k0, lv), DyadicTime(int(ks.max()) + 1, lv)
+        coarse[at] = increments(omega, 0, s, e, lv)[ks - k0]
+        children[at] = increments(omega, 0, s, e, lv + 1).reshape(-1, 2)[ks - k0]
+    return coarse, children
+
+
 def run_noise(cfg: dict, report: RunReport):
     seed = cfg["seed"]
     n = cfg["ensemble"]
@@ -243,15 +258,9 @@ def run_noise(cfg: dict, report: RunReport):
     n_int = cfg["intervals"]
     base = chain(seed, 0xA11CE)
     rng_keys = chain_offsets(base, np.arange(3 * n_int)).reshape(n_int, 3)
-    lvs = rng_keys[:, 0] % 10
     starts = (rng_keys[:, 1] % (1 << 10)).astype(np.int64) - (1 << 9)
-    bit_exact = 0
-    omega = NoiseRealization(seed, 0)
-    for lv in map(int, np.unique(lvs)):  # interval k spans [k, k + 1] * 2**-lv
-        ks = starts[lvs == lv]
-        coarse = window_increments(omega, 0, ks, lv, lv)[:, 0]
-        children = window_increments(omega, 0, ks, lv, lv + 1)
-        bit_exact += int(np.count_nonzero(children[:, 0] + children[:, 1] == coarse))
+    coarse, children = _refinement_pairs(NoiseRealization(seed, 0), rng_keys[:, 0] % 10, starts)
+    bit_exact = int(np.count_nonzero(children[:, 0] + children[:, 1] == coarse))
     report.verdicts.append(
         Verdict("wiener.refinement_bit_exact", bit_exact == n_int, bit_exact, n_int)
     )
@@ -286,7 +295,8 @@ def run_pullback(cfg: dict, report: RunReport):
                                               dyadic(cfg["schedule.coeff"]), cfg["schedule.tol"])
     omega = NoiseRealization(seed, cfg["realization"])
     family = ms.GaussianFamily(lambda _t: 0.0, 1.0, salt=seed)
-    mu, diag = esm.pullback_measure(model, omega, schedule, family, cfg["particles"])
+    mu, diag = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_measure(
+        model, omega, schedule, family, cfg["particles"]))
     report.verdicts.append(Verdict("esm.pullback_converged", diag.converged,
                                    len(diag.distances), note=diag.message))
     rows = list(zip([s.value for s in diag.starts_used[1:]], map(float, diag.distances)))
@@ -334,7 +344,9 @@ def run_attractor(cfg: dict, report: RunReport):
     report.tables["semidistance.csv"] = _fmt_rows(
         ("step", "semidistance"), list(enumerate(map(float, cloud_t.history)))
     )
-    report.tables["cloud.tsv"] = ms.to_table(ms.EmpiricalMeasure.equal_weight(cloud_t.particles))
+    cloud = _refused(cfg, ("deterministic_rate",),  # a cloud that blew up is no measure
+                     lambda: ms.EmpiricalMeasure.equal_weight(cloud_t.particles))
+    report.tables["cloud.tsv"] = ms.to_table(cloud)
 
 
 def run_esm_verify(cfg: dict, report: RunReport):
@@ -346,7 +358,8 @@ def run_esm_verify(cfg: dict, report: RunReport):
     depth = cfg["depth"]
     schedule = _refused(cfg, ("depth",), lambda: esm.PullbackSchedule.geometric(t, depth, 2))
 
-    points = esm.pullback_points(model, RealizationStream(seed).take(ensemble), t, schedule)[:, 0]
+    points = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_points(
+        model, RealizationStream(seed).take(ensemble), t, schedule))[:, 0]
     family = ms.RandomMeasure({i: ms.EmpiricalMeasure.dirac([points[i]])
                                for i in range(ensemble)}, ensemble)
     mean_measure = esm.esm_mean(family)
@@ -379,8 +392,9 @@ def run_esm_verify(cfg: dict, report: RunReport):
                                    resid_wrong > 10.0 * resid_bound, resid_wrong,
                                    10.0 * resid_bound))
 
-    pts2 = esm.pullback_points(model, RealizationStream(chain(seed, 8)).take(ensemble), t + two_pi,
-                               esm.PullbackSchedule.geometric(t + two_pi, depth, 2))[:, 0]
+    pts2 = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_points(
+        model, RealizationStream(chain(seed, 8)).take(ensemble), t + two_pi,
+        esm.PullbackSchedule.geometric(t + two_pi, depth, 2)))[:, 0]
     d_period = ms.distance(
         ms.EmpiricalMeasure.equal_weight(points[:, None]),
         ms.EmpiricalMeasure.equal_weight(pts2[:, None]),
@@ -444,12 +458,16 @@ def run_nse(cfg: dict, report: RunReport):
     lbs = cfg["lookbacks"]
     res = cfg["resolution"]
     _refused(cfg, ("resolution",), lambda: nse_mod.grid_for(res))
+    forcing = nse_mod.taylor_green(res, cfg["forcing_amp"])
+    modes = nse_mod.default_noise_modes(res, cfg["noise_amp"])
+    for key, phi in (("forcing_amp", forcing),) + tuple(("noise_amp", m) for m in modes):
+        _refused(cfg, (key,), lambda: nse_mod.check_field(phi, 1e-8))
     nse_cfg = _refused(cfg, ("viscosity", "resolution", "level"), lambda: default_nse_config(
         resolution=res,
         viscosity=cfg["viscosity"],
         level=cfg["level"],
-        forcing_field=nse_mod.taylor_green(res, cfg["forcing_amp"]),
-        noise_modes=nse_mod.default_noise_modes(res, cfg["noise_amp"]),
+        forcing_field=forcing,
+        noise_modes=modes,
         ou_rate=cfg["ou_rate"],
     ))
     model = _refused(cfg, ("ou_rate", "level"), lambda: NSEModel(nse_cfg))
@@ -524,7 +542,10 @@ def run_experiment(cfg: dict) -> RunReport:
     resolved = _resolve(cfg)
     report = RunReport(cfg["kind"], cfg)
     started = time.monotonic()
-    _RUNNERS[cfg["kind"]](resolved, report)
+    # checks and refusals judge inf and NaN themselves, so numpy's warnings
+    # would only add stderr lines; no value depends on them
+    with np.errstate(all="ignore"):
+        _RUNNERS[cfg["kind"]](resolved, report)
     report.wall_clock = time.monotonic() - started
     return report
 

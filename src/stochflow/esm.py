@@ -278,13 +278,14 @@ class SelectedTrajectory:
 
 
 def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: PullbackSchedule,
-                    probes: np.ndarray | None = None, tol: float | None = None) -> np.ndarray:
+                    tol: float | None = None) -> np.ndarray:
     """The collapsed pullback state at t, one row per realization.
 
-    Contracting case: one ``evolve_ensemble`` call per start pushes the probes
-    of every row still running.  A row leaves once its probes have collapsed,
-    and stopped moving, at two starts in a row; a row that never does means the
-    attractor is not a single point, and the construction is refused.
+    Contracting case: one ``evolve_ensemble`` call per start pushes two probes,
+    the all-zeros and all-ones states, of every row still running.  A row leaves
+    once its probes have collapsed, and stopped moving, at two starts in a row;
+    a row that never does means the attractor is not a single point, and the
+    construction is refused.
     Finite-flow lifts are delegated to their exact synchronization-based selector.
     """
     if schedule.anchor != t:
@@ -294,10 +295,7 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: Pullb
     if exact is not None:
         return np.array([np.asarray(exact(o, [t], schedule), float)[0] for o in omegas])
     tol = schedule.tol if tol is None else tol
-    probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1) if probes is None else probes
-    probes = np.atleast_2d(np.asarray(probes, float))
-    if probes.shape[0] < 2:
-        raise ConfigError("need at least two probe points to certify collapse")
+    probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1)
     out = np.empty((len(omegas), model.state_dim))
     live = np.arange(len(omegas))  # rows still running
     hits = np.zeros(len(omegas), dtype=int)
@@ -329,19 +327,13 @@ def select_trajectory(
     omega: NoiseRealization,
     times: Sequence[DyadicTime],
     schedule: PullbackSchedule,
-    probes: np.ndarray | None = None,
-    tol: float | None = None,
 ) -> SelectedTrajectory:
     """A single trajectory supported by the attractor: the pullback point at
     the earliest time (``pullback_points``, one row), carried forward."""
     times = sorted(times)
     if schedule.anchor != times[0]:
         raise ConfigError("schedule must be anchored at the earliest requested time")
-    exact = getattr(model, "exact_select_states", None)
-    if exact is not None:
-        states = exact(omega, times, schedule)
-        return SelectedTrajectory(tuple(times), np.asarray(states, float))
-    states = [pullback_points(model, (omega,), times[0], schedule, probes, tol)[0]]
+    states = [pullback_points(model, (omega,), times[0], schedule)[0]]
     for a, b in zip(times, times[1:]):
         states.append(evolve(model, omega, a, b, states[-1]))
     return SelectedTrajectory(tuple(times), np.stack(states))

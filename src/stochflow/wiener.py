@@ -6,18 +6,15 @@ index, and interior dyadic points are filled in by midpoint displacement keyed
 by (interval, level, segment).  Because disjoint intervals use disjoint keys,
 increments over disjoint intervals are independent, and a query never touches
 keys outside the intervals it spans.  One fill, ``_fill``, serves every
-query: it runs level by level across a sorted set of unit intervals at once;
-since a value is a pure function of its key, this gives the same bits as
-filling one interval at a time.
+query: it runs level by level across a run of consecutive unit intervals at
+once; since a value is a pure function of its key, this gives the same bits
+as filling one interval at a time.
 
-Queries have two batch axes.  The realization axis: ``grid_values``,
-``increments``, ``window_increments`` and ``ou_grid`` also take a sequence of
-handles and return one row per handle; one handle is the one-row case of the
-same fill.  Rows go through in blocks of about ``BLOCK_VALUES`` path values
-(rows x points per row), and ``ou_grid`` reduces each block before the next.
-The window axis: ``window_increments`` takes many short windows
-[k, k + 1] * 2**-span_level at once and fills each unit interval they touch
-once, where ``grid_values`` fills the contiguous run of intervals of one span.
+Queries have one batch axis, the realization axis: ``grid_values``,
+``increments`` and ``ou_grid`` also take a sequence of handles and return one
+row per handle; one handle is the one-row case of the same fill.  Rows go
+through in blocks of about ``BLOCK_VALUES`` path values (rows x points per
+row), and ``ou_grid`` reduces each block before the next.
 
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
@@ -35,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
-from .errors import AlignmentError, ConfigError, OrderingError, ResolutionError
+from .errors import ConfigError, OrderingError, ResolutionError
 from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
@@ -105,7 +102,8 @@ class OUConfig:
     ``level`` grid.
 
     The history integral is truncated at ``cutoff_horizon``, the smallest
-    integer with ``exp(-rate * cutoff) <= OU_TOLERANCE``.
+    integer with ``exp(-rate * cutoff) <= OU_TOLERANCE``; it must fit the
+    path horizon.
     """
 
     rate: float = 1.0
@@ -114,6 +112,8 @@ class OUConfig:
     def __post_init__(self):
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
+        if math.log(1.0 / OU_TOLERANCE) / self.rate > HORIZON:
+            raise ConfigError(f"rate {self.rate} needs a history beyond the horizon {HORIZON}")
         if not (0 <= self.level <= MAX_LEVEL):
             raise ResolutionError(f"level {self.level} outside [0, {MAX_LEVEL}]")
 
@@ -209,20 +209,15 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     raise AssertionError("unreachable: canonical dyadic walk must terminate")
 
 
-def _fill(rows: tuple, component: int, units: np.ndarray, level: int) -> np.ndarray:
+def _fill(rows: tuple, component: int, n0: int, n1: int, level: int) -> np.ndarray:
     """W at the 2**level + 1 level-grid points of each unit interval [n, n + 1],
-    n in the sorted ``units``, ends included: shape (rows, units, 2**level + 1).
-
-    The integer anchors come from one ``_integer_values`` call over the hull of
-    ``units``, and the bridge touches only the keys of the intervals named.
-    """
-    n0 = int(units[0])
-    anchors = _integer_values(rows, component, n0, int(units[-1]) + 1)
-    at = units - n0
+    n0 <= n < n1, ends included: shape (rows, n1 - n0, 2**level + 1)."""
+    anchors = _integer_values(rows, component, n0, n1)
     if level:  # level 0 needs no bridge keys
-        interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None], units)
-    # vals[r, j] holds the level-lv grid of unit interval units[j], both ends included.
-    vals = np.stack([anchors[:, at], anchors[:, at + 1]], axis=2)
+        interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None],
+                                      np.arange(n0, n1))
+    # vals[r, j] holds the level-lv grid of unit interval n0 + j, both ends included.
+    vals = np.stack([anchors[:, :-1], anchors[:, 1:]], axis=2)
     for lv in range(1, level + 1):
         level_keys = chain_offsets(interval_keys, lv)[..., None]
         z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
@@ -238,8 +233,8 @@ def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int
     """W at every level-grid point of [s, t], endpoints included: a 1-D array
     for one handle, one row per handle for a sequence of them.
 
-    This is the contiguous case of ``_fill``: its intervals are stitched end to
-    end, each shared endpoint kept once.
+    One ``_fill`` per block of rows covers the unit intervals that [s, t]
+    touches; they are stitched end to end, each shared endpoint kept once.
     """
     rows, single = _rows(omegas)
     for omega in rows:
@@ -250,60 +245,17 @@ def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int
         raise OrderingError(f"grid_values needs s <= t, got {s!r} > {t!r}")
     i0, i1 = s.at_level(level), t.at_level(level)
     n0 = i0 >> level
-    units = np.arange(n0, max(-((-i1) >> level), n0 + 1))  # s == t on an integer: one
-    width = units.size << level  # filled points per row, the last endpoint aside
+    n1 = max(-((-i1) >> level), n0 + 1)  # s == t on an integer: one interval
+    width = (n1 - n0) << level  # filled points per row, the last endpoint aside
     off = i0 - (n0 << level)
     # C order, so that a row is contiguous: np.dot's bits depend on the stride
     out = np.empty((len(rows), i1 - i0 + 1))
     lo = 0
     for block in row_blocks(rows, width + 1):
-        vals = _fill(block, component, units, level)
+        vals = _fill(block, component, n0, n1, level)
         full = np.concatenate((vals[..., :-1].reshape(len(block), width), vals[:, -1, -1:]),
                               axis=1)
         out[lo:lo + len(block)] = full[:, off : off + (i1 - i0) + 1]
-        lo += len(block)
-    return out[0] if single else out
-
-
-def window_increments(omegas, component: int, starts, span_level: int,
-                      level: int) -> np.ndarray:
-    """Level-grid increments of W over the windows [k, k + 1] * 2**-span_level,
-    k in ``starts``: shape (windows, 2**(level - span_level)) for one handle,
-    (rows, windows, 2**(level - span_level)) for a sequence of them.
-
-    Entry [r, j] equals ``increments(omegas[r], component, s, e, level)`` for
-    the j-th window [s, e], bit for bit.  Each window lies in one unit
-    interval, so one ``_fill`` over the distinct intervals serves every window.
-    Fills go through in blocks of about ``BLOCK_VALUES`` path values (rows x
-    intervals x points per interval).
-    """
-    rows, single = _rows(omegas)
-    for omega in rows:
-        _check_component(omega, component)
-    if not 0 <= span_level <= MAX_LEVEL:
-        raise ResolutionError(f"span_level {span_level} outside [0, {MAX_LEVEL}]")
-    if level < span_level:
-        raise AlignmentError(f"level {level} is coarser than the windows' level {span_level}")
-    if level > MAX_LEVEL:
-        raise ResolutionError(f"level {level} exceeds MAX_LEVEL={MAX_LEVEL}")
-    ks = np.asarray(starts, dtype=np.int64).ravel()
-    if ks.size and max(-int(ks.min()), int(ks.max()) + 1) > HORIZON << span_level:
-        raise ResolutionError(f"a window leaves the horizon {HORIZON}")
-    width = 1 << (level - span_level)
-    units, where = np.unique(ks >> span_level, return_inverse=True)
-    # the grid points of window j within the fill of its unit interval
-    first = (ks & ((1 << span_level) - 1)) << (level - span_level)
-    cols = first[:, None] + np.arange(width + 1)
-    points = (1 << level) + 1
-    out = np.empty((len(rows), ks.size, width))
-    lo = 0
-    for block in row_blocks(rows, units.size * points):
-        step = max(1, BLOCK_VALUES // (max(len(block), 1) * points))
-        for u0 in range(0, units.size, step):
-            vals = _fill(block, component, units[u0:u0 + step], level)
-            sel = (where >= u0) & (where < u0 + step)
-            picked = vals[:, where[sel, None] - u0, cols[sel]]
-            out[lo:lo + len(block), sel] = np.diff(picked, axis=-1)
         lo += len(block)
     return out[0] if single else out
 

@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from stochflow import cli, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
+from stochflow.dyadic import DyadicTime
+from stochflow.keyed import chain, chain_offsets
+from test_golden_artifacts import CONFIGS as GOLDEN_CONFIGS
 
 
 def _write(tmp_path, name, text):
@@ -155,16 +160,32 @@ def test_output_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, text):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
-def test_refinement_check_makes_one_fill_per_level_and_grid():
-    # ten levels, each one coarse and one child window query of one fill; the
-    # run's other four queries (W(1), the [0, 2] increments, two OU points)
-    # take one fill each at this ensemble size
-    cfg = {"kind": "noise", "seed": 1, "ensemble": 8, "intervals": 200}
+@pytest.mark.parametrize("intervals", [200, 5000])
+def test_refinement_check_makes_one_fill_per_level_and_grid(intervals):
+    # ten levels, each one coarse and one child query of one fill, whatever
+    # the number of intervals; the run's other four queries (W(1), the [0, 2]
+    # increments, two OU points) take one fill each at this ensemble size
+    cfg = {"kind": "noise", "seed": 1, "ensemble": 8, "intervals": intervals}
     with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
         report = run_experiment(cfg)
     assert fill.call_count <= 2 * 10 + 4
     check = next(v for v in report.verdicts if v.name == "wiener.refinement_bit_exact")
-    assert check.passed and check.value == 200
+    assert check.passed and check.value == intervals
+
+
+@pytest.mark.parametrize("intervals", [200, 5000])
+def test_refinement_pairs_match_per_interval_queries(intervals):
+    # the run's draw of levels and starts, plus the hull's edge starts -512
+    # and 511 at levels 0 and 9, against two one-row queries per interval
+    keys = chain_offsets(chain(1, 0xA11CE), np.arange(3 * intervals)).reshape(intervals, 3)
+    lvs = np.concatenate((keys[:, 0] % 10, [0, 0, 9, 9]))
+    starts = np.concatenate(((keys[:, 1] % 1024).astype(np.int64) - 512, [-512, 511] * 2))
+    omega = wiener.NoiseRealization(1, 0)
+    coarse, children = cli._refinement_pairs(omega, lvs, starts)
+    for lv, k, got, halves in zip(map(int, lvs), map(int, starts), coarse, children):
+        s, e = DyadicTime(k, lv), DyadicTime(k + 1, lv)
+        assert got == wiener.increments(omega, 0, s, e, lv)[0]
+        assert np.array_equal(halves, wiener.increments(omega, 0, s, e, lv + 1))
 
 
 def test_jobs_flag_is_gone_and_jobs_key_is_ignored(tmp_path, capsys):
@@ -242,6 +263,10 @@ _BAD_SIZES = [
     ("attractor", "model.level = 40", "model.level"),
     ("oracle", "depth = 40", "depth"),
     ("nse", "noise_amp = 1000000.0", "noise_amp"),
+    # a rate whose cutoff history leaves the path horizon
+    ("noise", "ou_rate = 1e-308", "ou_rate"),
+    ("nse", "ou_rate = 1e-308", "ou_rate"),
+    ("noise", "ou_rate = 0.0001", "ou_rate"),
     # run_attractor reads no linear-model key but the grid level
     ("attractor", "model.rate = 7", "model.rate"),
 ]
@@ -296,3 +321,29 @@ def test_every_table_key_rejects_wrong_type_and_below_floor(tmp_path, capsys):
                 _assert_rejected(tmp_path, capsys, kind, line, key)
                 cases += 1
     assert cases > 2 * len(cli._TABLES)
+
+
+# every float key of every kind at the edges of the double range
+_EXTREMES = ("1e+308", "-1e+308", "1e-308")
+_FLOAT_CASES = [(kind, key, val) for kind, table in cli._TABLES.items()
+                for key, default in table.items() if type(default) is float
+                for val in _EXTREMES]
+
+
+@pytest.mark.parametrize("kind, key, val", _FLOAT_CASES,
+                         ids=[f"{kind}-{key}={val}" for kind, key, val in _FLOAT_CASES])
+def test_float_extremes_keep_the_exit_contract(tmp_path, capsys, kind, key, val):
+    # at the golden-artifact sizes: a verdict with only the wall-clock line on
+    # stderr, or a refusal on one line that names the key; never a warning
+    path = _write(tmp_path, "run.cfg", f"{GOLDEN_CONFIGS[kind]}{key} = {val}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    if code == 2:
+        assert f"{key!r} = {val}" in err, err
+    else:
+        assert code in (0, 1) and lines[0].startswith("# wall-clock"), err

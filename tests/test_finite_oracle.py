@@ -301,11 +301,13 @@ class TestLift:
     def test_exact_selection_through_esm_interface(self):
         from stochflow.esm import PullbackSchedule, select_trajectory
         lift = fo.FiniteFlowLift(fo.synchronizing_pair())
-        om = NoiseRealization(21, 4)
         times = [dyadic(0), dyadic(2), dyadic(3)]
         sched = PullbackSchedule.geometric(dyadic(0), 4, 2)
-        traj = select_trajectory(lift, om, times, sched)
-        assert traj.consistency_residual(lift, om) == 0.0
+        for r in range(8):  # the selected point carried forward is the exact trajectory
+            om = NoiseRealization(21, r)
+            traj = select_trajectory(lift, om, times, sched)
+            assert traj.consistency_residual(lift, om) == 0.0
+            assert np.array_equal(traj.states, lift.exact_select_states(om, times, sched))
 
     def test_pullback_measure_on_lift_reproduces_exact_family(self):
         # synchronizing lift: the pullback measure collapses to the exact

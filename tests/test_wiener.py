@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochflow import wiener
-from stochflow.dyadic import MAX_LEVEL, DyadicTime, dyadic
-from stochflow.errors import AlignmentError, OrderingError, ResolutionError
+from stochflow.dyadic import DyadicTime, dyadic
+from stochflow.errors import OrderingError, ResolutionError
 from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys
 from stochflow.wiener import (
     _TAG_BRIDGE,
@@ -21,7 +21,6 @@ from stochflow.wiener import (
     ou_at,
     ou_grid,
     wiener_at,
-    window_increments,
 )
 
 OM = NoiseRealization(2024, 0, num_components=2)
@@ -193,43 +192,6 @@ def test_batched_ou_rows_equal_one_realization_calls(lev, comp, start, span, han
     assert got.shape == (len(omegas), span + 1)
     for r, omega in enumerate(omegas):
         assert _bits_equal(got[r], ou_grid(omega, comp, cfg, s, t))
-
-
-@given(st.integers(0, 9), st.integers(0, 2), st.integers(0, 1),
-       st.lists(st.integers(-1500, 1500), min_size=1, max_size=8), _handles, _blocks)
-@settings(max_examples=150, deadline=None)
-def test_window_rows_equal_one_window_calls(span, extra, comp, ks, handles, block):
-    # a repeated window, and its sibling in the same unit interval when span >= 1
-    ks = ks + [ks[0], ks[0] ^ 1]
-    level = span + extra
-    omegas = _rows(handles, comp, ks[0] >> span)  # surgery on a window's interval
-    with mock.patch.object(wiener, "BLOCK_VALUES", block):
-        got = window_increments(omegas, comp, ks, span, level)
-    assert got.shape == (len(omegas), len(ks), 1 << extra)
-    for r, omega in enumerate(omegas):
-        for j, k in enumerate(ks):
-            want = increments(omega, comp, DyadicTime(k, span), DyadicTime(k + 1, span), level)
-            assert _bits_equal(got[r, j], want)
-
-
-def test_window_query_shapes_and_refusals():
-    one = window_increments(OM, 1, [-3, 5], 2, 4)
-    assert one.shape == (2, 4)
-    assert _bits_equal(one[1], increments(OM, 1, dyadic(5, 2), dyadic(6, 2), 4))
-    assert window_increments([OM, OM], 0, [], 3, 3).shape == (2, 0, 1)
-    edge = wiener.HORIZON << 3
-    assert window_increments(OM, 0, [-edge, edge - 1], 3, 3).shape == (2, 1)
-    with pytest.raises(IndexError):
-        window_increments(OM, 2, [0], 0, 0)
-    with pytest.raises(AlignmentError):
-        window_increments(OM, 0, [0], 3, 2)
-    with pytest.raises(ResolutionError):
-        window_increments(OM, 0, [0], 0, MAX_LEVEL + 1)
-    with pytest.raises(ResolutionError):
-        window_increments(OM, 0, [0], -1, 0)
-    for k in (edge, -edge - 1):
-        with pytest.raises(ResolutionError):
-            window_increments(OM, 0, [0, k], 3, 3)
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
