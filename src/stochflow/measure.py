@@ -5,7 +5,8 @@ energy distance ``2 E|X-Y| - E|X-X'| - E|Y-Y'|`` evaluated exactly on the
 weighted particle sets; it is zero iff the two discrete distributions
 coincide, and its square root satisfies the triangle inequality.  In 1D it
 is ``2 * integral of (F - G)^2`` over the merged sorted support, a sum of
-non-negative terms, so it is exactly >= 0.
+non-negative terms, so it is exactly >= 0.  Each measure sorts its 1D support
+once and keeps it; a distance merges the two sorted runs.
 
 For d > 1 no n x m distance matrix is built: ``_pair_distances`` yields the
 matrix in blocks of ``_BLOCK_ROWS`` rows, so memory grows with n + m.  Each
@@ -13,11 +14,15 @@ pair distance adds the squared coordinate gaps one coordinate at a time, first
 to last, then takes the root; a pairwise or einsum sum would round otherwise,
 and the tests hold this order to a reference bit for bit.  The energy terms add
 the blocks' contributions in block order.
+
+``to_table`` formats each distinct bit pattern of a column once, so a measure
+that has collapsed onto a few points costs a few conversions per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,6 +82,16 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return self.particles.shape[0]
 
+    @cached_property
+    def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first coordinate in ascending order and the weights in that order,
+        read-only; ``particles`` is read-only, so this cannot go stale."""
+        order = np.argsort(self.particles[:, 0])
+        z, w = self.particles[order, 0], self.weights[order]
+        z.setflags(write=False)
+        w.setflags(write=False)
+        return z, w
+
     def mean(self) -> np.ndarray:
         return self.weights @ self.particles
 
@@ -111,11 +126,13 @@ def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     if mu.dim != nu.dim:
         raise StateError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.dim == 1:
-        # tied points are merged in an order of their own, so the result does
-        # not depend on how the sort orders them, and no stable sort is needed
-        z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
-        order = np.argsort(z)
-        z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
+        # a stable sort of two sorted runs is one merge; tied points are merged
+        # in an order of their own, so the result does not depend on how either
+        # measure's own sort ordered them
+        (za, wa), (zb, wb) = mu._sorted_1d, nu._sorted_1d
+        z = np.concatenate((za, zb))
+        order = np.argsort(z, kind="stable")
+        z, w = z[order], np.concatenate((wa, -wb))[order]
         new = z[1:] != z[:-1]
         if not new.all():
             z, w = _merge_ties(z, w, new)
@@ -204,11 +221,10 @@ class RandomMeasure:
 # -- serialization ----------------------------------------------------------
 
 def _format_column(col: np.ndarray) -> list:
-    """``%.17g`` per entry, once for a column of one bit pattern (0.0 != -0.0)."""
-    bits = col.view(np.int64)
-    if np.all(bits == bits[0]):
-        return ["%.17g" % col[0]] * col.size
-    return ["%.17g" % v for v in col.tolist()]
+    """``%.17g`` per entry, applied once per distinct bit pattern (0.0 != -0.0)."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def to_table(mu: EmpiricalMeasure) -> str:

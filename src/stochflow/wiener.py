@@ -103,7 +103,8 @@ class OUConfig:
 
     The history integral is truncated at ``cutoff_horizon``, the smallest
     integer with ``exp(-rate * cutoff) <= OU_TOLERANCE``; it must fit the
-    path horizon.
+    path horizon.  The stationary variance ``1 / (2 * rate)`` must be a
+    positive finite float, or the variance check would compare zeros.
     """
 
     rate: float = 1.0
@@ -112,6 +113,8 @@ class OUConfig:
     def __post_init__(self):
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
+        if not 0.0 < self.stationary_variance < math.inf:
+            raise ConfigError(f"rate {self.rate} has no positive finite stationary variance")
         if math.log(1.0 / OU_TOLERANCE) / self.rate > HORIZON:
             raise ConfigError(f"rate {self.rate} needs a history beyond the horizon {HORIZON}")
         if not (0 <= self.level <= MAX_LEVEL):

@@ -2,6 +2,7 @@
 tolerance and prints a single pass/fail line (run with -s to watch them)."""
 
 import numpy as np
+import pytest
 import scipy.integrate
 
 import stochflow.finite_oracle as fo
@@ -60,6 +61,7 @@ def _deadline_schedule(anchor, tol=0.02):
     return PullbackSchedule(anchor, starts, tol)
 
 
+@pytest.mark.slow
 def test_criterion_1_flow_composition_exactness():
     rng = np.random.default_rng(SEED)
     worst_closed = 0.0
@@ -88,6 +90,7 @@ def test_criterion_1_flow_composition_exactness():
             f"closed-form residual {worst_closed:.3e} <= 1e-12; steppers bit-exact")
 
 
+@pytest.mark.slow
 def test_criterion_2_wiener_statistics():
     n = 10_000
     one = dyadic(1)
@@ -118,6 +121,7 @@ def test_criterion_2_wiener_statistics():
             f"refinement bit-exact {exact}/1000")
 
 
+@pytest.mark.slow
 def test_criterion_3_pullback_on_linear_model():
     model6 = _linear(6)
     t = dyadic(0)
@@ -176,6 +180,7 @@ def _pullback_ensemble(anchor_int: int, salt: int, n: int = 1000):
     return _ensemble_cache[key]
 
 
+@pytest.mark.slow
 def test_criterion_4_esm_mean_and_residual():
     n = 1000
     model = _linear(6)
@@ -200,6 +205,7 @@ def test_criterion_4_esm_mean_and_residual():
             f"analytic family residual {resid:.4f} <= {bound:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_5_periodicity():
     n = 1000
     model = _linear(6)

@@ -9,11 +9,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from stochflow import cli, wiener
+from stochflow import cli, esm, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
 from stochflow.dyadic import DyadicTime
 from stochflow.keyed import chain, chain_offsets
 from test_golden_artifacts import CONFIGS as GOLDEN_CONFIGS
+from test_measure import _old_distance_1d, _table_rows
 
 
 def _write(tmp_path, name, text):
@@ -124,6 +125,34 @@ def test_seed_override_changes_measure(tmp_path):
     assert main(["--config", path, "--seed", "12", "--out", out_b]) == 0
     assert not filecmp.cmp(os.path.join(out_a, "measure.tsv"),
                            os.path.join(out_b, "measure.tsv"), shallow=False)
+
+
+def test_collapsing_pullback_writes_the_reference_tables(tmp_path):
+    # the contracting flow collapses the deep-start measures onto few points
+    path = _write(tmp_path, "p.cfg",
+                  "kind = pullback\nseed = 1\nparticles = 4096\nschedule.tol = 0.001\n")
+    results, pairs = [], []
+    pullback_measure, distance = esm.pullback_measure, esm.distance
+
+    def measure_spy(*args):
+        results.append(pullback_measure(*args))
+        return results[-1]
+
+    def distance_spy(mu, nu):
+        pairs.append((mu, nu))
+        return distance(mu, nu)
+
+    out = tmp_path / "out"
+    with mock.patch.object(esm, "pullback_measure", measure_spy), \
+            mock.patch.object(esm, "distance", distance_spy):
+        assert main(["--config", path, "--out", str(out)]) in (0, 1)
+    (mu, _diag), = results
+    assert np.unique(mu.particles).size < mu.size
+    assert (out / "measure.tsv").read_text() == _table_rows(mu)
+    rows = (out / "distances.csv").read_text().splitlines()[1:]
+    got = np.array([float(row.split(",")[1]) for row in rows])
+    want = np.array([_old_distance_1d(a, b) for a, b in pairs])
+    assert len(rows) == 5 and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_attractor_experiment(tmp_path, capsys):
@@ -267,6 +296,9 @@ _BAD_SIZES = [
     ("noise", "ou_rate = 1e-308", "ou_rate"),
     ("nse", "ou_rate = 1e-308", "ou_rate"),
     ("noise", "ou_rate = 0.0001", "ou_rate"),
+    # a rate whose stationary variance 1 / (2 * rate) underflows to 0
+    ("noise", "ou_rate = 1e+308", "ou_rate"),
+    ("nse", "ou_rate = 1e+308", "ou_rate"),
     # run_attractor reads no linear-model key but the grid level
     ("attractor", "model.rate = 7", "model.rate"),
 ]

@@ -129,10 +129,13 @@ def test_distance_1d_properties(mu, nu, rnd):
     assert distance(shuffled, nu) == pytest.approx(d, rel=1e-12, abs=1e-28)
 
 
-def _stable_sort_distance(mu, nu):
-    """The 1D energy distance as ``distance`` computes it, but with a stable sort."""
+def _old_distance_1d(mu, nu, kind=None):
+    """The 1D energy distance with every point of both measures sorted afresh.
+
+    The reference the sorted-once merge in ``distance`` must equal bit for bit.
+    """
     z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
-    order = np.argsort(z, kind="stable")
+    order = np.argsort(z, kind=kind)
     z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
     new = z[1:] != z[:-1]
     if not new.all():
@@ -145,12 +148,43 @@ def _stable_sort_distance(mu, nu):
 @settings(max_examples=200, deadline=None)
 def test_distance_1d_bits_do_not_depend_on_particle_or_sort_order(mu, nu, rnd):
     d = distance(mu, nu).hex()
-    assert _stable_sort_distance(mu, nu).hex() == d
+    assert _old_distance_1d(mu, nu, kind="stable").hex() == d
     for _ in range(3):
         pm, pn = rnd.sample(range(mu.size), mu.size), rnd.sample(range(nu.size), nu.size)
         shuffled = (EmpiricalMeasure(mu.particles[pm], mu.weights[pm]),
                     EmpiricalMeasure(nu.particles[pn], nu.weights[pn]))
         assert distance(*shuffled).hex() == d
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two 1D measures drawn from one small pool, so points tie within and across them."""
+    pool = draw(st.lists(finite_floats, min_size=1, max_size=4)) + [0.0, -0.0]
+
+    def one():
+        pts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+        w = draw(st.none() | st.lists(st.floats(0.01, 10.0), min_size=len(pts),
+                                      max_size=len(pts)))
+        return _mk(pts, w)
+    return one(), one()
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@given(tied_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_distance_1d_equals_the_unsorted_form_bit_for_bit(pair, rnd):
+    mu, nu = pair
+    perm = rnd.sample(range(mu.size), mu.size)
+    shuffled = EmpiricalMeasure(mu.particles[perm], mu.weights[perm])
+    for a, b in ((mu, nu), (nu, mu), (shuffled, nu), (nu, shuffled), (mu, shuffled), (mu, mu)):
+        for _ in range(2):  # the second call reads both cached sorted supports
+            assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
+    for cached in mu._sorted_1d:
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
 
 
 def _energy_exact(mu, nu):
@@ -272,6 +306,35 @@ def _table_rows(mu):
 ])
 def test_to_table_matches_row_formatter(points, weights):
     mu = _mk(points, weights)
+    assert to_table(mu) == _table_rows(mu)
+
+
+# repeated values, signed zeros, subnormals and the ends of the double range
+_TABLE_POOL = [0.0, -0.0, 5e-324, -5e-324, 3e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.0, -1.0 / 3.0, np.pi]
+
+
+@st.composite
+def tie_heavy_measures(draw):
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    cells = st.lists(st.sampled_from(_TABLE_POOL), min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    w = draw(st.none() | st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1.0, 3.0]),
+                                  min_size=n, max_size=n).filter(lambda ws: sum(ws) > 0))
+    return _mk(pts, w)
+
+
+@given(tie_heavy_measures())
+@settings(max_examples=200, deadline=None)
+def test_to_table_matches_row_formatter_on_tie_heavy_tables(mu):
+    assert to_table(mu) == _table_rows(mu)
+
+
+def test_to_table_matches_row_formatter_on_a_long_column_of_few_values():
+    rng = np.random.default_rng(50)
+    pool = np.concatenate(([0.0, -0.0, 5e-324], rng.normal(size=47)))
+    mu = _mk(rng.choice(pool, 1 << 16))
+    assert np.unique(mu.particles.view(np.int64)).size == 50
     assert to_table(mu) == _table_rows(mu)
 
 
