@@ -14,7 +14,14 @@ import numpy as np
 
 from .dyadic import DyadicTime, dyadic
 from .errors import ConfigError, DivergenceError, UnsupportedCaseError
-from .flow_core import BoundedFunction, FlowModelBase, evolve, evolve_batch, evolve_ensemble
+from .flow_core import (
+    BoundedFunction,
+    FlowModelBase,
+    evolve,
+    evolve_batch,
+    evolve_ensemble,
+    pullback_ensemble,
+)
 from .measure import (
     DEFAULT_PARTICLES,
     EmpiricalMeasure,
@@ -281,11 +288,11 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: Pullb
                     tol: float | None = None) -> np.ndarray:
     """The collapsed pullback state at t, one row per realization.
 
-    Contracting case: one ``evolve_ensemble`` call per start pushes two probes,
-    the all-zeros and all-ones states, of every row still running.  A row leaves
-    once its probes have collapsed, and stopped moving, at two starts in a row;
-    a row that never does means the attractor is not a single point, and the
-    construction is refused.
+    Contracting case: ``pullback_ensemble`` pushes two probes, the all-zeros
+    and all-ones states, from each start in turn, for every row still running.
+    A row leaves once its probes have collapsed, and stopped moving, at two
+    starts in a row; a row that never does means the attractor is not a single
+    point, and the construction is refused.
     Finite-flow lifts are delegated to their exact synchronization-based selector.
     """
     if schedule.anchor != t:
@@ -297,25 +304,23 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: Pullb
     tol = schedule.tol if tol is None else tol
     probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1)
     out = np.empty((len(omegas), model.state_dim))
-    live = np.arange(len(omegas))  # rows still running
     hits = np.zeros(len(omegas), dtype=int)
-    prev = None
-    for s in schedule.starts:
-        if not live.size:
-            break
-        imgs = evolve_ensemble(model, [omegas[r] for r in live], s, t,
-                               np.broadcast_to(probes, (live.size,) + probes.shape))
+    seen = np.zeros(len(omegas), dtype=bool)
+    prev = np.zeros((len(omegas),) + probes.shape)
+
+    def keep_running(rows, imgs):
         coll = np.linalg.norm(imgs[:, :, None] - imgs[:, None], axis=-1).max(axis=(1, 2))
-        if prev is not None:
-            move = np.max(np.linalg.norm(imgs - prev, axis=2), axis=1)
-            hits[live] = np.where((coll < tol) & (move < tol), hits[live] + 1, 0)
-            done = hits[live] >= 2
-            out[live[done]] = imgs[done, 0]
-            live, imgs = live[~done], imgs[~done]
-        prev = imgs
-    if live.size:
+        move = np.max(np.linalg.norm(imgs - prev[rows], axis=2), axis=1)
+        hits[rows] = np.where(seen[rows] & (coll < tol) & (move < tol), hits[rows] + 1, 0)
+        seen[rows], prev[rows] = True, imgs
+        done = hits[rows] >= 2
+        out[rows[done]] = imgs[done, 0]
+        return ~done
+
+    left = pullback_ensemble(model, omegas, schedule.starts, t, probes, keep_running)
+    if left.size:
         raise UnsupportedCaseError(
-            f"realization {omegas[live[0]].realization_index}: pullback probes did not "
+            f"realization {omegas[left[0]].realization_index}: pullback probes did not "
             "collapse to one point; trajectory selection is only constructive for "
             "contracting models and finite lifts"
         )

@@ -12,6 +12,8 @@ on the model grid, and finite states of the model's shape.
 ``evolve_batch``; array code reads the path store in blocks of rows
 (``wiener.row_blocks``).  Either way a row equals the one-realization
 ``evolve_batch`` bit-for-bit, so the estimators below give a loop's bits.
+``pullback_ensemble`` pushes the same states from ever earlier starts, as
+the pullback needs; its images equal one ``evolve_ensemble`` per start.
 """
 
 from __future__ import annotations
@@ -44,6 +46,28 @@ class FlowModelBase:
     def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states) -> np.ndarray:
         """Map an (R, n, state_dim) array: row r rides ``omegas[r]``."""
         return np.stack([self.evolve_batch(omega, s, t, x) for omega, x in zip(omegas, states)])
+
+    def pullback_ensemble(self, omegas, starts: tuple, t: DyadicTime, states: np.ndarray,
+                          keep_running: Callable) -> np.ndarray:
+        """Push the (n, state_dim) ``states`` to t from each of the decreasing
+        ``starts`` in turn, row r riding ``omegas[r]``.
+
+        After each start, ``keep_running(rows, images)`` gets the indices of
+        the rows still running and their (rows, n, state_dim) images, and
+        returns a boolean mask of the rows that keep running.  Returns the
+        indices of the rows still running after the last start.  Here each
+        start is one ``evolve_ensemble`` call on the running rows; a model may
+        reuse work across starts, or run groups of rows apart, as long as every
+        image keeps the bits of that call.
+        """
+        rows = np.arange(len(omegas))
+        for s in starts:
+            if not rows.size:
+                break
+            live = np.broadcast_to(states, (rows.size,) + states.shape)
+            images = self.evolve_ensemble(tuple(omegas[r] for r in rows), s, t, live)
+            rows = rows[keep_running(rows, images)]
+        return rows
 
 
 def checked_grid_level(level: int) -> int:
@@ -90,6 +114,18 @@ def evolve_ensemble(model, omegas, s, t, states: np.ndarray) -> np.ndarray:
     ``states`` under S(t, s; omegas[r])."""
     omegas = tuple(omegas)
     return model.evolve_ensemble(omegas, s, t, _checked(model, s, t, states, len(omegas)))
+
+
+def pullback_ensemble(model, omegas, starts, t, states, keep_running) -> np.ndarray:
+    """Checked ``model.pullback_ensemble``: the starts strictly decrease, and
+    each is checked as an ``evolve_batch`` from it to t would be, before the
+    first image."""
+    starts = tuple(starts)
+    if any(not b < a for a, b in zip(starts, starts[1:])):
+        raise OrderingError("pullback starts must strictly decrease")
+    for s in starts:
+        states = _checked(model, s, t, states)
+    return model.pullback_ensemble(tuple(omegas), starts, t, states, keep_running)
 
 
 def _f_values(model, s, t, f: Callable, states: np.ndarray, stream) -> np.ndarray:

@@ -3,8 +3,14 @@
 All randomness in the package derives from hashing integer key tuples with a
 splitmix64-style finalizer and mapping the 64-bit words through the inverse
 normal CDF.  No generator state exists anywhere, so every value is a pure
-function of its key and is reproducible across platforms that share IEEE-754
-doubles and scipy's ``ndtri``.
+function of its key.
+
+What is reproducible where: keys and uniforms are integer and power-of-two
+arithmetic, the same bits on every platform.  Normal deviates take their bits
+from scipy's ``ndtri`` and the libm under it: with glibc's FMA variants
+switched off, some inputs give other bits.  The arithmetic downstream adds
+numpy's SIMD dispatch and the BLAS kernel.  So bytes repeat on one host and
+software stack, not across them.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ _SEED0 = 0x243F6A8885A308D3  # first 64 bits of pi's fractional part
 _G1 = 0x9E3779B97F4A7C15
 _G2 = 0xBF58476D1CE4E5B9
 _G3 = 0x94D049BB133111EB
+_U1, _U2, _U3 = np.uint64(_G1), np.uint64(_G2), np.uint64(_G3)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def mix64(x: int) -> int:
@@ -48,16 +56,21 @@ def chain_offsets(base, offsets) -> np.ndarray:
     """
     offs = np.asarray(offsets, dtype=np.int64).astype(np.uint64)
     x = np.asarray(base, dtype=np.uint64) ^ offs
-    x = x + np.uint64(_G1)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_G2)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_G3)
-    return x ^ (x >> np.uint64(31))
+    x += _U1  # in place from here on: one fresh array per call
+    x ^= x >> _U30
+    x *= _U2
+    x ^= x >> _U27
+    x *= _U3
+    x ^= x >> _U31
+    return x
 
 
 def uniform_from_keys(keys: np.ndarray) -> np.ndarray:
     """Uniform (0, 1) doubles, 53 significant bits, never exactly 0 or 1."""
-    top = (np.asarray(keys, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
-    return (top + 0.5) * 2.0**-53
+    u = (np.asarray(keys, dtype=np.uint64) >> _U11).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def gauss_from_keys(keys: np.ndarray) -> np.ndarray:

@@ -52,9 +52,12 @@ class EmpiricalMeasure:
             raise StateError("particles contain non-finite entries")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ConfigError("weights must be finite and nonnegative")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
         if total <= 0:
             raise ConfigError("weights must not all vanish")
+        if not np.isfinite(total):
+            raise ConfigError("weights must have a finite sum")
         if abs(total - 1.0) > _WEIGHT_TOL:
             w = w / total
         pts = pts.copy()

@@ -18,7 +18,7 @@ import numpy as np
 from ..dyadic import DyadicTime
 from ..errors import ConfigError
 from ..flow_core import FlowModelBase, checked_grid_level
-from ..wiener import increments, row_blocks
+from ..wiener import grid_values, increments, row_blocks
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class FourierForcing:
 
 
 ZERO_FORCING = FourierForcing()
+HELD_VALUES = 1 << 15  # path increments a pullback keeps per group of rows
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,76 @@ class LinearOUModel(FlowModelBase):
         if s == t:
             return states.copy()
         lv = self.grid_level
-        i0, i1 = s.at_level(lv), t.at_level(lv)
+        # one np.dot per row, each block before the next query
+        noise = (dw for block in row_blocks(tuple(omegas), t.at_level(lv) - s.at_level(lv) + 1)
+                 for dw in increments(block, 0, s, t, lv))
+        return self._images(states, s, t, noise)
+
+    def pullback_ensemble(self, omegas, starts, t: DyadicTime, states, keep_running):
+        """As the base class, but each start fills only the new stretch
+        [s_k, s_(k-1)] of the running rows, and prepends it to the increments
+        they hold over [s_(k-1), t].  Each row's increments over [s_k, t] are
+        then one contiguous run, and one np.dot over it gives the bits of
+        ``evolve_ensemble``.  A group of rows that would hold more than
+        ``HELD_VALUES`` increments at the next start splits in two, and the
+        halves run on apart, the first half first; one row runs on alone.
+        """
+        if self.sigma == 0.0:  # no path to hold
+            return super().pullback_ensemble(omegas, starts, t, states, keep_running)
+        lv = self.grid_level
+        end = t.at_level(lv)
+        groups = [(np.arange(len(omegas)), np.empty((len(omegas), 0)), 0)]
+        left = []
+        while groups:
+            rows, held, k = groups.pop()
+            while rows.size and k < len(starts):
+                s = starts[k]
+                if rows.size > 1 and rows.size * (end - s.at_level(lv)) > HELD_VALUES:
+                    half = rows.size // 2
+                    groups.append((rows[half:], held[half:].copy(), k))  # not a view: frees held
+                    rows, held = rows[:half], held[:half]
+                    continue
+                live = np.broadcast_to(states, (rows.size,) + states.shape)
+                if s == t:
+                    keep = keep_running(rows, live.copy())
+                else:
+                    held = self._prepend(omegas, rows, s, starts[k - 1] if k else t, held)
+                    keep = keep_running(rows, self._images(live, s, t, held))
+                if not keep.all():
+                    rows, held = rows[keep], held[keep]
+                k += 1
+            left.append(rows)
+        return np.sort(np.concatenate(left))
+
+    def _prepend(self, omegas, rows, s: DyadicTime, r: DyadicTime, held):
+        """``held`` with the level-grid increments over [s, r] of the given rows
+        put in front, filled a block of rows at a time as in ``evolve_ensemble``."""
+        lv = self.grid_level
+        fresh = r.at_level(lv) - s.at_level(lv)
+        grown = np.empty((rows.size, fresh + held.shape[1]))
+        grown[:, fresh:] = held
+        lo = 0
+        for part in row_blocks(rows, fresh + 1):  # np.diff of the path, into place
+            w = grid_values(tuple(omegas[i] for i in part), 0, s, r, lv)
+            np.subtract(w[:, 1:], w[:, :-1], out=grown[lo:lo + part.size, :fresh])
+            lo += part.size
+        return grown
+
+    def _images(self, states, s: DyadicTime, t: DyadicTime, noise):
+        """``states`` under the flow map from s to t; ``noise`` yields each
+        row's level-grid increments over [s, t] and is read only if sigma > 0."""
+        lv = self.grid_level
         h = 2.0**-lv
-        grid = np.arange(i0, i1 + 1, dtype=np.float64) * h
+        grid = np.arange(s.at_level(lv), t.at_level(lv) + 1, dtype=np.float64) * h
         tv = t.value
         decay = np.exp(-self.rate * (tv - grid))
         shift = 0.0
         if not self.forcing.is_zero:
             integrand = decay * self.forcing(grid)
             shift += h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
-        shifts = np.full(len(omegas), shift)
-        if self.sigma != 0.0:  # one np.dot per row, each block before the next query
-            shifts = np.array([shift + self.sigma * float(np.dot(decay[:-1], dw))
-                               for block in row_blocks(tuple(omegas), i1 - i0 + 1)
-                               for dw in increments(block, 0, s, t, lv)])
+        shifts = np.full(len(states), shift)
+        if self.sigma != 0.0:
+            shifts = np.array([shift + self.sigma * float(np.dot(decay[:-1], dw)) for dw in noise])
         return states * decay[0] + shifts.reshape((-1,) + (1,) * (states.ndim - 1))
 
 

@@ -6,9 +6,12 @@ index, and interior dyadic points are filled in by midpoint displacement keyed
 by (interval, level, segment).  Because disjoint intervals use disjoint keys,
 increments over disjoint intervals are independent, and a query never touches
 keys outside the intervals it spans.  One fill, ``_fill``, serves every
-query: it runs level by level across a run of consecutive unit intervals at
-once; since a value is a pure function of its key, this gives the same bits
-as filling one interval at a time.
+query, over a run of consecutive unit intervals of a block of rows at once.
+It hashes the bridge keys of every level in one pass and draws them in one
+call, then fills level by level on a grid stored grid point first, so that a
+level's midpoints and their neighbours are whole (rows, intervals) slabs.
+Since a value is a pure function of its key, this gives the same bits as
+filling one interval at a time.
 
 Queries have one batch axis, the realization axis: ``grid_values``,
 ``increments`` and ``ou_grid`` also take a sequence of handles and return one
@@ -33,7 +36,7 @@ import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
 from .errors import ConfigError, OrderingError, ResolutionError
-from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
+from .keyed import _SEED0, MASK64, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
 BLOCK_VALUES = 1 << 14  # so memory does not grow with the number of handles
@@ -151,17 +154,22 @@ def _check_horizon(t: DyadicTime):
         raise ResolutionError(f"|t|={abs(t.value)} exceeds horizon {HORIZON}")
 
 
-def _bases(rows: tuple, component: int, tag: int) -> np.ndarray:
-    # Unit keys chain(seed, realization, component, _TAG_UNIT, n) and bridge keys
-    # chain(seed, realization, component, _TAG_BRIDGE, interval, level, segment).
-    return np.array([chain(o.master_seed, o.realization_index, component, tag)
-                     for o in rows], dtype=np.uint64)
+def _row_keys(rows: tuple, component: int) -> np.ndarray:
+    """chain(seed, realization, component) per row.
+
+    Unit keys chain on (_TAG_UNIT, n), bridge keys on (_TAG_BRIDGE, interval,
+    level, segment).  mix64(a ^ b) is symmetric in a and b, so a column of
+    parts can be the base.
+    """
+    seeds = np.array([o.master_seed & MASK64 for o in rows], dtype=np.uint64)
+    reals = np.array([o.realization_index & MASK64 for o in rows], dtype=np.uint64)
+    return chain_offsets(chain_offsets(reals, chain_offsets(seeds, _SEED0)), component)
 
 
-def _unit_increments(rows: tuple, component: int, n0: int, n1: int) -> np.ndarray:
+def _unit_increments(rows: tuple, component: int, n0: int, n1: int, row_keys) -> np.ndarray:
     """Quantized N(0,1) increments over unit intervals [n, n+1), n in [n0, n1),
     one row per handle."""
-    keys = chain_offsets(_bases(rows, component, _TAG_UNIT)[:, None], np.arange(n0, n1))
+    keys = chain_offsets(chain_offsets(row_keys, _TAG_UNIT)[:, None], np.arange(n0, n1))
     xs = _quantize(gauss_from_keys(keys))
     for r, omega in enumerate(rows):
         for (comp, n), delta in omega.surgery:
@@ -170,14 +178,16 @@ def _unit_increments(rows: tuple, component: int, n0: int, n1: int) -> np.ndarra
     return xs
 
 
-def _integer_values(rows: tuple, component: int, n0: int, n1: int) -> np.ndarray:
+def _integer_values(rows: tuple, component: int, n0: int, n1: int, row_keys=None) -> np.ndarray:
     """W at the integers n0..n1 inclusive, anchored at W(0) = 0, one row per handle.
 
     All additions are exact on the quantization grid, so the result does not
     depend on evaluation order or on the range requested.
     """
+    if row_keys is None:
+        row_keys = _row_keys(rows, component)
     lo, hi = min(n0, 0), max(n1, 0)
-    xs = _unit_increments(rows, component, lo, hi)
+    xs = _unit_increments(rows, component, lo, hi, row_keys)
     cums = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(xs, axis=1)), axis=1)
     w = cums - cums[:, -lo:1 - lo]
     return w[:, n0 - lo : n1 - lo + 1]
@@ -195,7 +205,7 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     anchors = _integer_values((omega,), component, n, n + 1)[0]
     w_left, w_right = float(anchors[0]), float(anchors[1])
     p = t.numerator - (n << t.level)  # odd, in (0, 2**level)
-    interval_key = extend_key(int(_bases((omega,), component, _TAG_BRIDGE)[0]), n)
+    interval_key = extend_key(extend_key(int(_row_keys((omega,), component)[0]), _TAG_BRIDGE), n)
     seg = 0
     for lam in range(1, t.level + 1):
         z = gauss_from_key(extend_key(extend_key(interval_key, lam), seg))
@@ -214,21 +224,37 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
 
 def _fill(rows: tuple, component: int, n0: int, n1: int, level: int) -> np.ndarray:
     """W at the 2**level + 1 level-grid points of each unit interval [n, n + 1],
-    n0 <= n < n1, ends included: shape (rows, n1 - n0, 2**level + 1)."""
-    anchors = _integer_values(rows, component, n0, n1)
-    if level:  # level 0 needs no bridge keys
-        interval_keys = chain_offsets(_bases(rows, component, _TAG_BRIDGE)[:, None],
+    n0 <= n < n1, ends included, grid point first: shape
+    (2**level + 1, rows, n1 - n0).
+
+    The bridge keys of all levels are hashed together, one ``chain_offsets``
+    call per key part, and drawn in one ``gauss_from_keys`` call.  Grid point
+    first, each level's midpoints and their two neighbours are whole (rows,
+    intervals) slabs, so a level is a few in-place passes with no copies.
+    """
+    row_keys = _row_keys(rows, component)
+    anchors = _integer_values(rows, component, n0, n1, row_keys)
+    if level:  # the draws before the grid, so that their keys are gone when it is made
+        interval_keys = chain_offsets(chain_offsets(row_keys, _TAG_BRIDGE)[:, None],
                                       np.arange(n0, n1))
-    # vals[r, j] holds the level-lv grid of unit interval n0 + j, both ends included.
-    vals = np.stack([anchors[:, :-1], anchors[:, 1:]], axis=2)
+        level_keys = chain_offsets(interval_keys, np.arange(1, level + 1)[:, None, None])
+        sizes = 1 << np.arange(level)  # segments per level
+        lvs = np.repeat(np.arange(level), sizes)  # level - 1 of each draw, level after level
+        segments = np.arange(sizes.sum()) - (sizes - 1)[lvs]
+        z = gauss_from_keys(chain_offsets(level_keys[lvs], segments[:, None, None]))
+        z *= np.array([_bridge_scale(lv) for lv in range(1, level + 1)])[lvs, None, None]
+    vals = np.empty(((1 << level) + 1,) + anchors[:, 1:].shape)
+    vals[0], vals[-1] = anchors[:, :-1], anchors[:, 1:]
     for lv in range(1, level + 1):
-        level_keys = chain_offsets(interval_keys, lv)[..., None]
-        z = gauss_from_keys(chain_offsets(level_keys, np.arange(1 << (lv - 1))))
-        mids = _quantize((vals[..., :-1] + vals[..., 1:]) * 0.5 + _bridge_scale(lv) * z)
-        merged = np.empty(vals.shape[:2] + ((1 << lv) + 1,))
-        merged[..., 0::2] = vals
-        merged[..., 1::2] = mids
-        vals = merged
+        step = 1 << (level - lv)  # the level-lv points sit at odd multiples of step
+        mids = vals[step::2 * step]
+        # _quantize((left + right) * 0.5 + scale * z), op for op, in place
+        np.add(vals[:-step:2 * step], vals[2 * step::2 * step], out=mids)
+        mids *= 0.5
+        mids += z[(1 << (lv - 1)) - 1:(1 << lv) - 1]
+        mids *= _INV_QUANT
+        np.round(mids, out=mids)
+        mids *= _QUANT
     return vals
 
 
@@ -251,14 +277,15 @@ def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int
     n1 = max(-((-i1) >> level), n0 + 1)  # s == t on an integer: one interval
     width = (n1 - n0) << level  # filled points per row, the last endpoint aside
     off = i0 - (n0 << level)
+    inner = min(i1 - i0 + 1, width - off)  # points before the last endpoint
     # C order, so that a row is contiguous: np.dot's bits depend on the stride
     out = np.empty((len(rows), i1 - i0 + 1))
     lo = 0
     for block in row_blocks(rows, width + 1):
         vals = _fill(block, component, n0, n1, level)
-        full = np.concatenate((vals[..., :-1].reshape(len(block), width), vals[:, -1, -1:]),
-                              axis=1)
-        out[lo:lo + len(block)] = full[:, off : off + (i1 - i0) + 1]
+        dest = out[lo:lo + len(block)]
+        dest[:, :inner] = vals[:-1].transpose(1, 2, 0).reshape(len(block), width)[:, off:off + inner]
+        dest[:, inner:] = vals[-1, :, -1:]  # the last endpoint, if [s, t] reaches it
         lo += len(block)
     return out[0] if single else out
 

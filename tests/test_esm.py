@@ -1,10 +1,14 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from stochflow import wiener
 from stochflow.dyadic import DyadicTime, dyadic
-from stochflow.errors import ConfigError, UnsupportedCaseError
+from stochflow.errors import AlignmentError, ConfigError, OrderingError, UnsupportedCaseError
 from stochflow.esm import (
     AttractorCloud,
     PullbackSchedule,
@@ -21,7 +25,15 @@ from stochflow.esm import (
     pullback_points,
     select_trajectory,
 )
-from stochflow.flow_core import IdentityFlow, ScalarExpFlow, ShiftFlow, evolve_batch, tanh_coordinate
+from stochflow.flow_core import (
+    IdentityFlow,
+    ScalarExpFlow,
+    ShiftFlow,
+    evolve_batch,
+    evolve_ensemble,
+    pullback_ensemble,
+    tanh_coordinate,
+)
 from stochflow.measure import (
     ConstantFamily,
     EmpiricalMeasure,
@@ -31,7 +43,7 @@ from stochflow.measure import (
     gaussian_draw,
     mixture,
 )
-from stochflow.models import FourierForcing, LinearOUModel
+from stochflow.models import FourierForcing, LinearOUModel, linear
 from stochflow.wiener import NoiseRealization, RealizationStream
 
 OM = NoiseRealization(314, 0)
@@ -271,6 +283,62 @@ def test_pullback_points_equal_per_handle_points():
             one_row(model, omegas[0], T0, short)
     with pytest.raises(UnsupportedCaseError, match="realization 0"):
         pullback_points(model, [omegas[4], omegas[0], omegas[7]], T0, short)
+
+
+def _per_start_points(model, omegas, t, schedule):
+    """``pullback_points`` as one checked ``evolve_ensemble`` per start on the
+    rows still running, with the start index at which each row left."""
+    probes = np.array([[0.0], [1.0]])
+    out = np.empty((len(omegas), 1))
+    live, hits, prev, exits = np.arange(len(omegas)), np.zeros(len(omegas), int), None, {}
+    for k, s in enumerate(schedule.starts):
+        if not live.size:
+            break
+        imgs = evolve_ensemble(model, [omegas[r] for r in live], s, t,
+                               np.broadcast_to(probes, (live.size,) + probes.shape))
+        coll = np.linalg.norm(imgs[:, :, None] - imgs[:, None], axis=-1).max(axis=(1, 2))
+        if prev is not None:
+            move = np.max(np.linalg.norm(imgs - prev, axis=2), axis=1)
+            hits[live] = np.where((coll < schedule.tol) & (move < schedule.tol), hits[live] + 1, 0)
+            done = hits[live] >= 2
+            out[live[done]] = imgs[done, 0]
+            exits.update((int(r), k) for r in live[done])
+            live, imgs = live[~done], imgs[~done]
+        prev = imgs
+    assert not live.size
+    return out, exits
+
+
+@pytest.mark.parametrize("held", [1, linear.HELD_VALUES, 1 << 30])
+@pytest.mark.parametrize("sigma, coeffs", [(1.0, (1.0,)), (1.0, ()), (0.0, (1.0,)), (0.0, ())])
+def test_pullback_points_fill_each_interval_once_with_per_start_bits(sigma, coeffs, held):
+    # the esm-ensemble workload's pullback: 40 realizations, depth 7, seed 1;
+    # ``held`` runs every row apart, the default groups, and all rows at once
+    model = LinearOUModel(rate=0.5, sigma=sigma, forcing=FourierForcing(coeffs))
+    omegas = RealizationStream(1).take(40)
+    sched = _schedule(depth=7)
+    want, exits = _per_start_points(model, omegas, T0, sched)
+    with mock.patch.object(linear, "HELD_VALUES", held), \
+            mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+        got = pullback_points(model, omegas, T0, sched)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    filled = Counter((o, n) for c in fill.call_args_list for o in c.args[0]
+                     for n in range(c.args[2], c.args[3]))
+    if sigma:
+        assert max(filled.values()) == 1
+        assert len(filled) == sum(2 << k for k in exits.values())  # [s_k, t] per row
+        assert len(set(exits.values())) > 1  # rows leave at different starts
+    else:
+        assert not filled
+
+
+def test_pullback_ensemble_checks_every_start_before_the_first_image():
+    model, probes = _linear(), np.array([[0.0], [1.0]])
+    never = lambda rows, imgs: pytest.fail("no image expected")
+    with pytest.raises(OrderingError):
+        pullback_ensemble(model, [OM], [dyadic(-1), dyadic(-1)], T0, probes, never)
+    with pytest.raises(AlignmentError):
+        pullback_ensemble(model, [OM], [dyadic(-1), DyadicTime(-257, 7)], T0, probes, never)
 
 
 def test_pullback_points_delegate_finite_lifts():

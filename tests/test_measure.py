@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,15 @@ def test_construction_normalizes():
         _mk([0.0], [-1.0])
     with pytest.raises(StateError):
         _mk([np.inf])
+
+
+def test_weights_whose_sum_overflows_are_refused_without_a_warning():
+    # each weight is finite, but their sum is inf: dividing by it would zero them all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="finite sum"):
+            _mk([0.0, 1.0], [1e308, 1e308])
+        assert _mk([0.0, 1.0], [1e308, 1e307]).mean()[0] == pytest.approx(1 / 11)
 
 
 def test_dirac_and_expect():

@@ -194,6 +194,35 @@ def test_batched_ou_rows_equal_one_realization_calls(lev, comp, start, span, han
         assert _bits_equal(got[r], ou_grid(omega, comp, cfg, s, t))
 
 
+_MIXED_ROWS = (
+    NoiseRealization(2024, 0, num_components=2),
+    NoiseRealization(7, 3, num_components=2),
+    NoiseRealization(2024, 2**63 + 5, num_components=2),  # a key part above int64
+    NoiseRealization(-5, 2**64 + 1, num_components=2),  # both parts masked to 64 bits
+    NoiseRealization(2024, 1, num_components=2).with_unit_surgery(1, -2, 0.375),
+)
+
+
+@pytest.mark.parametrize("lev", range(10))
+@pytest.mark.parametrize("block", [100, wiener.BLOCK_VALUES])
+def test_multi_row_fill_equals_one_row_queries_and_the_reference(lev, block):
+    for omega, key in zip(_MIXED_ROWS, wiener._row_keys(_MIXED_ROWS, 1)):
+        assert int(key) == chain(omega.master_seed, omega.realization_index, 1)
+    # a run that straddles 0, ends between grid points of the unit grid when
+    # lev > 0, and one that ends on integers
+    for s, t in ((DyadicTime(-(3 << lev) + 1, lev), DyadicTime((2 << lev) + 1, lev)),
+                 (dyadic(-2), dyadic(1))):
+        n0, n1 = s.at_level(lev) >> lev, -((-t.at_level(lev)) >> lev)
+        vals = wiener._fill(_MIXED_ROWS, 1, n0, n1, lev)
+        assert vals.shape == ((1 << lev) + 1, len(_MIXED_ROWS), n1 - n0)
+        with mock.patch.object(wiener, "BLOCK_VALUES", block):
+            grid = grid_values(_MIXED_ROWS, 1, s, t, lev)
+        for r, omega in enumerate(_MIXED_ROWS):
+            assert _bits_equal(vals[:, r], wiener._fill((omega,), 1, n0, n1, lev)[:, 0])
+            assert _bits_equal(grid[r], grid_values(omega, 1, s, t, lev))
+            assert _bits_equal(grid[r], _reference_grid_values(omega, 1, s, t, lev))
+
+
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
