@@ -58,20 +58,28 @@ class DyadicTime:
     def is_aligned(self, level: int) -> bool:
         return self.level <= level
 
-    def _key(self):
-        return self.fraction
+    def _aligned(self, other) -> tuple[int, int]:
+        """Both numerators on the finer of the two levels, as exact integers."""
+        shift = self.level - other.level
+        if shift >= 0:
+            return self.numerator, other.numerator << shift
+        return self.numerator << -shift, other.numerator
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        a, b = self._aligned(other)
+        return a < b
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        a, b = self._aligned(other)
+        return a <= b
 
     def __gt__(self, other):
-        return self._key() > other._key()
+        a, b = self._aligned(other)
+        return a > b
 
     def __ge__(self, other):
-        return self._key() >= other._key()
+        a, b = self._aligned(other)
+        return a >= b
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -9,8 +9,10 @@ What is reproducible where: keys and uniforms are integer and power-of-two
 arithmetic, the same bits on every platform.  Normal deviates take their bits
 from scipy's ``ndtri`` and the libm under it: with glibc's FMA variants
 switched off, some inputs give other bits.  The arithmetic downstream adds
-numpy's SIMD dispatch and the BLAS kernel.  So bytes repeat on one host and
-software stack, not across them.
+numpy's SIMD dispatch, the BLAS kernel and the BLAS thread count: above
+OpenBLAS's size threshold a dot or matrix-vector product is split across
+threads, which changes its rounding.  So bytes repeat on one host and
+software stack with one thread count, not across them.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def chain_offsets(base, offsets) -> np.ndarray:
     arrays ``a`` and ``b`` is ``chain_offsets(chain_offsets(chain(*parts), a), b)``.
     """
     offs = np.asarray(offsets, dtype=np.int64).astype(np.uint64)
-    x = np.asarray(base, dtype=np.uint64) ^ offs
+    # a 0-d array when both inputs are scalars: numpy scalar arithmetic warns
+    # where it wraps, array arithmetic does not
+    x = np.asarray(np.asarray(base, dtype=np.uint64) ^ offs)
     x += _U1  # in place from here on: one fresh array per call
     x ^= x >> _U30
     x *= _U2

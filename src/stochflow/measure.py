@@ -6,7 +6,11 @@ weighted particle sets; it is zero iff the two discrete distributions
 coincide, and its square root satisfies the triangle inequality.  In 1D it
 is ``2 * integral of (F - G)^2`` over the merged sorted support, a sum of
 non-negative terms, so it is exactly >= 0.  Each measure sorts its 1D support
-once and keeps it; a distance merges the two sorted runs.
+once and keeps it; a distance merges the two sorted runs.  A measure whose
+weights are all equal sorts its values alone, with no index, and a distance
+between two such measures signs one weight per side from the merge index and
+merges ties without ordering their weights: copies of one value add to the
+same bits in any order.  The bits are those of the general path.
 
 For d > 1 no n x m distance matrix is built: ``_pair_distances`` yields the
 matrix in blocks of ``_BLOCK_ROWS`` rows, so memory grows with n + m.  Each
@@ -15,8 +19,9 @@ to last, then takes the root; a pairwise or einsum sum would round otherwise,
 and the tests hold this order to a reference bit for bit.  The energy terms add
 the blocks' contributions in block order.
 
-``to_table`` formats each distinct bit pattern of a column once, so a measure
-that has collapsed onto a few points costs a few conversions per column.
+``to_table`` formats each distinct bit pattern of a column once and joins each
+distinct row once, so a measure that has collapsed onto a few points costs a
+few conversions and joins, and one gather of the finished lines.
 """
 
 from __future__ import annotations
@@ -86,13 +91,21 @@ class EmpiricalMeasure:
         return self.particles.shape[0]
 
     @cached_property
+    def _equal_weights(self) -> bool:
+        """Whether all weights are equal, and so have the same bits: they never all vanish."""
+        return bool(self.weights.min() == self.weights.max())
+
+    @cached_property
     def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """The first coordinate in ascending order and the weights in that order,
         read-only; ``particles`` is read-only, so this cannot go stale."""
-        order = np.argsort(self.particles[:, 0])
-        z, w = self.particles[order, 0], self.weights[order]
+        if self._equal_weights:
+            z, w = np.sort(self.particles[:, 0]), self.weights
+        else:
+            order = np.argsort(self.particles[:, 0])
+            z, w = self.particles[order, 0], self.weights[order]
+            w.setflags(write=False)
         z.setflags(write=False)
-        w.setflags(write=False)
         return z, w
 
     def mean(self) -> np.ndarray:
@@ -135,29 +148,40 @@ def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         (za, wa), (zb, wb) = mu._sorted_1d, nu._sorted_1d
         z = np.concatenate((za, zb))
         order = np.argsort(z, kind="stable")
-        z, w = z[order], np.concatenate((wa, -wb))[order]
+        z = z[order]
+        equal = mu._equal_weights and nu._equal_weights
+        if equal:
+            w = np.where(order < za.size, wa[0], -wb[0])
+        else:
+            w = np.concatenate((wa, -wb))[order]
+        del order
         new = z[1:] != z[:-1]
         if not new.all():
-            z, w = _merge_ties(z, w, new)
+            z, w = _merge_ties(z, w, new, equal)
         gap = np.cumsum(w[:-1])
-        return float(2.0 * np.dot(np.diff(z), gap * gap))
+        del w
+        gap *= gap
+        return float(2.0 * np.dot(np.diff(z), gap))
     return float(2.0 * _mean_pair_distance(mu, nu) - _mean_pair_distance(mu, mu)
                  - _mean_pair_distance(nu, nu))
 
 
-def _merge_ties(z: np.ndarray, w: np.ndarray, new: np.ndarray):
+def _merge_ties(z: np.ndarray, w: np.ndarray, new: np.ndarray, equal: bool = False):
     """Collapse each run of equal sorted points to one point with the run's net weight.
 
     Each measure's weights in a run are added smallest first, so the net weight
     depends neither on which measure is passed first nor on the particle order.
     Without ties both orders already fix the signed weights' sequence up to sign.
+    When each measure's weights are ``equal``, a run adds copies of one value
+    per sign, the same bits in any order, so the sort is skipped.
     """
     start = np.concatenate(([True], new))
     tied = ~(start & np.concatenate((new, [True])))
     run = np.cumsum(start[tied]) - 1
     v = w[tied]
-    order = np.lexsort((np.abs(v), run))
-    run, v = run[order], v[order]
+    if not equal:
+        order = np.lexsort((np.abs(v), run))
+        run, v = run[order], v[order]
     k = run[-1] + 1
     pos = v > 0
     net = w[start]
@@ -223,17 +247,41 @@ class RandomMeasure:
 
 # -- serialization ----------------------------------------------------------
 
-def _format_column(col: np.ndarray) -> list:
-    """``%.17g`` per entry, applied once per distinct bit pattern (0.0 != -0.0)."""
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
-
-
 def to_table(mu: EmpiricalMeasure) -> str:
-    """Columnar text: one particle per row, weight first, 17 significant digits."""
-    cols = [_format_column(mu.weights)] + [_format_column(c) for c in mu.particles.T]
-    return "\n".join(map(" ".join, zip(*cols))) + "\n"
+    """Columnar text: one particle per row, weight first, 17 significant digits.
+
+    ``%.17g`` runs once per distinct bit pattern of a column (0.0 != -0.0), and
+    each distinct row is joined once.
+    """
+    texts, inverses = [], []
+    row, rows = np.zeros(mu.size, dtype=np.int64), 1
+    for col in (mu.weights, *mu.particles.T):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts.append(np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                              dtype=object))
+        inverses.append(inverse)
+        # an id for each row's cells so far; numbered densely again after each
+        # column, it stays below the row count squared and cannot overflow
+        row, rows = _number_distinct(row * bits.size + inverse, rows * bits.size)
+    rep = np.empty(rows, dtype=np.intp)
+    rep[row] = np.arange(mu.size)  # any row with that id: all its columns agree
+    parts = [text[inverse[rep]].tolist() for text, inverse in zip(texts, inverses)]
+    # each line ends in its newline: appending one to the joined text would
+    # copy the whole text once more
+    lines = np.array([" ".join(cells) + "\n" for cells in zip(*parts)], dtype=object)
+    return "".join(lines[row].tolist())
+
+
+def _number_distinct(ids: np.ndarray, bound: int):
+    """Number the distinct values of ``ids``, all below ``bound``, 0, 1, ... in
+    ascending order; return the numbers and their count."""
+    if bound <= ids.size:  # a table over the range costs less than a sort
+        seen = np.zeros(bound, dtype=bool)
+        seen[ids] = True
+        number = np.cumsum(seen) - 1
+        return number[ids], int(number[-1]) + 1
+    values, inverse = np.unique(ids, return_inverse=True)
+    return inverse, values.size
 
 
 def from_table(text: str) -> EmpiricalMeasure:

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stochflow.dyadic import MAX_LEVEL, DyadicTime, dyadic
 from stochflow.errors import AlignmentError, ResolutionError
@@ -49,9 +49,15 @@ def test_roundtrip_is_canonical(num, lev):
     assert t.fraction == Fraction(num, 1 << lev)
 
 
-@given(st.integers(-10**5, 10**5), st.integers(0, 12),
-       st.integers(-10**5, 10**5), st.integers(0, 12))
-def test_order_matches_fraction_order(n1, l1, n2, l2):
+@given(st.integers(-2**40, 2**40), st.integers(0, MAX_LEVEL),
+       st.integers(-2**40, 2**40), st.integers(0, MAX_LEVEL),
+       st.booleans(), st.integers(-2, 2))
+@settings(max_examples=300)
+def test_order_matches_fraction_order(n1, l1, n2, l2, near, nudge):
+    if near:  # b within two steps of a on b's grid, often equal to it
+        n2 = ((n1 << l2) >> l1) + nudge
     a, b = DyadicTime(n1, l1), DyadicTime(n2, l2)
-    assert (a < b) == (a.fraction < b.fraction)
-    assert (a + b).fraction == a.fraction + b.fraction
+    fa, fb = a.fraction, b.fraction
+    assert [a < b, a <= b, a > b, a >= b, a == b] == [fa < fb, fa <= fb, fa > fb, fa >= fb,
+                                                      fa == fb]
+    assert (a + b).fraction == fa + fb

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -120,6 +121,24 @@ class TestPullbackMeasure:
         past = OM.with_unit_surgery(0, -3, 0.6)
         mu3, _ = pullback_measure(model, past, _schedule(), family, 256)
         assert not np.array_equal(mu.particles, mu3.particles)
+
+    def test_memory_per_particle_is_bounded(self):
+        # equal-weight measures sort their values alone, the merge gathers no
+        # weights and the pushed states are dropped once copied: the peak
+        # measured 143 B per particle, flat from 2**14 to 2**18 particles; 151
+        # with the pushed states held, 159 with an index sort, and 191 before
+        # equal weights had a path of their own
+        n = 1 << 16
+        family = GaussianFamily(lambda t: 0.0, 1.0, salt=1)
+        tracemalloc.start()
+        try:
+            _, diag = pullback_measure(LinearOUModel(rate=1.0, sigma=1.0), OM,
+                                       _schedule(depth=6, coeff=1, tol=1e-3), family, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(diag.distances) == 5
+        assert peak / n < 150
 
 
 class TestMartingale:

@@ -197,6 +197,27 @@ def test_distance_1d_equals_the_unsorted_form_bit_for_bit(pair, rnd):
             cached[0] = 1.0
 
 
+# ties, signed zeros (np.sort and argsort may order them differently) and subnormals
+_EQUAL_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0 / 3.0, np.pi]
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 7), (5, 3), (100, 37), (1000, 999), (4097, 1500)])
+def test_equal_weight_distance_equals_the_unsorted_form_bit_for_bit(n, m):
+    rng = np.random.default_rng(n * m)
+
+    def points(k):
+        return np.where(rng.random(k) < 0.5, rng.choice(_EQUAL_POOL, k), rng.normal(size=k))
+    mu, nu = _mk(points(n)), _mk(points(m))
+    other = _mk(points(m), rng.random(m) + 0.01)
+    assert mu._equal_weights and nu._equal_weights and not other._equal_weights
+    for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu), (mu, mu)):
+        assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
+    for measure in (mu, other):
+        for cached in measure._sorted_1d:
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+
+
 def _energy_exact(mu, nu):
     """2 E|X-Y| - E|X-X'| - E|Y-Y'| as an exact rational double sum."""
     def mean_abs(a, b):
@@ -345,6 +366,17 @@ def test_to_table_matches_row_formatter_on_a_long_column_of_few_values():
     pool = np.concatenate(([0.0, -0.0, 5e-324], rng.normal(size=47)))
     mu = _mk(rng.choice(pool, 1 << 16))
     assert np.unique(mu.particles.view(np.int64)).size == 50
+    assert to_table(mu) == _table_rows(mu)
+
+
+def test_to_table_matches_row_formatter_when_distinct_counts_multiply_past_2_63():
+    # 256 distinct values in each of 9 columns: a row id folded without being
+    # renumbered would carry the weight's index times 256**8 = 2**64, which
+    # wraps to 0, so rows that differ only in weight would print alike
+    rng = np.random.default_rng(64)
+    pts, w = rng.normal(size=(256, 8)), rng.random(256) + 0.5
+    mu = _mk(np.concatenate((pts, pts)), np.concatenate((w, np.roll(w, 1))))
+    assert [np.unique(c).size for c in (mu.weights, *mu.particles.T)] == [256] * 9
     assert to_table(mu) == _table_rows(mu)
 
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -238,6 +239,18 @@ def test_broadcast_chain_offsets_matches_scalar_chain(bases, offsets):
     for i, a in enumerate(offsets):
         for j, b in enumerate(offsets):
             assert int(twice[i, j]) == chain(7, 8, a, b)
+
+
+@pytest.mark.parametrize("base, offset", [
+    (np.uint64(5), 3), (5, np.int64(-3)), (2**64 - 1, 2**63 - 1), (np.uint64(2**63), -(2**63)),
+])
+def test_chain_offsets_on_scalars_is_a_0d_array_without_a_warning(base, offset):
+    # numpy scalar arithmetic warns where uint64 products wrap; arrays do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chain_offsets(base, offset)
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert int(got) == extend_key(int(base), int(offset))
 
 
 def test_w1_sample_variance():
