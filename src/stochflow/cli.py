@@ -265,8 +265,7 @@ def run_noise(cfg: dict, report: RunReport):
         Verdict("wiener.refinement_bit_exact", bit_exact == n_int, bit_exact, n_int)
     )
 
-    z0 = ou_grid(omegas[:4000], 0, ou_cfg, zero, zero)[:, 0]
-    z1 = ou_grid(omegas[:4000], 0, ou_cfg, one, one)[:, 0]
+    z0, z1 = ou_grid(omegas[:4000], 0, ou_cfg, zero, one, 0).T  # one history per row
     target = ou_cfg.stationary_variance
     bound = 0.1 * target
     ou_var = float(z0.var(ddof=1))

@@ -10,14 +10,19 @@ query, over a run of consecutive unit intervals of a block of rows at once.
 It hashes the bridge keys of every level in one pass and draws them in one
 call, then fills level by level on a grid stored grid point first, so that a
 level's midpoints and their neighbours are whole (rows, intervals) slabs.
-Since a value is a pure function of its key, this gives the same bits as
-filling one interval at a time.
+The fill runs in units of ``2**-32``, so that a level's rounding needs no
+scaling; multiplying by a power of two is exact, so every step has the bits
+of the step on the ``2**-32`` grid.  Since a value is a pure function of its
+key, this gives the same bits as filling one interval at a time.
 
 Queries have one batch axis, the realization axis: ``grid_values``,
 ``increments`` and ``ou_grid`` also take a sequence of handles and return one
 row per handle; one handle is the one-row case of the same fill.  Rows go
 through in blocks of about ``BLOCK_VALUES`` path values (rows x points per
-row), and ``ou_grid`` reduces each block before the next.
+row), and ``ou_grid`` reduces each block before the next.  ``ou_grid`` makes
+one ``increments`` query per block for all its output points, which may sit
+on a coarser grid than the OU grid, so points whose histories overlap share
+one fill.
 
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
@@ -29,6 +34,7 @@ here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
 from .errors import ConfigError, OrderingError, ResolutionError
-from .keyed import _SEED0, MASK64, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
+from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
 BLOCK_VALUES = 1 << 14  # so memory does not grow with the number of handles
@@ -80,6 +86,13 @@ class NoiseRealization:
 
     def with_unit_surgery(self, component: int, interval: int, delta: float) -> "NoiseRealization":
         return replace(self, surgery=self.surgery + (((component, interval), float(delta)),))
+
+    @functools.cached_property
+    def _key(self) -> int:
+        """chain(master_seed, realization_index): every key of this handle
+        chains on it.  Cached in the instance dict, so not a field: equality
+        and hashing ignore it."""
+        return chain(self.master_seed, self.realization_index)
 
 
 class RealizationStream:
@@ -139,9 +152,10 @@ def _rows(omegas) -> tuple[tuple, bool]:
 
 
 def row_blocks(omegas: tuple, n_points: int) -> list[tuple]:
-    """Slices of ``omegas`` of about ``BLOCK_VALUES`` path values (rows x ``n_points``)."""
+    """Slices of ``omegas`` of about ``BLOCK_VALUES`` path values (rows x
+    ``n_points``); none for no handles."""
     step = max(1, BLOCK_VALUES // max(n_points, 1))
-    return [omegas[lo:lo + step] for lo in range(0, max(len(omegas), 1), step)]
+    return [omegas[lo:lo + step] for lo in range(0, len(omegas), step)]
 
 
 def _check_component(omega: NoiseRealization, component: int):
@@ -158,12 +172,9 @@ def _row_keys(rows: tuple, component: int) -> np.ndarray:
     """chain(seed, realization, component) per row.
 
     Unit keys chain on (_TAG_UNIT, n), bridge keys on (_TAG_BRIDGE, interval,
-    level, segment).  mix64(a ^ b) is symmetric in a and b, so a column of
-    parts can be the base.
+    level, segment).
     """
-    seeds = np.array([o.master_seed & MASK64 for o in rows], dtype=np.uint64)
-    reals = np.array([o.realization_index & MASK64 for o in rows], dtype=np.uint64)
-    return chain_offsets(chain_offsets(reals, chain_offsets(seeds, _SEED0)), component)
+    return chain_offsets(np.array([o._key for o in rows], dtype=np.uint64), component)
 
 
 def _unit_increments(rows: tuple, component: int, n0: int, n1: int, row_keys) -> np.ndarray:
@@ -205,7 +216,7 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     anchors = _integer_values((omega,), component, n, n + 1)[0]
     w_left, w_right = float(anchors[0]), float(anchors[1])
     p = t.numerator - (n << t.level)  # odd, in (0, 2**level)
-    interval_key = extend_key(extend_key(int(_row_keys((omega,), component)[0]), _TAG_BRIDGE), n)
+    interval_key = extend_key(extend_key(extend_key(omega._key, component), _TAG_BRIDGE), n)
     seg = 0
     for lam in range(1, t.level + 1):
         z = gauss_from_key(extend_key(extend_key(interval_key, lam), seg))
@@ -222,6 +233,23 @@ def wiener_at(omega: NoiseRealization, component: int, t: DyadicTime) -> float:
     raise AssertionError("unreachable: canonical dyadic walk must terminate")
 
 
+@functools.lru_cache(maxsize=8)  # bounded: a deep level's tables are large
+def _level_tables(level: int) -> tuple:
+    """Read-only tables of a level-``level`` fill, one entry per bridge draw,
+    draws level after level: each draw's level - 1, the level offsets
+    1..level, each draw's segment, and each draw's bridge scale times
+    ``2**32``."""
+    sizes = 1 << np.arange(level)  # segments per level
+    lvs = np.repeat(np.arange(level), sizes)
+    levels = np.arange(1, level + 1)[:, None, None]
+    segments = (np.arange(sizes.sum()) - (sizes - 1)[lvs])[:, None, None]
+    scales = np.array([_bridge_scale(lv) * _INV_QUANT for lv in range(1, level + 1)])
+    scales = scales[lvs, None, None]
+    for table in (lvs, levels, segments, scales):
+        table.flags.writeable = False
+    return lvs, levels, segments, scales
+
+
 def _fill(rows: tuple, component: int, n0: int, n1: int, level: int) -> np.ndarray:
     """W at the 2**level + 1 level-grid points of each unit interval [n, n + 1],
     n0 <= n < n1, ends included, grid point first: shape
@@ -231,30 +259,30 @@ def _fill(rows: tuple, component: int, n0: int, n1: int, level: int) -> np.ndarr
     call per key part, and drawn in one ``gauss_from_keys`` call.  Grid point
     first, each level's midpoints and their two neighbours are whole (rows,
     intervals) slabs, so a level is a few in-place passes with no copies.
+    The levels run in units of ``2**-32``: scaling by a power of two commutes
+    with every rounding step (no value overflows or is subnormal), so each
+    step is the step on the ``2**-32`` grid times ``2**32``, at any magnitude.
     """
     row_keys = _row_keys(rows, component)
     anchors = _integer_values(rows, component, n0, n1, row_keys)
     if level:  # the draws before the grid, so that their keys are gone when it is made
+        lvs, levels, segments, scales = _level_tables(level)
         interval_keys = chain_offsets(chain_offsets(row_keys, _TAG_BRIDGE)[:, None],
                                       np.arange(n0, n1))
-        level_keys = chain_offsets(interval_keys, np.arange(1, level + 1)[:, None, None])
-        sizes = 1 << np.arange(level)  # segments per level
-        lvs = np.repeat(np.arange(level), sizes)  # level - 1 of each draw, level after level
-        segments = np.arange(sizes.sum()) - (sizes - 1)[lvs]
-        z = gauss_from_keys(chain_offsets(level_keys[lvs], segments[:, None, None]))
-        z *= np.array([_bridge_scale(lv) for lv in range(1, level + 1)])[lvs, None, None]
+        z = gauss_from_keys(chain_offsets(chain_offsets(interval_keys, levels)[lvs], segments))
+        z *= scales
     vals = np.empty(((1 << level) + 1,) + anchors[:, 1:].shape)
-    vals[0], vals[-1] = anchors[:, :-1], anchors[:, 1:]
+    np.multiply(anchors[:, :-1], _INV_QUANT, out=vals[0])
+    np.multiply(anchors[:, 1:], _INV_QUANT, out=vals[-1])
     for lv in range(1, level + 1):
         step = 1 << (level - lv)  # the level-lv points sit at odd multiples of step
         mids = vals[step::2 * step]
-        # _quantize((left + right) * 0.5 + scale * z), op for op, in place
+        # _quantize((left + right) * 0.5 + scale * z) times 2**32, op for op, in place
         np.add(vals[:-step:2 * step], vals[2 * step::2 * step], out=mids)
         mids *= 0.5
         mids += z[(1 << (lv - 1)) - 1:(1 << lv) - 1]
-        mids *= _INV_QUANT
         np.round(mids, out=mids)
-        mids *= _QUANT
+    vals *= _QUANT
     return vals
 
 
@@ -302,31 +330,42 @@ def increments(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int)
     return np.diff(grid_values(omegas, component, s, t, level))
 
 
-def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime) -> np.ndarray:
-    """Exponential moving average at every cfg.level grid point of [s, t], one
-    row per handle as in ``grid_values``.
+def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime,
+            level: int | None = None) -> np.ndarray:
+    """Exponential moving average at every ``level`` grid point of [s, t], one
+    row per handle as in ``grid_values``.  ``level`` defaults to cfg.level and
+    may not exceed it.
 
-    Each output value depends only on (omega, component, cfg, grid point), not
-    on the requested range or the other handles, so overlapping calls agree
-    bit-for-bit.
+    Each block of rows makes one cfg.level ``increments`` query over
+    [s - cutoff, t], and each output point is one np.dot over the contiguous
+    stretch of it that its history spans.  Each output value depends only on
+    (omega, component, cfg, grid point), not on the requested range, the
+    output level or the other handles, so overlapping calls agree bit-for-bit.
     """
     if s > t:
         raise OrderingError(f"ou_grid needs s <= t, got {s!r} > {t!r}")
+    if level is None:
+        level = cfg.level
+    if level > cfg.level:
+        raise ResolutionError(f"output level {level} above the OU grid level {cfg.level}")
     rows, single = _rows(omegas)
     cut = cfg.cutoff_horizon
     start = s - cut
     if abs(start.value) > HORIZON or abs(t.value) > HORIZON:
         raise ResolutionError("query plus cutoff history leaves the path horizon")
-    level = cfg.level
-    h = 2.0**-level
-    m = cut << level
+    h = 2.0**-cfg.level
+    m = cut << cfg.level
     # Weight for the increment whose left endpoint is tau - cutoff + j*h.
     weights = np.exp(-cfg.rate * h * np.arange(m, 0, -1, dtype=np.float64))
-    n_pts = (t.at_level(level) - s.at_level(level)) + 1
+    stride = 1 << (cfg.level - level)  # OU grid steps between output points
+    firsts = range(0, (t.at_level(level) - s.at_level(level)) * stride + 1, stride)
+    out = np.empty((len(rows), len(firsts)))
     # Each block of rows is reduced, one np.dot per row and point, before the next.
-    out = np.array([[np.dot(weights, dw[i : i + m]) for i in range(n_pts)]
-                    for block in row_blocks(rows, m + n_pts)
-                    for dw in increments(block, component, start, t, level)])
+    n_vals = t.at_level(cfg.level) - start.at_level(cfg.level) + 1  # path values per row
+    history = (dw for block in row_blocks(rows, n_vals)
+               for dw in increments(block, component, start, t, cfg.level))
+    for r, dw in enumerate(history):
+        out[r] = [np.dot(weights, dw[i:i + m]) for i in firsts]
     return out[0] if single else out
 
 

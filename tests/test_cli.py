@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -192,14 +193,36 @@ def test_output_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, text):
 @pytest.mark.parametrize("intervals", [200, 5000])
 def test_refinement_check_makes_one_fill_per_level_and_grid(intervals):
     # ten levels, each one coarse and one child query of one fill, whatever
-    # the number of intervals; the run's other four queries (W(1), the [0, 2]
-    # increments, two OU points) take one fill each at this ensemble size
+    # the number of intervals; the run's other three queries (W(1), the [0, 2]
+    # increments, the OU points, which take one query) take one fill each at
+    # this ensemble size
     cfg = {"kind": "noise", "seed": 1, "ensemble": 8, "intervals": intervals}
     with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
         report = run_experiment(cfg)
-    assert fill.call_count <= 2 * 10 + 4
+    assert fill.call_count <= 2 * 10 + 3
     check = next(v for v in report.verdicts if v.name == "wiener.refinement_bit_exact")
     assert check.passed and check.value == intervals
+
+
+def test_noise_ou_points_fill_each_interval_once():
+    # both OU points (t = 0 and 1) read one history per row over [-19, 1]
+    fills = []
+
+    def ou_grid(*args):
+        with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+            out = wiener.ou_grid(*args)
+        fills.extend(fill.call_args_list)
+        return out
+
+    cfg = {"kind": "noise", "seed": 1, "ensemble": 300, "intervals": 200}
+    with mock.patch.object(cli, "ou_grid", side_effect=ou_grid) as ou:
+        run_experiment(cfg)
+    assert ou.call_count == 1
+    filled = Counter((o, n, c.args[4]) for c in fills for o in c.args[0]
+                     for n in range(c.args[2], c.args[3]))
+    assert max(filled.values()) == 1
+    assert sorted({(n, lv) for _, n, lv in filled}) == [(n, 6) for n in range(-19, 1)]
+    assert len(filled) == 300 * 20
 
 
 @pytest.mark.parametrize("intervals", [200, 5000])

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -193,6 +194,74 @@ def test_batched_ou_rows_equal_one_realization_calls(lev, comp, start, span, han
     assert got.shape == (len(omegas), span + 1)
     for r, omega in enumerate(omegas):
         assert _bits_equal(got[r], ou_grid(omega, comp, cfg, s, t))
+
+
+# (seed, realization index, extra components, surgery component or None) per row
+_ou_handles = st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 50), st.integers(0, 2),
+                                 st.sampled_from([None, 0, 1])), min_size=1, max_size=5)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(-40, 40),
+       st.integers(0, 6), _ou_handles, st.sampled_from([1, 100, wiener.BLOCK_VALUES]))
+@settings(max_examples=60, deadline=None)
+def test_coarse_ou_points_equal_one_point_queries(lev, finer, comp, start, span, handles, block):
+    # the output grid ``lev`` sits ``finer`` levels above the OU grid; the
+    # points share one history query, and each keeps the bits of its own query
+    cfg = OUConfig(rate=4.0, level=lev + finer)  # a five-unit history
+    omegas = []
+    for seed, real, extra, cut in handles:
+        omega = NoiseRealization(seed, real, num_components=comp + 1 + extra)
+        omegas.append(omega if cut is None else
+                      omega.with_unit_surgery(cut, (start >> lev) - 2, 0.375))
+    s, t = DyadicTime(start, lev), DyadicTime(start + span, lev)
+    with mock.patch.object(wiener, "BLOCK_VALUES", block):
+        got = ou_grid(omegas, comp, cfg, s, t, lev)
+        assert got.shape == (len(omegas), span + 1)
+        for k in range(span + 1):
+            tau = DyadicTime(start + k, lev)
+            want = ou_grid(omegas, comp, cfg, tau, tau)
+            assert np.array_equal(got[:, k].view(np.int64), want[:, 0].view(np.int64))
+    with pytest.raises(ResolutionError):
+        ou_grid(omegas, comp, cfg, s, t, cfg.level + 1)
+
+
+def test_queries_over_no_handles_are_empty_and_fill_nothing():
+    cfg = OUConfig(rate=1.0, level=6)
+    assert wiener.row_blocks((), 10) == []
+    with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+        assert grid_values((), 0, dyadic(0), dyadic(1), 3).shape == (0, 9)
+        assert increments((), 0, dyadic(0), dyadic(1), 3).shape == (0, 8)
+        assert ou_grid((), 0, cfg, dyadic(0), dyadic(1)).shape == (0, 65)
+        assert ou_grid((), 0, cfg, dyadic(0), dyadic(1), 0).shape == (0, 2)
+    assert not fill.called
+
+
+@pytest.mark.parametrize("lev", [0, 1, 6, 12])
+def test_fill_in_2_32_units_is_exact_at_any_magnitude(lev):
+    # unit surgery lifts |W| past 2**21, where the 2**-32 grid no longer fits
+    # in a double's 53 bits, up to about 2**30 of either sign
+    rows = (OM.with_unit_surgery(1, 0, 2.0**20).with_unit_surgery(1, 1, 2.0**30),
+            OM.with_unit_surgery(1, -1, -(2.0**30)),
+            OM)
+    n0, n1 = -2, 3
+    vals = wiener._fill(rows, 1, n0, n1, lev)
+    for r, omega in enumerate(rows):
+        anchors = _integer_values((omega,), 1, n0, n1)[0]
+        assert (np.abs(anchors).max() > 2.0**21) == bool(omega.surgery)
+        for j, n in enumerate(range(n0, n1)):
+            want = _reference_bridge_fill(omega, 1, n, float(anchors[j]), float(anchors[j + 1]),
+                                          lev)
+            assert _bits_equal(vals[:, r, j], want)
+
+
+def test_cached_handle_key_is_not_a_field():
+    omega = NoiseRealization(2024, 3, num_components=2)
+    before = hash(omega)
+    assert omega._key == chain(2024, 3)
+    assert hash(omega) == before and omega == NoiseRealization(2024, 3, num_components=2)
+    for other in (omega.with_unit_surgery(1, 0, 2.0**30), replace(omega, num_components=3)):
+        assert other._key == omega._key and other != omega
+    assert NoiseRealization(-5, 2**64 + 1)._key == chain(-5, 1)
 
 
 _MIXED_ROWS = (
