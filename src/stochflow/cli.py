@@ -9,7 +9,8 @@ files.  Wall-clock goes to stderr only, never into the artifacts.
 Each ensemble is one path-store or estimator call along a realization axis,
 in one process.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config,
+3 an unexpected error inside the run (one line on stderr names it).
 """
 
 from __future__ import annotations
@@ -587,6 +588,9 @@ def main(argv=None) -> int:
     except StochFlowError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault of the program, not a failed check
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     out_dir = args.out or cfg.get("out")
     if out_dir:
         write_outputs(report, out_dir)

@@ -285,8 +285,8 @@ class SelectedTrajectory:
         return worst
 
 
-def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: PullbackSchedule,
-                    tol: float | None = None) -> np.ndarray:
+def pullback_points(model: FlowModelBase, omegas, t: DyadicTime,
+                    schedule: PullbackSchedule) -> np.ndarray:
     """The collapsed pullback state at t, one row per realization.
 
     Contracting case: ``pullback_ensemble`` pushes two probes, the all-zeros
@@ -302,7 +302,7 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime, schedule: Pullb
     exact = getattr(model, "exact_select_states", None)
     if exact is not None:
         return np.array([np.asarray(exact(o, [t], schedule), float)[0] for o in omegas])
-    tol = schedule.tol if tol is None else tol
+    tol = schedule.tol
     probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1)
     out = np.empty((len(omegas), model.state_dim))
     hits = np.zeros(len(omegas), dtype=int)
@@ -346,9 +346,9 @@ def select_trajectory(
 
 
 def pullback_point(model: FlowModelBase, omega: NoiseRealization, t: DyadicTime,
-                   schedule: PullbackSchedule, tol: float | None = None) -> np.ndarray:
+                   schedule: PullbackSchedule) -> np.ndarray:
     """Convenience: ``pullback_points`` for one realization."""
-    return pullback_points(model, (omega,), t, schedule, tol=tol)[0]
+    return pullback_points(model, (omega,), t, schedule)[0]
 
 
 # -- flow family <-> semigroup family ----------------------------------------

@@ -174,15 +174,14 @@ class PushforwardResult:
     mean_measure: ExactMeasure
 
 
-def ff_pushforward(flow: FiniteFlow, mu: ExactMeasure, s: int, t: int,
-                   limit: int = ENUMERATION_LIMIT) -> PushforwardResult:
+def ff_pushforward(flow: FiniteFlow, mu: ExactMeasure, s: int, t: int) -> PushforwardResult:
     """Exact image measure per symbol word plus the averaged kernel."""
     depth = t - s
     if depth < 0:
         raise ConfigError("ff_pushforward requires s <= t")
-    if flow.n_symbols**depth > limit:
+    if flow.n_symbols**depth > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {limit}"
+            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
     word_measures = {}
     for word in itertools.product(range(flow.n_symbols), repeat=depth):
@@ -396,11 +395,10 @@ class MartingaleVerdict:
 
 
 def ff_martingale_check(flow: FiniteFlow, t: int, f_values, depth: int,
-                        family: EsmSolution | None = None,
-                        limit: int = ENUMERATION_LIMIT) -> MartingaleVerdict:
+                        family: EsmSolution | None = None) -> MartingaleVerdict:
     """Verify, for every suffix cylinder, that averaging over one more symbol
     of history leaves the integral of f against the pushed family unchanged."""
-    if flow.n_symbols**depth > limit:
+    if flow.n_symbols**depth > ENUMERATION_LIMIT:
         raise EnumerationLimitError("depth exceeds the enumeration limit")
     family = family or ff_esm_solve(flow)
     if not family.unique:
@@ -441,8 +439,7 @@ class PullbackExactReport:
 
 
 def ff_pullback(flow: FiniteFlow, t: int, depth: int,
-                family: EsmSolution | None = None,
-                limit: int = ENUMERATION_LIMIT) -> PullbackExactReport:
+                family: EsmSolution | None = None) -> PullbackExactReport:
     """Exact pullback of the averaged family through every symbol word.
 
     Stabilization is certified either by synchronization (the composed map is
@@ -450,7 +447,7 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     gap between consecutive depths.  The probability-weighted mean of the
     per-word measures must reproduce the averaged family exactly.
     """
-    if flow.n_symbols**depth > limit:
+    if flow.n_symbols**depth > ENUMERATION_LIMIT:
         raise EnumerationLimitError("depth exceeds the enumeration limit")
     family = family or ff_esm_solve(flow)
     if not family.unique:

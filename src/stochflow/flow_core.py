@@ -8,9 +8,9 @@ Every caller reaches a model through ``evolve_batch`` or ``evolve_ensemble``
 (``evolve`` is the one-row case), which first make one check: s <= t, both
 on the model grid, and finite states of the model's shape.
 
-``evolve_ensemble`` adds a leading realization axis.  The base class loops over
-``evolve_batch``; array code reads the path store in blocks of rows
-(``wiener.row_blocks``).  Either way a row equals the one-realization
+``evolve_ensemble`` adds a leading realization axis.  The base class loops
+over ``evolve_batch``; array code reads path rows from one query per block of
+rows (``wiener.increment_rows``).  Either way a row equals the one-realization
 ``evolve_batch`` bit-for-bit, so the estimators below give a loop's bits.
 ``pullback_ensemble`` pushes the same states from ever earlier starts, as
 the pullback needs; its images equal one ``evolve_ensemble`` per start.

@@ -51,8 +51,8 @@ class EmpiricalMeasure:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.particles, dtype=float))
         w = np.asarray(self.weights, dtype=float).ravel()
-        if pts.shape[0] != w.shape[0] or pts.shape[0] < 1:
-            raise ConfigError("particles and weights must have equal length >= 1")
+        if pts.shape[0] != w.shape[0] or not pts.size:  # no points, or no coordinate
+            raise ConfigError("particles and weights must have equal length >= 1, dim >= 1")
         if not np.all(np.isfinite(pts)):
             raise StateError("particles contain non-finite entries")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -80,7 +80,8 @@ class EmpiricalMeasure:
     @classmethod
     def equal_weight(cls, points) -> "EmpiricalMeasure":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
+        n = pts.shape[0]  # none: the constructor refuses the empty measure
+        return cls(pts, np.full(n, 1.0 / max(n, 1)))
 
     @property
     def dim(self) -> int:
@@ -324,10 +325,10 @@ class GaussianFamily(MeasureFamily):
         base = chain(_TAG_SAMPLE, self.salt, t.numerator, t.level)
         z = gauss_from_keys(chain_offsets(base, np.arange(n)))
         pts = self.mean_fn(t.value) + self.std * z
-        return EmpiricalMeasure(pts[:, None], np.full(n, 1.0 / n))
+        return EmpiricalMeasure.equal_weight(pts[:, None])
 
 
 def gaussian_draw(mean: float, std: float, n: int, salt: int) -> EmpiricalMeasure:
     """Fixed-time deterministic Gaussian sample (1D)."""
     z = gauss_from_keys(chain_offsets(chain(_TAG_SAMPLE, salt), np.arange(n)))
-    return EmpiricalMeasure((mean + std * z)[:, None], np.full(n, 1.0 / n))
+    return EmpiricalMeasure.equal_weight((mean + std * z)[:, None])

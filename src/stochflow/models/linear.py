@@ -18,7 +18,7 @@ import numpy as np
 from ..dyadic import DyadicTime
 from ..errors import ConfigError
 from ..flow_core import FlowModelBase, checked_grid_level
-from ..wiener import grid_values, increments, row_blocks
+from ..wiener import increment_rows, increments
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,8 @@ class LinearOUModel(FlowModelBase):
         return self.evolve_ensemble((omega,), s, t, np.asarray(states, dtype=float)[None])[0]
 
     def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states):
-        states = np.asarray(states, dtype=float)
-        if s == t:
-            return states.copy()
-        lv = self.grid_level
-        # one np.dot per row, each block before the next query
-        noise = (dw for block in row_blocks(tuple(omegas), t.at_level(lv) - s.at_level(lv) + 1)
-                 for dw in increments(block, 0, s, t, lv))
-        return self._images(states, s, t, noise)
+        noise = increment_rows(omegas, 0, s, t, self.grid_level)
+        return self._images(np.asarray(states, dtype=float), s, t, noise)
 
     def pullback_ensemble(self, omegas, starts, t: DyadicTime, states, keep_running):
         """As the base class, but each start fills only the new stretch
@@ -94,8 +88,6 @@ class LinearOUModel(FlowModelBase):
         ``HELD_VALUES`` increments at the next start splits in two, and the
         halves run on apart, the first half first; one row runs on alone.
         """
-        if self.sigma == 0.0:  # no path to hold
-            return super().pullback_ensemble(omegas, starts, t, states, keep_running)
         lv = self.grid_level
         end = t.at_level(lv)
         groups = [(np.arange(len(omegas)), np.empty((len(omegas), 0)), 0)]
@@ -104,40 +96,30 @@ class LinearOUModel(FlowModelBase):
             rows, held, k = groups.pop()
             while rows.size and k < len(starts):
                 s = starts[k]
-                if rows.size > 1 and rows.size * (end - s.at_level(lv)) > HELD_VALUES:
+                if self.sigma and rows.size > 1 \
+                        and rows.size * (end - s.at_level(lv)) > HELD_VALUES:
                     half = rows.size // 2
                     groups.append((rows[half:], held[half:].copy(), k))  # not a view: frees held
                     rows, held = rows[:half], held[:half]
                     continue
+                if self.sigma and s < t:
+                    fresh = increments(tuple(omegas[i] for i in rows), 0, s,
+                                       starts[k - 1] if k else t, lv)
+                    held = np.concatenate((fresh, held), axis=1)
                 live = np.broadcast_to(states, (rows.size,) + states.shape)
-                if s == t:
-                    keep = keep_running(rows, live.copy())
-                else:
-                    held = self._prepend(omegas, rows, s, starts[k - 1] if k else t, held)
-                    keep = keep_running(rows, self._images(live, s, t, held))
+                keep = keep_running(rows, self._images(live, s, t, held))
                 if not keep.all():
                     rows, held = rows[keep], held[keep]
                 k += 1
             left.append(rows)
         return np.sort(np.concatenate(left))
 
-    def _prepend(self, omegas, rows, s: DyadicTime, r: DyadicTime, held):
-        """``held`` with the level-grid increments over [s, r] of the given rows
-        put in front, filled a block of rows at a time as in ``evolve_ensemble``."""
-        lv = self.grid_level
-        fresh = r.at_level(lv) - s.at_level(lv)
-        grown = np.empty((rows.size, fresh + held.shape[1]))
-        grown[:, fresh:] = held
-        lo = 0
-        for part in row_blocks(rows, fresh + 1):  # np.diff of the path, into place
-            w = grid_values(tuple(omegas[i] for i in part), 0, s, r, lv)
-            np.subtract(w[:, 1:], w[:, :-1], out=grown[lo:lo + part.size, :fresh])
-            lo += part.size
-        return grown
-
     def _images(self, states, s: DyadicTime, t: DyadicTime, noise):
         """``states`` under the flow map from s to t; ``noise`` yields each
-        row's level-grid increments over [s, t] and is read only if sigma > 0."""
+        row's level-grid increments over [s, t] and is read only if sigma > 0
+        and s < t."""
+        if s == t:
+            return np.array(states, dtype=float)
         lv = self.grid_level
         h = 2.0**-lv
         grid = np.arange(s.at_level(lv), t.at_level(lv) + 1, dtype=np.float64) * h

@@ -19,10 +19,10 @@ Queries have one batch axis, the realization axis: ``grid_values``,
 ``increments`` and ``ou_grid`` also take a sequence of handles and return one
 row per handle; one handle is the one-row case of the same fill.  Rows go
 through in blocks of about ``BLOCK_VALUES`` path values (rows x points per
-row), and ``ou_grid`` reduces each block before the next.  ``ou_grid`` makes
-one ``increments`` query per block for all its output points, which may sit
-on a coarser grid than the OU grid, so points whose histories overlap share
-one fill.
+row).  ``increment_rows`` yields the ``increments`` rows one by one, a block
+per query, so ``ou_grid`` and the linear model reduce each block before the
+next.  ``ou_grid`` reads one history per row for all its output points, which
+may sit on a coarser grid, so points whose histories overlap share one fill.
 
 Every stored value is quantized to the grid ``2**-32``.  Path magnitudes stay
 far below ``2**21``, so sums and differences of path values are exact double
@@ -104,6 +104,8 @@ class RealizationStream:
         self._next = start
 
     def take(self, n: int) -> tuple[NoiseRealization, ...]:
+        if n < 0:
+            raise ConfigError(f"cannot take {n} realizations")
         first, self._next = self._next, self._next + n
         return tuple(NoiseRealization(self.master_seed, i, self.num_components)
                      for i in range(first, first + n))
@@ -151,7 +153,7 @@ def _rows(omegas) -> tuple[tuple, bool]:
     return ((omegas,) if single else tuple(omegas)), single
 
 
-def row_blocks(omegas: tuple, n_points: int) -> list[tuple]:
+def _row_blocks(omegas: tuple, n_points: int) -> list[tuple]:
     """Slices of ``omegas`` of about ``BLOCK_VALUES`` path values (rows x
     ``n_points``); none for no handles."""
     step = max(1, BLOCK_VALUES // max(n_points, 1))
@@ -309,7 +311,7 @@ def grid_values(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int
     # C order, so that a row is contiguous: np.dot's bits depend on the stride
     out = np.empty((len(rows), i1 - i0 + 1))
     lo = 0
-    for block in row_blocks(rows, width + 1):
+    for block in _row_blocks(rows, width + 1):
         vals = _fill(block, component, n0, n1, level)
         dest = out[lo:lo + len(block)]
         dest[:, :inner] = vals[:-1].transpose(1, 2, 0).reshape(len(block), width)[:, off:off + inner]
@@ -330,17 +332,26 @@ def increments(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int)
     return np.diff(grid_values(omegas, component, s, t, level))
 
 
+def increment_rows(omegas, component: int, s: DyadicTime, t: DyadicTime, level: int):
+    """Each handle's ``increments`` row over [s, t] in turn.  Lazy: one
+    ``increments`` query per block of about ``BLOCK_VALUES`` path values,
+    made when its first row is read, so nothing is filled until then."""
+    rows = tuple(omegas)
+    for block in _row_blocks(rows, t.at_level(level) - s.at_level(level) + 1):
+        yield from increments(block, component, s, t, level)
+
+
 def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime,
             level: int | None = None) -> np.ndarray:
     """Exponential moving average at every ``level`` grid point of [s, t], one
     row per handle as in ``grid_values``.  ``level`` defaults to cfg.level and
     may not exceed it.
 
-    Each block of rows makes one cfg.level ``increments`` query over
-    [s - cutoff, t], and each output point is one np.dot over the contiguous
-    stretch of it that its history spans.  Each output value depends only on
-    (omega, component, cfg, grid point), not on the requested range, the
-    output level or the other handles, so overlapping calls agree bit-for-bit.
+    Each row reads its cfg.level increments over [s - cutoff, t] from
+    ``increment_rows``, and each output point is one np.dot over the
+    contiguous stretch that its history spans.  Each output value depends
+    only on (omega, component, cfg, grid point), not on the requested range,
+    the output level or the other handles, so overlapping calls agree bit-for-bit.
     """
     if s > t:
         raise OrderingError(f"ou_grid needs s <= t, got {s!r} > {t!r}")
@@ -360,11 +371,7 @@ def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime,
     stride = 1 << (cfg.level - level)  # OU grid steps between output points
     firsts = range(0, (t.at_level(level) - s.at_level(level)) * stride + 1, stride)
     out = np.empty((len(rows), len(firsts)))
-    # Each block of rows is reduced, one np.dot per row and point, before the next.
-    n_vals = t.at_level(cfg.level) - start.at_level(cfg.level) + 1  # path values per row
-    history = (dw for block in row_blocks(rows, n_vals)
-               for dw in increments(block, component, start, t, cfg.level))
-    for r, dw in enumerate(history):
+    for r, dw in enumerate(increment_rows(rows, component, start, t, cfg.level)):
         out[r] = [np.dot(weights, dw[i:i + m]) for i in firsts]
     return out[0] if single else out
 

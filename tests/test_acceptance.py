@@ -147,7 +147,7 @@ def test_criterion_3_pullback_on_linear_model():
 
     # limit point against an independent quadrature oracle at level 12
     model12 = _linear(12)
-    sched12 = PullbackSchedule.geometric(t, 8, dyadic(1))
+    sched12 = PullbackSchedule.geometric(t, 8, dyadic(1), 1e-5)
     lvl, h = 12, 2.0**-12
     s0 = t - 128
     det = scipy.integrate.quad(lambda u: np.exp(RATE * u) * np.cos(u), -120, 0,
@@ -155,7 +155,7 @@ def test_criterion_3_pullback_on_linear_model():
     worst_gap = 0.0
     for i in range(100):
         om = NoiseRealization(SEED + 5, i)
-        x_star = pullback_point(model12, om, t, sched12, tol=1e-5)[0]
+        x_star = pullback_point(model12, om, t, sched12)[0]
         dw = increments(om, 0, s0, t, lvl)
         lefts = np.arange(s0.value, t.value, h)
         noise = SIGMA * float(np.dot(np.exp(-RATE * (0.0 - lefts)), dw))

@@ -240,6 +240,20 @@ def test_refinement_pairs_match_per_interval_queries(intervals):
         assert np.array_equal(halves, wiener.increments(omega, 0, s, e, lv + 1))
 
 
+def test_unexpected_error_exits_3_with_one_stderr_line(tmp_path, capsys):
+    # a fault inside a run is not a failed check (1) nor a bad config (2)
+    def broken(cfg, report):
+        raise RuntimeError("boom")
+
+    path = _write(tmp_path, "run.cfg", "kind = oracle\nseed = 1\n")
+    with mock.patch.dict(cli._RUNNERS, {"oracle": broken}):
+        assert main(["--config", path]) == 3
+        with pytest.raises(RuntimeError):  # Python callers still get the exception
+            run_experiment({"kind": "oracle", "seed": 1})
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
+
+
 def test_jobs_flag_is_gone_and_jobs_key_is_ignored(tmp_path, capsys):
     path = _write(tmp_path, "run.cfg", "kind = oracle\nseed = 1\ndepth = 4\njobs = 3\n")
     with pytest.raises(SystemExit) as exc:

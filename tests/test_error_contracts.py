@@ -32,7 +32,8 @@ from stochflow.flow_core import (
     flow_residual,
     markov_apply,
 )
-from stochflow.measure import EmpiricalMeasure, GaussianFamily, expect, mixture, pushforward
+from stochflow.measure import (EmpiricalMeasure, GaussianFamily, expect, gaussian_draw, mixture,
+                               pushforward)
 from stochflow.models import LinearOUModel
 from stochflow.wiener import NoiseRealization, OUConfig, RealizationStream
 
@@ -82,6 +83,20 @@ def test_mixture_weight_mismatch():
         mixture([mu, mu], [1.0])
     with pytest.raises(ConfigError):
         mixture([mu, mu], [0.9, 0.4])
+
+
+@pytest.mark.parametrize("empty", [
+    lambda: EmpiricalMeasure.equal_weight(np.empty((0, 1))),
+    lambda: EmpiricalMeasure.equal_weight([]),  # one point of no coordinate
+    lambda: gaussian_draw(0.0, 1.0, 0, salt=1),
+    lambda: GaussianFamily(lambda _t: 0.0, 1.0).sample(dyadic(0), 0),
+    lambda: GaussianFamily(lambda _t: 0.0, 1.0).sample(dyadic(0), -3),
+], ids=["equal_weight", "equal_weight_no_coordinate", "gaussian_draw", "family_sample",
+        "family_sample_negative"])
+def test_measures_of_no_points_are_refused_as_config_errors(empty):
+    # as EmpiricalMeasure refuses an empty measure, not with a ZeroDivisionError
+    with pytest.raises(ConfigError):
+        empty()
 
 
 def test_attractor_requires_nonempty_seeds():

@@ -351,6 +351,30 @@ def test_pullback_points_fill_each_interval_once_with_per_start_bits(sigma, coef
         assert not filled
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_pullback_from_the_anchor_itself_keeps_the_states_and_fills_nothing_there(sigma):
+    # a start at t maps the states to themselves, -0.0 kept, and [t, t] holds
+    # no increment to fill; the later starts keep the bits of evolve_ensemble
+    model = LinearOUModel(rate=0.5, sigma=sigma, forcing=FourierForcing((1.0,)))
+    omegas, starts = RealizationStream(1).take(3), (T0, T0 - 1, T0 - 2)
+    states, images = np.array([[-0.0], [1.0]]), []
+
+    def keep_running(rows, imgs):
+        images.append(imgs)
+        return np.ones(rows.size, dtype=bool)
+
+    with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+        pullback_ensemble(model, omegas, starts, T0, states, keep_running)
+    filled = Counter((o, n) for c in fill.call_args_list for o in c.args[0]
+                     for n in range(c.args[2], c.args[3]))
+    assert filled == (Counter({(o, n): 1 for o in omegas for n in (-2, -1)}) if sigma else {})
+    live = np.broadcast_to(states, (3,) + states.shape)
+    assert np.array_equal(images[0].view(np.int64), live.view(np.int64))
+    for s, got in zip(starts[1:], images[1:]):
+        want = evolve_ensemble(model, omegas, s, T0, live)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_pullback_ensemble_checks_every_start_before_the_first_image():
     model, probes = _linear(), np.array([[0.0], [1.0]])
     never = lambda rows, imgs: pytest.fail("no image expected")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stochflow import wiener
 from stochflow.dyadic import DyadicTime, dyadic
-from stochflow.errors import OrderingError, ResolutionError
+from stochflow.errors import ConfigError, OrderingError, ResolutionError
 from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys
 from stochflow.wiener import (
     _TAG_BRIDGE,
@@ -19,6 +19,7 @@ from stochflow.wiener import (
     OUConfig,
     RealizationStream,
     grid_values,
+    increment_rows,
     increments,
     ou_at,
     ou_grid,
@@ -176,10 +177,13 @@ def test_batched_rows_equal_one_realization_calls(lev, comp, start, span, handle
     with mock.patch.object(wiener, "BLOCK_VALUES", block):
         grid = grid_values(omegas, comp, s, t, lev)
         incs = increments(omegas, comp, s, t, lev)
+        streamed = list(increment_rows(omegas, comp, s, t, lev))
     assert grid.shape == (len(omegas), span + 1)
+    assert len(streamed) == len(omegas)
     for r, omega in enumerate(omegas):
         assert _bits_equal(grid[r], grid_values(omega, comp, s, t, lev))
         assert _bits_equal(incs[r], increments(omega, comp, s, t, lev))
+        assert _bits_equal(streamed[r], incs[r])
 
 
 @given(st.integers(0, 6), st.integers(0, 1), st.integers(-300, 300), st.integers(0, 8),
@@ -227,8 +231,9 @@ def test_coarse_ou_points_equal_one_point_queries(lev, finer, comp, start, span,
 
 def test_queries_over_no_handles_are_empty_and_fill_nothing():
     cfg = OUConfig(rate=1.0, level=6)
-    assert wiener.row_blocks((), 10) == []
     with mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
+        assert list(increment_rows((), 0, dyadic(0), dyadic(1), 3)) == []
+        increment_rows((OM,), 0, dyadic(0), dyadic(1), 3)  # lazy: fills only when read
         assert grid_values((), 0, dyadic(0), dyadic(1), 3).shape == (0, 9)
         assert increments((), 0, dyadic(0), dyadic(1), 3).shape == (0, 8)
         assert ou_grid((), 0, cfg, dyadic(0), dyadic(1)).shape == (0, 65)
@@ -372,6 +377,12 @@ def test_realization_stream_counts():
     assert [o.realization_index for o in got] == [2, 3, 4]
     assert stream.next().realization_index == 5
     assert all(o.num_components == 3 for o in got)
+    # a negative count is refused before the counter moves: moved back, it
+    # would hand the next draws indices already drawn
+    with pytest.raises(ConfigError):
+        stream.take(-2)
+    assert stream.take(0) == ()
+    assert [o.realization_index for o in stream.take(2)] == [6, 7]
 
 
 class TestOU:
