@@ -26,7 +26,7 @@ import numpy as np
 
 from . import esm, finite_oracle as fo, measure as ms
 from .dyadic import DyadicTime, dyadic
-from .errors import ConfigError, StochFlowError
+from .errors import ConfigError, HorizonError, StochFlowError
 from .flow_core import ScalarExpFlow
 from .keyed import chain, chain_offsets
 from .models import nse as nse_mod
@@ -115,8 +115,8 @@ def _coerce(val: str):
 
 # One table per kind: key -> default.  The default's type is the key's type:
 # an int key takes an integer of at least _FLOORS.get(key, 1) (None: any), a
-# float key a finite real, and the tuple ``lookbacks`` comma-separated positive
-# integers, used in ascending order.  A bool is never a number.
+# float key a finite real, and the tuple ``lookbacks`` comma-separated distinct
+# positive integers, used in ascending order.  A bool is never a number.
 _LINEAR = {"model.rate": 0.5, "model.sigma": 0.3, "model.level": 6, "model.forcing_amp": 1.0}
 _LINEAR_DRIVERS = ("model.rate", "model.sigma", "model.forcing_amp")  # named if a run blows up
 _TABLES = {
@@ -145,10 +145,10 @@ _FLOORS = {"seed": None, "anchor": None, "level": 0, "model.level": 0, "realizat
 def _checked(key: str, val, default):
     """``val`` as a value of ``key``'s type; ConfigError names the key and value."""
     if isinstance(default, tuple):
-        rule = "comma-separated positive integers"
+        rule = "comma-separated distinct positive integers"
         try:
             lbs = tuple(sorted(int(x) for x in str(val).split(",")))
-            if lbs[0] >= 1:
+            if lbs[0] >= 1 and len(set(lbs)) == len(lbs):
                 return lbs
         except ValueError:
             pass
@@ -193,12 +193,14 @@ def _resolve(cfg: dict) -> dict:
     return resolved
 
 
-def _refused(cfg: dict, keys: tuple, make):
-    """``make()``; a model's refusal is raised again naming the keys it rests on."""
+def _refused(cfg: dict, keys: tuple, make, times: tuple = ()):
+    """``make()``; a model's refusal is raised again naming the keys it rests on,
+    and a query past the path horizon naming ``times``, the keys that set the times."""
     try:
         return make()
     except StochFlowError as err:
-        shown = ", ".join(f"{key!r} = {_shown(cfg[key])}" for key in keys)
+        named = times if times and isinstance(err, HorizonError) else keys
+        shown = ", ".join(f"{key!r} = {_shown(cfg[key])}" for key in named)
         raise ConfigError(f"{shown} refused by the model: {err}") from err
 
 
@@ -296,7 +298,8 @@ def run_pullback(cfg: dict, report: RunReport):
     omega = NoiseRealization(seed, cfg["realization"])
     family = ms.GaussianFamily(lambda _t: 0.0, 1.0, salt=seed)
     mu, diag = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_measure(
-        model, omega, schedule, family, cfg["particles"]))
+        model, omega, schedule, family, cfg["particles"]),
+        times=("anchor", "schedule.coeff", "schedule.depth"))
     report.verdicts.append(Verdict("esm.pullback_converged", diag.converged,
                                    len(diag.distances), note=diag.message))
     rows = list(zip([s.value for s in diag.starts_used[1:]], map(float, diag.distances)))
@@ -359,7 +362,8 @@ def run_esm_verify(cfg: dict, report: RunReport):
     schedule = _refused(cfg, ("depth",), lambda: esm.PullbackSchedule.geometric(t, depth, 2))
 
     points = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_points(
-        model, RealizationStream(seed).take(ensemble), t, schedule))[:, 0]
+        model, RealizationStream(seed).take(ensemble), t, schedule),
+        times=("anchor", "depth"))[:, 0]
     family = ms.RandomMeasure({i: ms.EmpiricalMeasure.dirac([points[i]])
                                for i in range(ensemble)}, ensemble)
     mean_measure = esm.esm_mean(family)
@@ -394,7 +398,8 @@ def run_esm_verify(cfg: dict, report: RunReport):
 
     pts2 = _refused(cfg, _LINEAR_DRIVERS, lambda: esm.pullback_points(
         model, RealizationStream(chain(seed, 8)).take(ensemble), t + two_pi,
-        esm.PullbackSchedule.geometric(t + two_pi, depth, 2)))[:, 0]
+        esm.PullbackSchedule.geometric(t + two_pi, depth, 2)),
+        times=("anchor", "depth"))[:, 0]
     d_period = ms.distance(
         ms.EmpiricalMeasure.equal_weight(points[:, None]),
         ms.EmpiricalMeasure.equal_weight(pts2[:, None]),
@@ -494,7 +499,7 @@ def run_nse(cfg: dict, report: RunReport):
     t1 = DyadicTime(cfg["steps"], nse_cfg.level)
     drivers = ("viscosity", "forcing_amp", "noise_amp")  # they set the energy balance
     u_t, trace = _refused(cfg, drivers, lambda: model.evolve_trace(
-        omega, t0, t1, nse_mod.taylor_green(res, 1.0)))
+        omega, t0, t1, nse_mod.taylor_green(res, 1.0)), times=("steps",))
     report.verdicts.append(Verdict(
         "models.reality_preserved_bitwise", nse_mod.reality_residual(u_t) == 0.0
     ))
@@ -514,7 +519,7 @@ def run_nse(cfg: dict, report: RunReport):
     )
 
     absorb = _refused(cfg, drivers, lambda: nse_mod.absorbing_radius_experiment(
-        model, omega, dyadic(0), lookbacks=lbs))
+        model, omega, dyadic(0), lookbacks=lbs), times=("lookbacks",))
     deepest = lbs[-1]
     report.verdicts.append(Verdict("models.absorbing_radius_agreement",
                                    absorb["gaps"][deepest] <= 0.05,

@@ -13,6 +13,10 @@ class ResolutionError(StochFlowError, ValueError):
     """A dyadic query exceeds the configured level or horizon."""
 
 
+class HorizonError(ResolutionError):
+    """A query, or the noise history it needs, reaches past the path horizon."""
+
+
 class AlignmentError(StochFlowError, ValueError):
     """A time is not representable on the required grid level."""
 

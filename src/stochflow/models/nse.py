@@ -24,6 +24,18 @@ row's (2, n, n) block in one call over the last three axes, which adds a row's
 terms in the order the sum over that row alone does.  The grid's factors are
 stored complex, so that no product casts them.
 
+Buffered step: ``_advance`` allocates one ``SpectralWork`` per call (the
+operators' buffers, and the grid's factors copied out to the stack's shape)
+and its own buffers, and every step writes into them.  The operators take
+their output or workspace as an optional argument, and without one allocate
+it and run the same calls, so both return the same bits.  The step adds,
+drops, reorders and re-associates no operation; it uses only exact
+identities: f - B for -B + f, rhs * h for h * rhs, a copied-out factor for
+its broadcast, and one ``not (|u|^2 <= guard)`` test, which inf and NaN fail
+at the same step, for the finiteness scan plus the bound.  B keeps its
+``u * dealias`` mask, although a stepped state is dealiased already: B is
+one operator for every caller.
+
 The noise bound ``estimate_beta`` is exact, with no iteration: the form's
 matrix on a real basis of the truncated space, Householder tridiagonalisation
 and Sturm bisection, from elementwise operations alone (no BLAS, no threads).
@@ -77,52 +89,93 @@ def grid_for(n: int) -> SpectralGrid:
 
 
 # ifft2/fft2 as two 1D passes, bit for bit; never pass out= to a 2D transform (wrong in numpy 2.4)
-def to_phys(spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.ifft(spec, axis=-1), axis=-2).real * spec.shape[-1] ** 2
+def to_phys(spec: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
+    """The physical field of ``spec``, in ``out`` (real); ``work`` (complex,
+    ``spec``'s shape, may be ``spec`` itself) takes both passes."""
+    work = np.empty(spec.shape, dtype=complex) if work is None else work
+    np.fft.ifft(spec, axis=-1, out=work)
+    np.fft.ifft(work, axis=-2, out=work)
+    return np.multiply(work.real, spec.shape[-1] ** 2, out=out)
 
 
-def to_spec(phys: np.ndarray) -> np.ndarray:
-    return np.fft.fft(np.fft.fft(phys, axis=-1), axis=-2) / phys.shape[-1] ** 2
+def to_spec(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty(phys.shape, dtype=complex) if out is None else out
+    np.fft.fft(phys, axis=-1, out=out)
+    np.fft.fft(out, axis=-2, out=out)
+    return np.divide(out, phys.shape[-1] ** 2, out=out)
 
 
-def _conj_reflect(spec: np.ndarray) -> np.ndarray:
+def _conj_reflect(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """conj(c[-k]) at every wavevector k, for the last two axes."""
     n = spec.shape[-1]
     flat = spec.reshape(spec.shape[:-2] + (n * n,))
-    return np.conj(flat.take(grid_for(n).neg, axis=-1)).reshape(spec.shape)
+    out = np.empty(spec.shape, dtype=complex) if out is None else out
+    taken = np.take(flat, grid_for(n).neg, axis=-1, out=out.reshape(flat.shape),
+                    mode="clip")  # the indices are in range; "raise" would buffer out
+    return np.conj(taken, out=taken).reshape(spec.shape)
 
 
-def leray_project(field: np.ndarray) -> np.ndarray:
-    """Remove the component parallel to the wavevector (idempotent)."""
-    g = grid_for(field.shape[-1])
-    kdot = g.kx * field[..., 0, :, :] + g.ky * field[..., 1, :, :]
-    coef = kdot * g.inv_ksq
-    out = field - g.kvec * coef[..., None, :, :]
+class SpectralWork:
+    """The buffers of ``leray_project``, ``_finalize`` and ``bilinear_b`` for a
+    stack of shape (..., 2, n, n), and the grid's factors copied out to that
+    shape: an operation whose operands share one shape skips numpy's
+    broadcasting iterator, and each element keeps its bits."""
+
+    def __init__(self, shape: tuple):
+        g = grid_for(shape[-1])
+        self.fields = np.empty((3,) + shape, dtype=complex)  # u, d/dx v, d/dy v; transformed
+        self.phys = np.empty((3,) + shape)  # the three on the grid; then (u . grad) v
+        self.spec = np.empty(shape, dtype=complex)  # its transform, masked, reflected
+        self.coef = np.empty(shape[:-3] + shape[-2:], dtype=complex)  # k.field / |k|^2
+        self.out = np.empty(shape, dtype=complex)
+        self.dealias, self.ikx, self.iky, self.kvec = (
+            np.broadcast_to(a, shape).copy() for a in (g.dealias, g.ikx, g.iky, g.kvec))
+        self.inv_ksq = np.broadcast_to(g.inv_ksq, self.coef.shape).copy()
+
+
+def leray_project(field: np.ndarray, out: np.ndarray | None = None,
+                  work: SpectralWork | None = None) -> np.ndarray:
+    """Remove the component parallel to the wavevector (idempotent).  ``out``
+    must not overlap ``field``."""
+    work = SpectralWork(field.shape) if work is None else work
+    out = np.empty(field.shape, dtype=complex) if out is None else out
+    np.multiply(work.kvec, field, out=out)
+    coef = np.add(out[..., 0, :, :], out[..., 1, :, :], out=work.coef)
+    np.multiply(coef, work.inv_ksq, out=coef)
+    np.multiply(work.kvec, coef[..., None, :, :], out=out)
+    np.subtract(field, out, out=out)
     out[..., 0, 0] = field[..., 0, 0]
     return out
 
 
-def _finalize(field: np.ndarray) -> np.ndarray:
-    g = grid_for(field.shape[-1])
-    out = leray_project(field * g.dealias)
-    out = (out + _conj_reflect(out)) * 0.5  # exactly conjugate symmetric: a real field
+def _finalize(field: np.ndarray, work: SpectralWork | None = None) -> np.ndarray:
+    """Dealiased, projected, exactly conjugate symmetric (a real field), mean zero, in
+    ``work.out``; ``field`` may be ``work.spec``, which takes the masked field."""
+    work = SpectralWork(field.shape) if work is None else work
+    masked = np.multiply(field, work.dealias, out=work.spec)
+    out = leray_project(masked, out=work.out, work=work)
+    np.add(out, _conj_reflect(out, out=masked), out=out)
+    np.multiply(out, 0.5, out=out)
     out[..., 0, 0] = 0.0
     return out
 
 
-def bilinear_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projected, dealiased advection term P[(u . grad) v] in spectral form."""
+def bilinear_b(u: np.ndarray, v: np.ndarray, work: SpectralWork | None = None) -> np.ndarray:
+    """Projected, dealiased advection term P[(u . grad) v] in spectral form,
+    in ``work.out`` (a fresh ``SpectralWork`` for ``u``'s shape by default)."""
     if u.shape != v.shape:
         raise StateError("fields must share one resolution")
-    g = grid_for(u.shape[-1])
-    fields = np.empty((3,) + u.shape, dtype=complex)  # u, d/dx v and d/dy v, masked
-    um = np.multiply(u, g.dealias, out=fields[0])
-    vm = um if v is u else v * g.dealias
-    np.multiply(g.ikx, vm, out=fields[1])
-    np.multiply(g.iky, vm, out=fields[2])
-    u_ph, dvx, dvy = to_phys(fields)
-    w = u_ph[..., :1, :, :] * dvx + u_ph[..., 1:, :, :] * dvy
-    return _finalize(to_spec(w))
+    work = SpectralWork(u.shape) if work is None else work
+    fields = work.fields
+    um = np.multiply(u, work.dealias, out=fields[0])
+    vm = um if v is u else np.multiply(v, work.dealias, out=work.spec)
+    np.multiply(work.ikx, vm, out=fields[1])
+    np.multiply(work.iky, vm, out=fields[2])
+    u_ph, dvx, dvy = to_phys(fields, out=work.phys, work=fields)
+    w = np.multiply(u_ph[..., :1, :, :], dvx, out=dvx)
+    np.add(w, np.multiply(u_ph[..., 1:, :, :], dvy, out=dvy), out=w)
+    return _finalize(to_spec(w, out=work.spec), work)
 
 
 def inner_h(u: np.ndarray, v: np.ndarray) -> float:
@@ -131,13 +184,14 @@ def inner_h(u: np.ndarray, v: np.ndarray) -> float:
 
 def _summed(density: np.ndarray):
     """(2 pi)^2 times the sum over each (2, n, n) block: a float for a field, else per row."""
-    total = TWO_PI_SQ * np.sum(density, axis=(-3, -2, -1))
+    total = TWO_PI_SQ * np.add.reduce(density, axis=(-3, -2, -1))  # np.sum's own call
     return float(total) if density.ndim == 3 else total
 
 
-def norm_h_sq(u: np.ndarray):
-    """|u|^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row."""
-    return _summed(np.real(u * np.conj(u)))
+def norm_h_sq(u: np.ndarray, work: np.ndarray | None = None):
+    """|u|^2 of a field (2, n, n) as a float, of a stack (..., 2, n, n) per row;
+    ``work`` (complex, ``u``'s shape) takes u * conj(u)."""
+    return _summed(np.multiply(u, np.conj(u, out=work), out=work).real)
 
 
 def norm_v_sq(u: np.ndarray):
@@ -287,34 +341,43 @@ class NSEModel(FlowModelBase):
     def _z_field(self, zrow: np.ndarray) -> np.ndarray:  # zeros when there is no mode
         return np.dot(zrow.reshape(1, -1), self._phi_rows).reshape(self.phi.shape[1:])
 
-    def _forcing_at(self, tval: float) -> np.ndarray:
-        return float(np.cos(tval)) * self.cfg.forcing_field
-
     @np.errstate(over="ignore", invalid="ignore")  # the guard judges inf and NaN itself
     def _advance(self, u: np.ndarray, zvals: np.ndarray, i0: int, record=None) -> np.ndarray:
         """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``.
 
-        ``record(k, u_h_sq, v, z_field)`` sees each grid point; its |u|^2 per
-        row is the guard's, which squares only a finite stack."""
+        Every step runs through one set of buffers, allocated here, so the
+        state returned is no other call's buffer.  ``record(k, u_h_sq, v,
+        z_field)`` sees each grid point, and ``v`` only until it returns; its
+        |u|^2 per row is the guard's."""
         h = self.cfg.step
         n_steps = zvals.shape[0] - 1
+        work = SpectralWork(u.shape)
+        state = np.empty(u.shape, dtype=complex)  # returned: it holds no other buffer
+        v, squares, forcing = np.empty((3,) + u.shape, dtype=complex)
+        forcing_field, inv_denom = (np.broadcast_to(a, u.shape).copy()
+                                    for a in (self.cfg.forcing_field, self.inv_denom))
+        source = np.empty(u.shape[-3:], dtype=complex)
         z_now = self._z_field(zvals[0])
         u_sq = norm_h_sq(u) if record is not None else None
         for k in range(n_steps):
-            tk = (i0 + k) * h
-            v = u - z_now
+            np.subtract(u, z_now, out=v)
             if record is not None:
                 record(k, u_sq, v, z_now)
-            rhs = -bilinear_b(u, u) + self._forcing_at(tk) + self.source_coef * z_now
-            v = (v + h * rhs) * self.inv_denom
+            rhs = bilinear_b(u, u, work)
+            np.multiply(float(np.cos((i0 + k) * h)), forcing_field, out=forcing)
+            np.subtract(forcing, rhs, out=rhs)  # f - B: the bits of -B + f
+            np.add(rhs, np.multiply(self.source_coef, z_now, out=source), out=rhs)
+            np.multiply(rhs, h, out=rhs)
+            np.add(v, rhs, out=v)
+            np.multiply(v, inv_denom, out=v)
             z_now = self._z_field(zvals[k + 1])
-            u = (v + z_now) * self.grid.dealias
+            u = np.multiply(np.add(v, z_now, out=state), work.dealias, out=state)
             u[..., 0, 0] = 0.0
-            u_sq = norm_h_sq(u) if np.isfinite(u.view(float)).all() else None
-            if u_sq is None or (u_sq > self.cfg.guard).any():
+            u_sq = norm_h_sq(u, squares)
+            if not (u_sq <= self.cfg.guard).all():  # inf and NaN fail too
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
-            record(n_steps, u_sq, u - z_now, z_now)
+            record(n_steps, u_sq, np.subtract(u, z_now, out=v), z_now)
         return u
 
     def evolve_field(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray) -> np.ndarray:

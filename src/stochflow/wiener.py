@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
-from .errors import ConfigError, OrderingError, ResolutionError
+from .errors import ConfigError, HorizonError, OrderingError, ResolutionError
 from .keyed import chain, chain_offsets, extend_key, gauss_from_key, gauss_from_keys
 
 HORIZON = 1 << 16
@@ -167,7 +167,7 @@ def _check_component(omega: NoiseRealization, component: int):
 
 def _check_horizon(t: DyadicTime):
     if abs(t.value) > HORIZON:
-        raise ResolutionError(f"|t|={abs(t.value)} exceeds horizon {HORIZON}")
+        raise HorizonError(f"|t|={abs(t.value)} exceeds horizon {HORIZON}")
 
 
 def _row_keys(rows: tuple, component: int) -> np.ndarray:
@@ -363,7 +363,7 @@ def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime,
     cut = cfg.cutoff_horizon
     start = s - cut
     if abs(start.value) > HORIZON or abs(t.value) > HORIZON:
-        raise ResolutionError("query plus cutoff history leaves the path horizon")
+        raise HorizonError("query plus cutoff history leaves the path horizon")
     h = 2.0**-cfg.level
     m = cut << cfg.level
     # Weight for the increment whose left endpoint is tau - cutoff + j*h.

@@ -338,6 +338,13 @@ _BAD_SIZES = [
     ("nse", "ou_rate = 1e+308", "ou_rate"),
     # run_attractor reads no linear-model key but the grid level
     ("attractor", "model.rate = 7", "model.rate"),
+    # a time past the path horizon, named by the key that sets it
+    ("nse", "steps = 4200000", "steps"),
+    ("nse", "lookbacks = 70000", "lookbacks"),
+    ("pullback", "anchor = 70000", "anchor"),
+    ("esm-verify", "anchor = 70000", "anchor"),
+    # absorbing.csv would hold the repeated row twice
+    ("nse", "lookbacks = 4,4,2", "lookbacks"),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stochflow.models import nse as nm
 from stochflow.models.nse import (
     NSEConfig,
     NSEModel,
+    NSETrace,
     bilinear_b,
     default_nse_config,
     energy_diagnostics,
@@ -319,6 +321,32 @@ def _ref_bilinear_b(u, v):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_advance(model, u, zvals, i0, record=None):
+    """``NSEModel._advance`` as first written: fresh arrays at every operation."""
+    h, g = model.cfg.step, model.grid
+    n_steps = zvals.shape[0] - 1
+    z_now = model._z_field(zvals[0])
+    u_sq = nm.norm_h_sq(u) if record is not None else None
+    for k in range(n_steps):
+        tk = (i0 + k) * h
+        v = u - z_now
+        if record is not None:
+            record(k, u_sq, v, z_now)
+        rhs = (-_ref_bilinear_b(u, u) + float(np.cos(tk)) * model.cfg.forcing_field
+               + model.source_coef * z_now)
+        v = (v + h * rhs) * model.inv_denom
+        z_now = model._z_field(zvals[k + 1])
+        u = (v + z_now) * g.dealias
+        u[..., 0, 0] = 0.0
+        u_sq = nm.norm_h_sq(u) if np.isfinite(u.view(float)).all() else None
+        if u_sq is None or (u_sq > model.cfg.guard).any():
+            raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
+    if record is not None:
+        record(n_steps, u_sq, u - z_now, z_now)
+    return u
+
+
 def _assert_same_bits(got, want):
     # int64 views tell -0.0 from +0.0 and compare NaN payloads
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -352,6 +380,110 @@ def test_spectral_operators_keep_the_bits_of_their_first_formulations(n):
         _assert_same_bits(bilinear_b(x, x), _ref_bilinear_b(x, x))
         y = x[..., ::-1, :, :, :] if x.ndim > 3 else x[::-1]
         _assert_same_bits(bilinear_b(x, y), _ref_bilinear_b(x, y))
+
+
+def _stepping_inputs(n):
+    """(name, stack) pairs: random stacks of 1, 2 and 6 rows with signed zeros in
+    every mode (so neither dealiased nor divergence free), real fields, and
+    stacks whose flow leaves the guard: an overflowing norm, inf and NaN
+    coefficients, and a row that blows up after two steps."""
+    rng = np.random.default_rng(n)
+    base = random_divfree(n, 3)
+    base = base / math.sqrt(nm.norm_h_sq(base))
+    for rows in (1, 2, 6):
+        shape = (rows, 2, n, n)
+        x = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        parts = x.view(float)
+        pick = rng.random(parts.shape)
+        parts[pick < 0.1] = 0.0
+        parts[pick > 0.9] = -0.0
+        yield f"signed zeros, {rows} rows", x
+    yield "real fields", np.stack([taylor_green(n, 1.0), base, shear_mode(n, 2.0)])
+    yield "overflow", np.stack([base, 1e200 * base])
+    for bad in (np.inf, np.nan):
+        x = np.stack([base, base])
+        x[1, 0, 1, 2] = bad
+        yield f"{bad} coefficient", x
+    yield "late blow-up", np.stack([base, 300.0 * base])
+
+
+def _outcome(call):
+    """``call()``'s result and None, or None and the step of its DivergenceError."""
+    try:
+        return call(), None
+    except DivergenceError as err:
+        return None, err.step
+
+
+def _steps_like_ref(model, s, t, stack):
+    """``evolve_batch`` and ``evolve_trace`` of ``stack`` against ``_ref_advance``:
+    the same bits, or a DivergenceError at the same step; returns that step."""
+    zvals = model.z_values(OM, s, t)
+    want, want_step = _outcome(
+        lambda: _ref_advance(model, stack.copy(), zvals, s.at_level(model.grid_level)))
+    ref_model = NSEModel(model.cfg)
+    ref_model._advance = lambda u, z, i0, record=None: _ref_advance(ref_model, u, z, i0, record)
+    want_traced, _ = _outcome(lambda: ref_model.evolve_trace(OM, s, t, stack.copy()))
+    states = stack.view(float).reshape(len(stack), -1).copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes the guard
+        got, got_step = _outcome(lambda: model.evolve_batch(OM, s, t, states))
+        traced, traced_step = _outcome(lambda: model.evolve_trace(OM, s, t, stack.copy()))
+    assert got_step == traced_step == want_step
+    if want_step is None:
+        _assert_same_bits(got, want.view(float).reshape(states.shape))
+        (u_got, got_traces), (u_want, want_traces) = traced, want_traced
+        _assert_same_bits(u_got, u_want)
+        for got_trace, want_trace in zip(got_traces, want_traces, strict=True):
+            for name in NSETrace.SERIES:
+                _assert_same_bits(getattr(got_trace, name), getattr(want_trace, name))
+    return want_step
+
+
+@pytest.mark.parametrize("n", [16, 18, 32])
+def test_buffered_step_keeps_the_bits_of_its_first_formulation(n):
+    model = _model(resolution=n)
+    s, t = DyadicTime(-3, 6), DyadicTime(4, 6)
+    steps = {name: _steps_like_ref(model, s, t, stack) for name, stack in _stepping_inputs(n)}
+    # the cases reach both sides of the guard: no trip, a trip at once, a later trip
+    assert steps["signed zeros, 6 rows"] is None and steps["overflow"] == 0
+    assert steps["nan coefficient"] == 0 and steps["late blow-up"] == 2
+    stiff = _model(resolution=n, viscosity=1e-300)
+    for _, stack in _stepping_inputs(n):
+        _steps_like_ref(stiff, s, t, stack)
+
+
+def test_step_buffers_do_not_leak_between_calls():
+    models = {n: _model(resolution=n) for n in (16, 18)}
+    s, t = DyadicTime(-2, 6), DyadicTime(3, 6)
+    calls = [(16, 2), (18, 1), (16, 6), (18, 2), (16, 1), (18, 6), (16, 2)]
+
+    def start(i, n, rows):  # each call its own fields, so an overwrite shows
+        return np.stack([(r + 1.0) * random_divfree(n, 10 * i + r) for r in range(rows)])
+
+    def fresh(i, n, rows):  # one call on a new model: the bits a lone call gets
+        model, u = _model(resolution=n), start(i, n, rows)
+        return (model.evolve_batch(OM, s, t, u.view(float).reshape(rows, -1)),
+                model.evolve_trace(OM, s, t, u)[0])
+
+    wants = [fresh(i, n, rows) for i, (n, rows) in enumerate(calls)]
+    kept = []  # every state returned and the last v each record saw, with their bits then
+
+    def keep(array):
+        kept.append((array, array.copy()))
+        return array
+
+    for i, ((n, rows), want) in enumerate(zip(calls, wants)):
+        model, u = models[n], start(i, n, rows)
+        seen = []
+        out = keep(model._advance(u, model.z_values(OM, s, t), s.at_level(model.grid_level),
+                                  record=lambda k, u_sq, v, z: seen.append(v)))
+        assert not np.shares_memory(out, keep(seen[-1]))
+        _assert_same_bits(keep(model.evolve_batch(OM, s, t, u.view(float).reshape(rows, -1))),
+                          want[0])
+        _assert_same_bits(keep(model.evolve_trace(OM, s, t, u)[0]), want[1])
+    for array, bits in kept:  # no later call wrote them
+        _assert_same_bits(array, bits)
 
 
 def test_evolve_batch_rows_match_evolve_field():
@@ -606,9 +738,9 @@ def test_absorbing_radius_sweep_steps_the_deepest_start_once(monkeypatch):
     rows = []  # the stack height of each bilinear_b call
     real = nm.bilinear_b
 
-    def counted(u, v):
+    def counted(u, v, *work):
         rows.append(u.shape[0])
-        return real(u, v)
+        return real(u, v, *work)
 
     monkeypatch.setattr(nm, "bilinear_b", counted)
     lookbacks = (8, 2, 4, 4)

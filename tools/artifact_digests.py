@@ -7,12 +7,13 @@ Usage (from anywhere):
 
 For each seed given (default: 1), runs each config of ``bench/run.py``'s
 ``WORKLOADS``, parsed from the same config text the benchmark writes, and
-then each experiment kind at its default config, in this process through
-``stochflow.cli.run_experiment``.  Prints one line per artifact:
-``<sha256>  <seed> <run> <file>``, where ``<run>`` is ``<workload>[<i>]`` or
-``default:<kind>``, and ``<file>`` is ``summary.json`` or a table, named as
-``--out`` would write them.  Two trees print the same lines exactly when
-every artifact keeps its bytes, so ``diff`` of two outputs is the check.
+then each experiment kind at its default config, then ``nse`` at resolutions
+18 and 32, in this process through ``stochflow.cli.run_experiment``.  Prints
+one line per artifact: ``<sha256>  <seed> <run> <file>``, where ``<run>`` is
+``<workload>[<i>]``, ``default:<kind>`` or ``nse:resolution=<n>``, and
+``<file>`` is ``summary.json`` or a table, named as ``--out`` would write
+them.  Two trees print the same lines exactly when every artifact keeps its
+bytes, so ``diff`` of two outputs is the check.
 """
 
 from __future__ import annotations
@@ -33,13 +34,19 @@ bench_run = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_run)
 
 
+# nse grids the benchmark does not run: at 18 the n**2 scalings are inexact, 32 is larger
+NSE_RESOLUTIONS = (18, 32)
+
+
 def runs(seed: int):
-    """(label, config) for each run at ``seed``: the benchmark's, then the defaults."""
+    """(label, config) for each run at ``seed``: the benchmark's, the defaults, larger grids."""
     for name, cfgs in bench_run.WORKLOADS.items():
         for i, cfg in enumerate(cfgs):
             yield f"{name}[{i}]", cli.parse_config_text(bench_run.config_text(cfg, seed))
     for kind in cli.EXPERIMENTS:
         yield f"default:{kind}", {"kind": kind, "seed": seed}
+    for res in NSE_RESOLUTIONS:
+        yield f"nse:resolution={res}", {"kind": "nse", "seed": seed, "resolution": res}
 
 
 def digests(seed: int):
