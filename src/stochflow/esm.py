@@ -167,6 +167,8 @@ def martingale_mean_flatness(
     """Ensemble means of the trace per lookback; flat when the source family
     is an evolution family.  Reports the worst pairwise gap in combined
     standard errors."""
+    if n_realizations < 2:
+        raise ConfigError("n_realizations must be at least 2")
     traces = martingale_trace(model, stream.take(n_realizations), t, f, family, lookbacks,
                               n_particles).values
     means = traces.mean(axis=0)

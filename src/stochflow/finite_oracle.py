@@ -4,6 +4,11 @@ Every quantity here is a ``fractions.Fraction`` and every check is an exact
 equality, never a tolerance.  Noise symbols are i.i.d. across time steps, so
 past- and future-generated information are independent by construction, and
 the one-step kernels compose exactly as matrix products.
+
+The pushforward, the pullback and the martingale check read one enumeration
+of the words that end at an anchor, ``history_walk``; every other word goes
+through one forward composition, ``compose_word_map``, which refuses a word
+too short for its span.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .flow_core import FlowModelBase
-from .keyed import chain, uniform_from_key
+from .keyed import chain, chain_offsets, uniform_from_keys
 
 ENUMERATION_LIMIT = 1 << 16
 
@@ -96,32 +101,53 @@ class ExactMeasure:
             out[state_map[x]] += m
         return ExactMeasure(tuple(out))
 
-    def expect(self, f_values) -> Fraction:
-        return sum((m * Fraction(f) for m, f in zip(self.masses, f_values)), ZERO)
-
     def tv_distance(self, other: "ExactMeasure") -> Fraction:
         return sum((abs(a - b) for a, b in zip(self.masses, other.masses)), ZERO) / 2
 
 
-def compose_word_map(flow: FiniteFlow, word, s: int) -> tuple:
-    """State map of the symbol word applied over times s, s+1, ..."""
+def compose_word_map(flow: FiniteFlow, word, s: int, t: int) -> tuple:
+    """State map of the word's first t - s symbols, applied at times s, ..., t - 1."""
+    if not 0 <= t - s <= len(word):
+        raise ConfigError(f"need s <= t and a word covering [{s}, {t}), got {len(word)} symbols")
     current = tuple(range(flow.n_states))
-    for offset, sigma in enumerate(word):
-        step = flow.step_map(s + offset, sigma)
+    for tau in range(s, t):
+        step = flow.step_map(tau, word[tau - s])
         current = tuple(step[x] for x in current)
     return current
 
 
 def ff_evolve(flow: FiniteFlow, word, s: int, t: int, state: int) -> int:
     """Left-to-right composition of the step maps named by the word."""
-    if t < s:
-        raise ConfigError("ff_evolve requires s <= t")
-    if len(word) < t - s:
-        raise ConfigError(f"word of length {len(word)} does not cover [{s}, {t})")
-    x = state
-    for offset in range(t - s):
-        x = flow.step_map(s + offset, word[offset])[x]
-    return x
+    return compose_word_map(flow, word, s, t)[state]
+
+
+def history_walk(flow: FiniteFlow, t: int, depth: int, value=lambda length, comp: None):
+    """Every word of at most ``depth`` symbols that ends at time t, depth first.
+
+    A word of length d covers [t - d, t); its state map is its suffix's map
+    after the step at t - d, and ``value(d, comp)`` is evaluated once per word.
+    Yields ``(word, comp, val, children)``, children being the ``(word, comp,
+    val)`` of its one-symbol extensions in symbol order, none at ``depth``.
+    """
+    if depth < 0:
+        raise ConfigError(f"history depth {depth} is negative")
+    # the power is capped: n**17 > 2**16 for every n >= 2
+    if flow.n_symbols ** min(depth, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {ENUMERATION_LIMIT}"
+        )
+    identity = tuple(range(flow.n_states))
+    stack = [((), identity, value(0, identity))]
+    while stack:
+        word, comp, val = stack.pop()
+        children = []
+        if len(word) < depth:
+            d = len(word) + 1
+            for sigma in range(flow.n_symbols):
+                child = tuple(comp[y] for y in flow.step_map(t - d, sigma))
+                children.append(((sigma,) + word, child, value(d, child)))
+            stack.extend(reversed(children))
+        yield word, comp, val, children
 
 
 def one_step_kernel(flow: FiniteFlow, time_index: int) -> tuple:
@@ -176,16 +202,8 @@ class PushforwardResult:
 
 def ff_pushforward(flow: FiniteFlow, mu: ExactMeasure, s: int, t: int) -> PushforwardResult:
     """Exact image measure per symbol word plus the averaged kernel."""
-    depth = t - s
-    if depth < 0:
-        raise ConfigError("ff_pushforward requires s <= t")
-    if flow.n_symbols**depth > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {ENUMERATION_LIMIT}"
-        )
-    word_measures = {}
-    for word in itertools.product(range(flow.n_symbols), repeat=depth):
-        word_measures[word] = mu.pushforward(compose_word_map(flow, word, s))
+    word_measures = {word: mu.pushforward(comp)
+                     for word, comp, _, children in history_walk(flow, t, t - s) if not children}
     kernel = kernel_between(flow, s, t)
     return PushforwardResult(word_measures, kernel, apply_kernel(mu, kernel))
 
@@ -373,7 +391,7 @@ def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_
     base = ExactMeasure.uniform(flow.n_states)
     measures = []
     for w in words:
-        suffix_map = compose_word_map(flow, w[split:], split)
+        suffix_map = compose_word_map(flow, w[split:], split, depth)
         measures.append(base.pushforward(suffix_map))
     f_table = []
     for w in words:
@@ -398,34 +416,26 @@ def ff_martingale_check(flow: FiniteFlow, t: int, f_values, depth: int,
                         family: EsmSolution | None = None) -> MartingaleVerdict:
     """Verify, for every suffix cylinder, that averaging over one more symbol
     of history leaves the integral of f against the pushed family unchanged."""
-    if flow.n_symbols**depth > ENUMERATION_LIMIT:
-        raise EnumerationLimitError("depth exceeds the enumeration limit")
     family = family or ff_esm_solve(flow)
     if not family.unique:
         raise UnsupportedCaseError("martingale check needs a unique family")
+    if depth < 1:
+        raise ConfigError("the martingale check needs a history depth of at least 1")
+    if len(f_values) != flow.n_states:
+        raise ConfigError(f"f has {len(f_values)} values for {flow.n_states} states")
     f_values = tuple(Fraction(f) for f in f_values)
 
-    def m_value(comp_map: tuple, s: int) -> Fraction:
-        rho = family.at(t - s)
-        return sum((rho.masses[x] * f_values[comp_map[x]]
-                    for x in range(flow.n_states)), ZERO)
+    def m_value(length: int, comp: tuple) -> Fraction:
+        rho = family.at(t - length)
+        return sum((rho.masses[x] * f_values[comp[x]] for x in range(flow.n_states)), ZERO)
 
     worst = ZERO
     count = 0
-    identity = tuple(range(flow.n_states))
-    stack = [(identity, 0)]
-    while stack:
-        comp_map, s = stack.pop()
-        m_here = m_value(comp_map, s)
-        expectation = ZERO
-        for sigma, p in enumerate(flow.probs):
-            step = flow.step_map(t - s - 1, sigma)
-            child = tuple(comp_map[step[x]] for x in range(flow.n_states))
-            expectation += p * m_value(child, s + 1)
-            if s + 1 < depth:
-                stack.append((child, s + 1))
-        worst = max(worst, abs(expectation - m_here))
-        count += 1
+    for _, _, m_here, children in history_walk(flow, t, depth, m_value):
+        if children:
+            expectation = sum((p * m for p, (_, _, m) in zip(flow.probs, children)), ZERO)
+            worst = max(worst, abs(expectation - m_here))
+            count += 1
     return MartingaleVerdict(worst == 0, worst, count)
 
 
@@ -447,30 +457,29 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     gap between consecutive depths.  The probability-weighted mean of the
     per-word measures must reproduce the averaged family exactly.
     """
-    if flow.n_symbols**depth > ENUMERATION_LIMIT:
-        raise EnumerationLimitError("depth exceeds the enumeration limit")
     family = family or ff_esm_solve(flow)
     if not family.unique:
         raise UnsupportedCaseError("exact pullback needs a unique family")
-    rho_deep = family.at(t - depth)
-    rho_shallow = family.at(t - depth + 1)
+    if depth < 1:
+        raise ConfigError("the exact pullback needs a history depth of at least 1")
     word_measures = {}
     gap = ZERO
     all_sync = True
     mean = [ZERO] * flow.n_states
-    for word in itertools.product(range(flow.n_symbols), repeat=depth):
-        comp = compose_word_map(flow, word, t - depth)
-        mu = rho_deep.pushforward(comp)
-        word_measures[word] = mu
-        all_sync = all_sync and len(set(comp)) == 1
-        suffix = word[1:]
-        mu_shallow = rho_shallow.pushforward(
-            compose_word_map(flow, suffix, t - depth + 1)
-        )
-        gap = max(gap, mu.tv_distance(mu_shallow))
-        p_word = math.prod((flow.probs[s] for s in word), start=ONE)
-        for x in range(flow.n_states):
-            mean[x] += p_word * mu.masses[x]
+
+    def pulled(length: int, comp: tuple) -> ExactMeasure:
+        return family.at(t - length).pushforward(comp)
+
+    for word, _, mu_shallow, children in history_walk(flow, t, depth, pulled):
+        if len(word) < depth - 1:
+            continue
+        for leaf, comp, mu in children:
+            word_measures[leaf] = mu
+            all_sync = all_sync and len(set(comp)) == 1
+            gap = max(gap, mu.tv_distance(mu_shallow))
+            p_word = math.prod((flow.probs[s] for s in leaf), start=ONE)
+            for x in range(flow.n_states):
+                mean[x] += p_word * mu.masses[x]
     mean_ok = ExactMeasure(tuple(mean)) == family.at(t)
     return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, word_measures)
 
@@ -478,28 +487,20 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
 def ff_attractor_sets(flow: FiniteFlow, word, start: int, times) -> dict:
     """Image of the whole state set at each requested time, from one shared
     history start; exactly flow-invariant across the requested times."""
-    out = {}
-    for t in times:
-        if t < start:
-            raise ConfigError("attractor times must not precede the history start")
-        comp = compose_word_map(flow, word[: t - start], start)
-        out[t] = frozenset(comp)
-    return out
+    return {t: frozenset(compose_word_map(flow, word, start, t)) for t in times}
 
 
 def ff_select_trajectory(flow: FiniteFlow, word, start: int, times) -> list:
     """Exact selected trajectory on a synchronizing history window."""
     times = sorted(times)
-    comp = compose_word_map(flow, word[: times[0] - start], start)
-    image = set(comp)
+    image = set(compose_word_map(flow, word, start, times[0]))
     if len(image) != 1:
         raise UnsupportedCaseError(
             "history window does not synchronize; selection is not determined"
         )
     states = [image.pop()]
     for a, b in zip(times, times[1:]):
-        offset_word = word[a - start : b - start]
-        states.append(ff_evolve(flow, offset_word, a, b, states[-1]))
+        states.append(ff_evolve(flow, word[a - start:], a, b, states[-1]))
     return states
 
 
@@ -655,40 +656,33 @@ class FiniteFlowLift(FlowModelBase):
 
     States ride as real scalars equal to their index.  The symbol at each
     integer time is drawn from the realization handle by keyed inversion of
-    the exact cumulative probabilities.
+    the exact cumulative probabilities: the first symbol whose cumulative
+    probability is at least the uniform.
     """
 
     def __init__(self, flow: FiniteFlow):
         self.flow = flow
         self.state_dim = 1
         self.grid_level = 0
-        self._cum = []
-        acc = ZERO
-        for p in flow.probs:
-            acc += p
-            self._cum.append(float(acc))
-
-    def symbol_at(self, omega, time_index: int) -> int:
-        u = uniform_from_key(
-            chain(omega.master_seed, omega.realization_index, _TAG_SYMBOL, time_index)
-        )
-        for sigma, threshold in enumerate(self._cum):
-            if u <= threshold:
-                return sigma
-        return len(self._cum) - 1
+        # exact partial sums: the last is 1.0, above every keyed uniform
+        self._cum = np.array([float(c) for c in itertools.accumulate(flow.probs)])
 
     def word_for(self, omega, s: int, t: int) -> tuple:
-        return tuple(self.symbol_at(omega, tau) for tau in range(s, t))
+        """The symbols drawn at times s, ..., t - 1."""
+        key = chain(omega.master_seed, omega.realization_index, _TAG_SYMBOL)
+        u = uniform_from_keys(chain_offsets(key, np.arange(s, t)))
+        return tuple(np.searchsorted(self._cum, u).tolist())
 
     def evolve_batch(self, omega, s: DyadicTime, t: DyadicTime, states):
         s_i, t_i = s.at_level(0), t.at_level(0)
-        word = self.word_for(omega, s_i, t_i)
-        out = np.empty_like(np.atleast_2d(states), dtype=float)
-        for r, row in enumerate(np.atleast_2d(states)):
+        comp = compose_word_map(self.flow, self.word_for(omega, s_i, t_i), s_i, t_i)
+        rows = np.atleast_2d(states)
+        out = np.empty_like(rows, dtype=float)
+        for r, row in enumerate(rows):
             x = int(round(row[0]))
             if not (0 <= x < self.flow.n_states):
                 raise ConfigError(f"state {row[0]} is not a valid state index")
-            out[r, 0] = float(ff_evolve(self.flow, word, s_i, t_i, x))
+            out[r, 0] = float(comp[x])
         return out
 
     def exact_chapman_residual(self, s: DyadicTime, t: DyadicTime, u: DyadicTime) -> float:

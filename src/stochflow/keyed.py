@@ -83,7 +83,3 @@ def gauss_from_keys(keys: np.ndarray) -> np.ndarray:
 
 def gauss_from_key(key: int) -> float:
     return float(ndtri(((key >> 11) + 0.5) * 2.0**-53))
-
-
-def uniform_from_key(key: int) -> float:
-    return ((key >> 11) + 0.5) * 2.0**-53

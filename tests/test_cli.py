@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stochflow import cli, esm, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
@@ -423,3 +424,66 @@ def test_float_extremes_keep_the_exit_contract(tmp_path, capsys, kind, key, val)
         assert f"{key!r} = {val}" in err, err
     else:
         assert code in (0, 1) and lines[0].startswith("# wall-clock"), err
+
+
+# -- a fuzz of the exit contract over tiny configs of every kind -------------------
+
+# Sizes small enough that any run of a drawn config takes milliseconds; a drawn
+# value replaces one of these or a table default.
+_TINY = {
+    "noise": {"ensemble": 4, "intervals": 3, "level": 2},
+    "pullback": {"particles": 8, "schedule.depth": 2, "model.level": 2},
+    "attractor": {"box_points": 3, "schedule.depth": 2, "model.level": 2},
+    "esm-verify": {"ensemble": 2, "particles": 4, "depth": 2, "model.level": 2},
+    "oracle": {"depth": 3},
+    "nse": {"resolution": 8, "steps": 2, "lookbacks": "1", "level": 4},
+    "counterexamples": {},
+}
+_WRONG = st.sampled_from(["abc", "2.5", "true", "1,2", "", "-0.0"])
+_HUGE_INTS = ["17", "40", str(2**63), str(-(2**63)), str(10**30)]
+# keys that size a run: small and boundary values only, but for the oracle's
+# depth, which is refused above 16 before any word is built
+_SIZED = {key: st.integers(-1, 4).map(str) for key in
+          ("ensemble", "intervals", "particles", "box_points", "steps", "schedule.depth", "depth")}
+_ORACLE_DEPTH = st.integers(-1, 5).map(str) | st.sampled_from(_HUGE_INTS[:3])
+_KEY_VALUES = {
+    **_SIZED,
+    "level": st.sampled_from(["-1", "0", "1", "2", "4", "21", "40", str(2**63)]),
+    "model.level": st.sampled_from(["-1", "0", "1", "2", "4", "21", "40", str(2**63)]),
+    "resolution": st.sampled_from(["7", "8", "9", "10"]),
+    "lookbacks": st.sampled_from(["1", "1,2", "2,1", "0", "1,1", "-3", "8.5", "x", "70000"]),
+}
+_INTS = st.integers(-3, 3).map(str) | st.sampled_from(["70000", *_HUGE_INTS])
+_FLOATS = st.sampled_from(["0", "0.5", "1.0", "-1.0", "2", "1e-308", "5e-324", "1e+308",
+                           "-1e+308", "nan", "inf", "-inf"])
+
+
+def _drawn_value(kind, key, default):
+    if (kind, key) == ("oracle", "depth"):
+        return _ORACLE_DEPTH | _WRONG
+    if key in _KEY_VALUES:
+        return _KEY_VALUES[key] | _WRONG
+    return (_FLOATS if type(default) is float else _INTS) | _WRONG
+
+
+_CONFIGS = st.sampled_from(sorted(cli._TABLES)).flatmap(lambda kind: st.tuples(
+    st.just(kind),
+    st.fixed_dictionaries({}, optional={  # no ``out``: a run here writes no files
+        key: _drawn_value(kind, key, default)
+        for key, default in {**cli._COMMON, **cli._TABLES[kind]}.items() if key != "out"}),
+))
+
+
+# derandomized: the same examples on every run, so the suite stays reproducible
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_CONFIGS)
+def test_fuzzed_tiny_configs_keep_the_exit_contract(tmp_path, capsys, config):
+    kind, drawn = config
+    lines = {"seed": "1", **_TINY[kind], **drawn}
+    text = f"kind = {kind}\n" + "".join(f"{key} = {val}\n" for key, val in lines.items())
+    code = main(["--config", _write(tmp_path, "fuzz.cfg", text)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err, text + err
+

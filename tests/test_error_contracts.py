@@ -18,6 +18,7 @@ from stochflow.errors import (
 from stochflow.esm import (
     PullbackSchedule,
     esm_residual,
+    martingale_mean_flatness,
     martingale_trace,
     pullback_attractor,
     pullback_measure,
@@ -126,6 +127,13 @@ def test_finite_flow_lift_rejects_bad_state():
     lift = fo.FiniteFlowLift(fo.two_state_noisy())
     with pytest.raises(ConfigError):
         lift.evolve_batch(OM, dyadic(0), dyadic(1), np.array([[7.0]]))
+
+
+def test_martingale_flatness_needs_two_realizations():
+    # one realization has no standard error: a NaN gap, where markov_apply refuses
+    with pytest.raises(ConfigError, match="n_realizations"):
+        martingale_mean_flatness(IdentityFlow(1, 6), RealizationStream(1), dyadic(0),
+                                 coordinate(0), _FAMILY, [dyadic(1), dyadic(2)], 1, 4)
 
 
 # -- time checks: every estimator refuses what ``evolve`` refuses ----------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from stochflow.errors import (
     UnsupportedCaseError,
 )
 from stochflow.flow_core import chapman_residual, coordinate, evolve, markov_apply
+from stochflow.keyed import chain
 from stochflow.wiener import NoiseRealization, RealizationStream
 
 F = Fraction
@@ -53,6 +55,61 @@ class TestEvolve:
     def test_word_too_short(self):
         with pytest.raises(ConfigError):
             fo.ff_evolve(fo.two_state_noisy(), (0,), 0, 2, 0)
+
+    def test_word_map_reads_the_span_and_refuses_a_short_word(self):
+        flow = fo.two_state_noisy()  # symbol 0 holds, 1 swaps
+        assert fo.compose_word_map(flow, (1, 0, 1), 0, 2) == (1, 0)
+        assert fo.compose_word_map(flow, (1, 0, 1), 5, 8) == (0, 1)
+        assert fo.compose_word_map(flow, (), 4, 4) == (0, 1)
+        with pytest.raises(ConfigError, match="covering"):
+            fo.compose_word_map(flow, (1,), 0, 2)
+        with pytest.raises(ConfigError, match="s <= t"):
+            fo.compose_word_map(flow, (1, 1), 2, 1)
+
+
+class TestHistoryWalk:
+    FLOWS = (fo.period_two_alternating(),
+             fo.FiniteFlow(3, (F(1, 5), F(0), F(4, 5)), (((1, 2, 0), (0, 0, 2), (2, 2, 1)),)))
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_each_word_map_is_its_forward_composition(self, flow):
+        t, depth, n = 3, 4, flow.n_symbols
+        words = []
+        for word, comp, val, children in fo.history_walk(flow, t, depth, lambda d, c: (d, c)):
+            assert comp == fo.compose_word_map(flow, word, t - len(word), t)
+            assert val == (len(word), comp)
+            if len(word) < depth:
+                assert [c[:2] for c in children] == [
+                    ((s,) + word, fo.compose_word_map(flow, (s,) + word, t - len(word) - 1, t))
+                    for s in range(n)
+                ]
+                assert [c[2] for c in children] == [(len(word) + 1, c[1]) for c in children]
+            else:
+                assert children == []
+            words.append(word)
+        assert sorted(words) == sorted(
+            w for d in range(depth + 1) for w in itertools.product(range(n), repeat=d)
+        )
+
+    def test_value_is_evaluated_once_per_word(self):
+        lengths = []
+        for _ in fo.history_walk(fo.two_state_noisy(), 0, 4, lambda d, c: lengths.append(d)):
+            pass
+        assert sorted(lengths) == [0] + [1] * 2 + [2] * 4 + [3] * 8 + [4] * 16
+
+    def test_limit_is_checked_before_any_word(self):
+        flow = fo.two_state_noisy()
+        values = []
+        next(fo.history_walk(flow, 0, 16, lambda d, c: values.append(d)))  # 2**16: at the limit
+        assert values == [0, 1, 1]
+        for depth in (17, 10**18):  # the power is never formed in full
+            with pytest.raises(EnumerationLimitError):
+                next(fo.history_walk(flow, 0, depth, lambda d, c: values.append(d)))
+        assert values == [0, 1, 1]
+        with pytest.raises(ConfigError):
+            next(fo.history_walk(flow, 0, -1))
+        # one symbol: one word at every depth, so no depth exceeds the limit
+        assert sum(1 for _ in fo.history_walk(fo.identity_finite_flow(2), 0, 40)) == 41
 
 
 class TestKernels:
@@ -210,6 +267,17 @@ class TestMartingale:
                                          (F(0), F(1), F(1, 2)), 8)
         assert verdict.ok
 
+    def test_f_needs_one_value_per_state(self):
+        for f_values in ((F(0),), (F(0), F(1), F(2))):
+            with pytest.raises(ConfigError, match="values for 2 states"):
+                fo.ff_martingale_check(fo.two_state_noisy(), 0, f_values, 4)
+
+    def test_needs_one_symbol_of_history(self):
+        with pytest.raises(ConfigError):
+            fo.ff_martingale_check(fo.two_state_noisy(), 0, (F(0), F(1)), 0)
+        with pytest.raises(EnumerationLimitError):
+            fo.ff_martingale_check(fo.two_state_noisy(), 0, (F(0), F(1)), 17)
+
 
 class TestPullbackRoundTrip:
     def test_bijective_flow_stabilizes_with_zero_gap(self):
@@ -231,6 +299,18 @@ class TestPullbackRoundTrip:
         rep = fo.ff_pullback(fo.period_two_alternating(), 1, 8)
         assert rep.mean_matches_family
 
+    def test_word_measures_are_the_family_pulled_through_each_word(self):
+        flow = fo.period_two_alternating()
+        sol = fo.ff_esm_solve(flow)
+        rep = fo.ff_pullback(flow, 1, 5)
+        assert len(rep.word_measures) == 2**5
+        for word, mu in rep.word_measures.items():
+            assert mu == sol.at(1 - 5).pushforward(fo.compose_word_map(flow, word, -4, 1))
+
+    def test_needs_one_symbol_of_history(self):
+        with pytest.raises(ConfigError):
+            fo.ff_pullback(fo.two_state_noisy(), 0, 0)
+
 
 class TestAttractorAndSelection:
     def test_attractor_sets_flow_invariant(self):
@@ -249,6 +329,15 @@ class TestAttractorAndSelection:
         states = fo.ff_select_trajectory(flow, word, -5, [0, 2, 5])
         assert fo.ff_evolve(flow, word[5:7], 0, 2, states[0]) == states[1]
         assert fo.ff_evolve(flow, word[7:10], 2, 5, states[1]) == states[2]
+
+    def test_words_short_of_the_span_are_refused(self):
+        flow = fo.synchronizing_pair()
+        with pytest.raises(ConfigError):  # covers 2 of the 8 steps to time 4
+            fo.ff_attractor_sets(flow, (0, 1), -4, [0, 4])
+        with pytest.raises(ConfigError):  # 1 of the 4 steps to time 0
+            fo.ff_select_trajectory(flow, (1,), -4, [0])
+        with pytest.raises(ConfigError):
+            fo.ff_attractor_sets(flow, (0, 1) * 4, 0, [-1])
 
     def test_selection_requires_synchronization(self):
         flow = fo.two_state_noisy()  # bijections never synchronize
@@ -282,6 +371,30 @@ class TestLift:
         out2 = evolve(lift, om, dyadic(-3), dyadic(2), [1.0])
         assert np.array_equal(out1, out2)
         assert evolve(lift, om, dyadic(4), dyadic(4), [0.0])[0] == 0.0
+
+    def test_word_is_the_scalar_keyed_inversion(self):
+        # symbol at tau: the first whose cumulative probability is at least the
+        # uniform of key chain(seed, index, tag, tau)
+        flow = fo.FiniteFlow(3, (F(1, 5), F(0), F(4, 5)), (((1, 2, 0), (0, 0, 2), (2, 2, 1)),))
+        cum = [float(c) for c in itertools.accumulate(flow.probs)]
+        lift = fo.FiniteFlowLift(flow)
+        for om in (NoiseRealization(7, 3), NoiseRealization(-2, 40)):
+            word = lift.word_for(om, -30, 30)
+            assert all(type(s) is int for s in word)
+            for tau, sigma in zip(range(-30, 30), word, strict=True):
+                key = chain(om.master_seed, om.realization_index, fo._TAG_SYMBOL, tau)
+                u = ((key >> 11) + 0.5) * 2.0**-53
+                assert sigma == next(k for k, c in enumerate(cum) if u <= c)
+            assert set(word) == {0, 2}
+            assert lift.word_for(om, 5, 5) == ()
+
+    def test_rows_follow_the_one_composed_word(self):
+        flow = fo.period_two_alternating()
+        lift = fo.FiniteFlowLift(flow)
+        om = NoiseRealization(4, 1)
+        comp = fo.compose_word_map(flow, lift.word_for(om, -3, 4), -3, 4)
+        out = lift.evolve_batch(om, dyadic(-3), dyadic(4), np.array([[2.0], [0.0], [1.0], [2.0]]))
+        assert out[:, 0].tolist() == [comp[2], comp[0], comp[1], comp[2]]
 
     def test_mc_agrees_with_exact_kernel(self):
         flow = fo.FiniteFlow(2, (F(1, 4), F(3, 4)), (((0, 1), (1, 0)),))

@@ -8,9 +8,10 @@ Usage (from anywhere):
 For each seed given (default: 1), runs each config of ``bench/run.py``'s
 ``WORKLOADS``, parsed from the same config text the benchmark writes, and
 then each experiment kind at its default config, then ``nse`` at resolutions
-18 and 32, in this process through ``stochflow.cli.run_experiment``.  Prints
-one line per artifact: ``<sha256>  <seed> <run> <file>``, where ``<run>`` is
-``<workload>[<i>]``, ``default:<kind>`` or ``nse:resolution=<n>``, and
+18 and 32, then ``oracle`` at depth 16, in this process through
+``stochflow.cli.run_experiment``.  Prints one line per artifact:
+``<sha256>  <seed> <run> <file>``, where ``<run>`` is ``<workload>[<i>]``,
+``default:<kind>``, ``nse:resolution=<n>`` or ``oracle:depth=<d>``, and
 ``<file>`` is ``summary.json`` or a table, named as ``--out`` would write
 them.  Two trees print the same lines exactly when every artifact keeps its
 bytes, so ``diff`` of two outputs is the check.
@@ -36,10 +37,12 @@ _spec.loader.exec_module(bench_run)
 
 # nse grids the benchmark does not run: at 18 the n**2 scalings are inexact, 32 is larger
 NSE_RESOLUTIONS = (18, 32)
+# the oracle at the enumeration limit, 2**16 words: its deepest history walk
+ORACLE_DEPTH = 16
 
 
 def runs(seed: int):
-    """(label, config) for each run at ``seed``: the benchmark's, the defaults, larger grids."""
+    """(label, config) for each run at ``seed``: the benchmark's, the defaults, larger sizes."""
     for name, cfgs in bench_run.WORKLOADS.items():
         for i, cfg in enumerate(cfgs):
             yield f"{name}[{i}]", cli.parse_config_text(bench_run.config_text(cfg, seed))
@@ -47,6 +50,7 @@ def runs(seed: int):
         yield f"default:{kind}", {"kind": kind, "seed": seed}
     for res in NSE_RESOLUTIONS:
         yield f"nse:resolution={res}", {"kind": "nse", "seed": seed, "resolution": res}
+    yield f"oracle:depth={ORACLE_DEPTH}", {"kind": "oracle", "seed": seed, "depth": ORACLE_DEPTH}
 
 
 def digests(seed: int):
