@@ -57,9 +57,13 @@ class PullbackSchedule:
     @classmethod
     def geometric(cls, anchor: DyadicTime, count: int, coeff: DyadicTime | int = 1,
                   tol: float = DEFAULT_TOL) -> "PullbackSchedule":
-        """Starts anchor - coeff * 2**k for k = 0 .. count-1."""
+        """Starts anchor - coeff * 2**k for k = 0 .. count-1.  The deepest
+        lies less than 2**1024 (the float range) before the anchor; a count
+        past that is refused before any start is built."""
         if isinstance(coeff, int):
             coeff = dyadic(coeff)
+        if coeff.numerator.bit_length() - coeff.level + count - 1 > 1024:
+            raise ConfigError(f"{count} starts reach past the float range before the anchor")
         starts = tuple(anchor - DyadicTime(coeff.numerator << k, coeff.level)
                        for k in range(count))
         return cls(anchor, starts, tol)

@@ -1,31 +1,10 @@
-from .linear import FourierForcing, LinearDrift, LinearOUModel
-from .em import EMModel
-from .nse import (
-    NSEConfig,
-    NSEModel,
-    SpectralGrid,
-    bilinear_b,
-    energy_diagnostics,
-    estimate_beta,
-    leray_project,
-    random_divfree,
-    shear_mode,
-    taylor_green,
-)
+"""Flow models; each public name imports its module on first access."""
 
-__all__ = [
-    "FourierForcing",
-    "LinearDrift",
-    "LinearOUModel",
-    "EMModel",
-    "NSEConfig",
-    "NSEModel",
-    "SpectralGrid",
-    "bilinear_b",
-    "energy_diagnostics",
-    "estimate_beta",
-    "leray_project",
-    "random_divfree",
-    "shear_mode",
-    "taylor_green",
-]
+from .. import _exports
+
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    "linear": ("FourierForcing", "LinearDrift", "LinearOUModel"),
+    "em": ("EMModel",),
+    "nse": ("NSEConfig", "NSEModel", "SpectralGrid", "bilinear_b", "energy_diagnostics",
+            "estimate_beta", "leray_project", "random_divfree", "shear_mode", "taylor_green"),
+})

@@ -18,7 +18,7 @@ import numpy as np
 from ..dyadic import DyadicTime
 from ..errors import ConfigError
 from ..flow_core import FlowModelBase, checked_grid_level
-from ..wiener import increment_rows, increments
+from ..wiener import _check_horizon, increment_rows, increments
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ class LinearOUModel(FlowModelBase):
         and s < t."""
         if s == t:
             return np.array(states, dtype=float)
+        for end in (s, t):  # before the grid: a span past the horizon is refused, not allocated
+            _check_horizon(end)
         lv = self.grid_level
         h = 2.0**-lv
         grid = np.arange(s.at_level(lv), t.at_level(lv) + 1, dtype=np.float64) * h

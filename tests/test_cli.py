@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -11,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import stochflow
+import stochflow.models
 from stochflow import cli, esm, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
 from stochflow.dyadic import DyadicTime
 from stochflow.keyed import chain, chain_offsets
+from stochflow.runners import noise as noise_runner, oracle as oracle_runner
 from test_golden_artifacts import CONFIGS as GOLDEN_CONFIGS
 from test_measure import _old_distance_1d, _table_rows
 
@@ -45,6 +49,69 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# the stochflow modules that validating each kind's config loads, beyond the
+# package, ``cli``, ``errors`` and ``dyadic`` that ``import stochflow.cli`` loads
+_PATHS = {"runners", "keyed", "wiener"}
+_ESTIMATORS = _PATHS | {"flow_core", "measure", "esm"}
+_SETUP_MODULES = {
+    "noise": _PATHS | {"runners.noise"},
+    "pullback": _ESTIMATORS | {"models", "models.linear", "runners.linear"},
+    "attractor": _ESTIMATORS | {"runners.attractor"},
+    "esm-verify": _ESTIMATORS | {"models", "models.linear", "runners.linear"},
+    "oracle": _PATHS | {"flow_core", "finite_oracle", "runners.oracle"},
+    "nse": _PATHS | {"flow_core", "models", "models.nse", "runners.nse"},
+    "counterexamples": _PATHS | {"flow_core", "finite_oracle", "runners.oracle"},
+}
+_LOADED = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("stochflow", "scipy"))
+import stochflow.cli as cli
+at_import = loaded()
+cfg = json.loads(sys.argv[1])
+assert cli.validate_config(cfg) is None
+at_setup = loaded()
+cli.run_experiment(cfg)
+print(json.dumps([at_import, at_setup, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(_SETUP_MODULES))
+def test_setup_loads_the_kinds_modules_and_the_run_loads_none(kind):
+    # ``dyadic`` loads with the package: its function of the same name must
+    # stay the package's attribute, which importing the submodule would rebind
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cfg = {"kind": kind, "seed": 1, **_TINY[kind]}
+    if kind == "esm-verify":  # at depth 2 the probes do not collapse, and the run is refused
+        cfg["depth"] = 7
+    run = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(cfg)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    at_import, at_setup, after_run = json.loads(run.stdout)
+    base = {"stochflow", "stochflow.cli", "stochflow.errors", "stochflow.dyadic"}
+    assert set(at_import) == base
+    assert {m for m in at_setup if m.startswith("stochflow")} == \
+        base | {f"stochflow.{m}" for m in _SETUP_MODULES[kind]}
+    assert after_run == at_setup
+
+
+def test_package_names_resolve_on_first_use():
+    for package in (stochflow, stochflow.models):
+        assert len(set(package.__all__)) == len(package.__all__)
+        listed = dir(package)
+        for name in package.__all__:
+            value = getattr(package, name)
+            assert name in listed
+            home = getattr(value, "__module__", None)
+            if home is not None:
+                assert getattr(sys.modules[home], name) is value, name
+        with pytest.raises(AttributeError):
+            getattr(package, "no_such_name")
+    assert stochflow.dyadic(3) == stochflow.DyadicTime(3)
+    assert stochflow.HORIZON == wiener.HORIZON
 
 
 def test_layer_tracer_finds_every_name_it_wraps():
@@ -216,7 +283,7 @@ def test_noise_ou_points_fill_each_interval_once():
         return out
 
     cfg = {"kind": "noise", "seed": 1, "ensemble": 300, "intervals": 200}
-    with mock.patch.object(cli, "ou_grid", side_effect=ou_grid) as ou:
+    with mock.patch.object(noise_runner, "ou_grid", side_effect=ou_grid) as ou:
         run_experiment(cfg)
     assert ou.call_count == 1
     filled = Counter((o, n, c.args[4]) for c in fills for o in c.args[0]
@@ -234,7 +301,7 @@ def test_refinement_pairs_match_per_interval_queries(intervals):
     lvs = np.concatenate((keys[:, 0] % 10, [0, 0, 9, 9]))
     starts = np.concatenate(((keys[:, 1] % 1024).astype(np.int64) - 512, [-512, 511] * 2))
     omega = wiener.NoiseRealization(1, 0)
-    coarse, children = cli._refinement_pairs(omega, lvs, starts)
+    coarse, children = noise_runner._refinement_pairs(omega, lvs, starts)
     for lv, k, got, halves in zip(map(int, lvs), map(int, starts), coarse, children):
         s, e = DyadicTime(k, lv), DyadicTime(k + 1, lv)
         assert got == wiener.increments(omega, 0, s, e, lv)[0]
@@ -247,7 +314,7 @@ def test_unexpected_error_exits_3_with_one_stderr_line(tmp_path, capsys):
         raise RuntimeError("boom")
 
     path = _write(tmp_path, "run.cfg", "kind = oracle\nseed = 1\n")
-    with mock.patch.dict(cli._RUNNERS, {"oracle": broken}):
+    with mock.patch.object(oracle_runner, "run_oracle", broken):
         assert main(["--config", path]) == 3
         with pytest.raises(RuntimeError):  # Python callers still get the exception
             run_experiment({"kind": "oracle", "seed": 1})
@@ -346,6 +413,14 @@ _BAD_SIZES = [
     ("esm-verify", "anchor = 70000", "anchor"),
     # absorbing.csv would hold the repeated row twice
     ("nse", "lookbacks = 4,4,2", "lookbacks"),
+    # a sample variance of one draw
+    ("noise", "ensemble = 1", "ensemble"),
+    # a span past the path horizon, refused before the linear model's grid
+    ("pullback", f"schedule.coeff = {2**63}", "schedule.coeff"),
+    ("pullback", f"schedule.coeff = {10**30}", "schedule.coeff"),
+    ("pullback", f"anchor = {10**30}", "anchor"),
+    # a deepest start past the float range
+    ("attractor", "schedule.depth = 1025", "schedule.depth"),
 ]
 
 
@@ -354,6 +429,35 @@ _BAD_SIZES = [
     f"{line}-{key}" if kind == "nse" else f"{kind}-{line}-{key}" for kind, line, key in _BAD_SIZES])
 def test_bad_nse_sizes_exit_2(tmp_path, capsys, kind, line, key):
     _assert_rejected(tmp_path, capsys, kind, line, key)
+
+
+def test_esm_verify_takes_an_ensemble_of_one(tmp_path, capsys):
+    # noise refuses one realization; esm-verify's checks need no sample variance
+    path = _write(tmp_path, "run.cfg", "kind = esm-verify\nseed = 1\nensemble = 1\n"
+                  "particles = 20\ndepth = 6\n")
+    assert main(["--config", path]) in (0, 1)
+    assert capsys.readouterr().err.startswith("# wall-clock")
+
+
+def _address_space_limit():
+    limit = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("kind, key, val", [("esm-verify", "depth", 2**63),
+                                            ("pullback", "schedule.depth", 10**12),
+                                            ("attractor", "schedule.depth", 10**12)])
+def test_huge_depth_is_refused_before_any_start_is_built(tmp_path, kind, key, val):
+    # one start per unit of depth would exhaust memory first; the child runs
+    # under an address-space limit, so a regression fails here as exit 3
+    path = _write(tmp_path, "run.cfg", f"kind = {kind}\nseed = 1\n{key} = {val}\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = subprocess.run([sys.executable, "-m", "stochflow.cli", "--config", path],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120, preexec_fn=_address_space_limit)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert f"{key!r} = {val}" in run.stderr
 
 
 @pytest.mark.parametrize("key", ["forcing_amp", "noise_amp"])
