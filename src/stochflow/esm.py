@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import DyadicTime, dyadic
-from .errors import ConfigError, DivergenceError, UnsupportedCaseError
+from .errors import ConfigError, DivergenceError, StateError, UnsupportedCaseError
 from .flow_core import (
     BoundedFunction,
     FlowModelBase,
@@ -226,38 +226,36 @@ def pullback_attractor(
     seed_boxes: Sequence[np.ndarray],
     schedule: PullbackSchedule,
 ) -> AttractorCloud:
-    """Push seed clouds from ever earlier starts; accumulate their images and
-    stop once fresh images add nothing beyond the tolerance, twice in a row.
+    """Push the seed boxes from ever earlier starts, one ``evolve_batch`` of
+    their union per start; accumulate the images and stop once fresh images
+    add nothing beyond the tolerance, twice in a row.
 
     The retained particle set is the image from the deepest start used, which
-    approximates the attracting set at the anchor.
+    approximates the attracting set at the anchor; the seed set itself if the
+    flow blows up from the first start.
     """
     boxes = [np.atleast_2d(np.asarray(b, float)) for b in seed_boxes]
     if not boxes or any(b.shape[0] == 0 for b in boxes):
         raise ConfigError("seed boxes must be nonempty")
-    accumulated = None
-    current = None
-    history: list[float] = []
-    hits = 0
+    if len({b.shape[1:] for b in boxes}) > 1:
+        raise StateError(f"seed boxes must share one state dimension, got {[b.shape for b in boxes]}")
+    seeds = np.concatenate(boxes)
+    cloud, accumulated, history = seeds, None, []
     for s in schedule.starts:
         try:
-            images = [evolve_batch(model, omega, s, t, b) for b in boxes]
+            cloud = evolve_batch(model, omega, s, t, seeds)
         except DivergenceError:
-            return AttractorCloud(t, current if current is not None else boxes[0],
-                                  history, converged=False)
-        current = np.concatenate(images)
-        if not np.all(np.isfinite(current)) or np.max(np.abs(current)) > 1e12:
-            return AttractorCloud(t, current, history, converged=False)
-        if accumulated is not None:
-            semi = hausdorff_semidistance(current, accumulated)
-            history.append(semi)
-            hits = hits + 1 if semi < schedule.tol else 0
-            if hits >= 2:
-                return AttractorCloud(t, current, history, converged=True)
-            accumulated = np.concatenate([accumulated, current])
-        else:
-            accumulated = current
-    return AttractorCloud(t, current, history, converged=False)
+            break
+        if not np.all(np.isfinite(cloud)) or np.max(np.abs(cloud)) > 1e12:
+            break
+        if accumulated is None:
+            accumulated = cloud
+            continue
+        history.append(hausdorff_semidistance(cloud, accumulated))
+        if len(history) >= 2 and all(h < schedule.tol for h in history[-2:]):
+            return AttractorCloud(t, cloud, history, converged=True)
+        accumulated = np.concatenate([accumulated, cloud])
+    return AttractorCloud(t, cloud, history, converged=False)
 
 
 def attractor_invariance_residual(

@@ -22,7 +22,8 @@ from stochflow.measure import (
     distance,
     gaussian_draw,
 )
-from stochflow.models import EMModel, FourierForcing, LinearDrift, LinearOUModel
+from stochflow.models.em import EMModel
+from stochflow.models.linear import FourierForcing, LinearDrift, LinearOUModel
 from stochflow.models import nse as nm
 from stochflow.models.nse import NSEModel, default_nse_config
 from stochflow.wiener import (

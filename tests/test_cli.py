@@ -1,4 +1,5 @@
 import filecmp
+import importlib.util
 import json
 import os
 import resource
@@ -12,8 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import stochflow
-import stochflow.models
 from stochflow import cli, esm, wiener
 from stochflow.cli import main, parse_config_text, run_experiment, validate_config
 from stochflow.dyadic import DyadicTime
@@ -52,8 +51,8 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 
 # the stochflow modules that validating each kind's config loads, beyond the
-# package, ``cli``, ``errors`` and ``dyadic`` that ``import stochflow.cli`` loads
-_PATHS = {"runners", "keyed", "wiener"}
+# package, ``cli`` and ``errors`` that ``import stochflow.cli`` loads
+_PATHS = {"runners", "dyadic", "keyed", "wiener"}
 _ESTIMATORS = _PATHS | {"flow_core", "measure", "esm"}
 _SETUP_MODULES = {
     "noise": _PATHS | {"runners.noise"},
@@ -80,8 +79,6 @@ print(json.dumps([at_import, at_setup, loaded()]))
 
 @pytest.mark.parametrize("kind", sorted(_SETUP_MODULES))
 def test_setup_loads_the_kinds_modules_and_the_run_loads_none(kind):
-    # ``dyadic`` loads with the package: its function of the same name must
-    # stay the package's attribute, which importing the submodule would rebind
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     cfg = {"kind": kind, "seed": 1, **_TINY[kind]}
     if kind == "esm-verify":  # at depth 2 the probes do not collapse, and the run is refused
@@ -91,27 +88,11 @@ def test_setup_loads_the_kinds_modules_and_the_run_loads_none(kind):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     at_import, at_setup, after_run = json.loads(run.stdout)
-    base = {"stochflow", "stochflow.cli", "stochflow.errors", "stochflow.dyadic"}
+    base = {"stochflow", "stochflow.cli", "stochflow.errors"}
     assert set(at_import) == base
     assert {m for m in at_setup if m.startswith("stochflow")} == \
         base | {f"stochflow.{m}" for m in _SETUP_MODULES[kind]}
     assert after_run == at_setup
-
-
-def test_package_names_resolve_on_first_use():
-    for package in (stochflow, stochflow.models):
-        assert len(set(package.__all__)) == len(package.__all__)
-        listed = dir(package)
-        for name in package.__all__:
-            value = getattr(package, name)
-            assert name in listed
-            home = getattr(value, "__module__", None)
-            if home is not None:
-                assert getattr(sys.modules[home], name) is value, name
-        with pytest.raises(AttributeError):
-            getattr(package, "no_such_name")
-    assert stochflow.dyadic(3) == stochflow.DyadicTime(3)
-    assert stochflow.HORIZON == wiener.HORIZON
 
 
 def test_layer_tracer_finds_every_name_it_wraps():
@@ -122,6 +103,20 @@ def test_layer_tracer_finds_every_name_it_wraps():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_seed_sweep_ratio_is_the_distance_from_the_target():
+    # a two-sided check that records no target is centred at 0: its ratio is a magnitude
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "seed_sweep.py")
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.ratio(cli.Verdict("corr", False, -0.125, 0.0625)) == 2.0
+    assert sweep.ratio(cli.Verdict("corr", True, 0.03125, 0.0625)) == 0.5
+    assert sweep.ratio(cli.Verdict("band", True, 0.75, 0.5, target=1.0)) == 0.5
+    assert sweep.ratio(cli.Verdict("band", False, 2.0, 0.5, target=1.0)) == 2.0
+    assert sweep.ratio(cli.Verdict("flag", True)) is None
+    assert sweep.ratio(cli.Verdict("zero", True, 1.0, 0.0)) is None
 
 
 def test_parse_config_text():

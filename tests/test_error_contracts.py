@@ -35,7 +35,7 @@ from stochflow.flow_core import (
 )
 from stochflow.measure import (EmpiricalMeasure, GaussianFamily, expect, gaussian_draw, mixture,
                                pushforward)
-from stochflow.models import LinearOUModel
+from stochflow.models.linear import LinearOUModel
 from stochflow.wiener import NoiseRealization, OUConfig, RealizationStream
 
 OM = NoiseRealization(1, 0)

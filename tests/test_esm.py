@@ -9,7 +9,8 @@ from scipy.spatial.distance import cdist
 
 from stochflow import wiener
 from stochflow.dyadic import DyadicTime, dyadic
-from stochflow.errors import AlignmentError, ConfigError, OrderingError, UnsupportedCaseError
+from stochflow.errors import (AlignmentError, ConfigError, OrderingError, StateError,
+                             UnsupportedCaseError)
 from stochflow.esm import (
     AttractorCloud,
     PullbackSchedule,
@@ -44,7 +45,9 @@ from stochflow.measure import (
     gaussian_draw,
     mixture,
 )
-from stochflow.models import FourierForcing, LinearOUModel, linear
+from stochflow.models import linear
+from stochflow.models.em import EMModel
+from stochflow.models.linear import FourierForcing, LinearOUModel
 from stochflow.wiener import NoiseRealization, RealizationStream
 
 OM = NoiseRealization(314, 0)
@@ -190,6 +193,26 @@ class TestAttractor:
         box = np.linspace(-1, 1, 9)[:, None]
         cloud = pullback_attractor(model, OM, T0, [box], _schedule(coeff=1))
         assert not cloud.converged
+
+    def test_blow_up_at_the_first_start_keeps_every_seed(self):
+        # the flow diverges from the first start: the cloud is the whole seed set
+        model = EMModel(lambda t, x: 100.0 * x, [[0.0]], grid_level=4, guard=1e6)
+        boxes = [np.array([[1.0], [2.0]]), np.array([[3.0], [4.0], [5.0]])]
+        cloud = pullback_attractor(model, OM, T0, boxes, _schedule(coeff=1))
+        assert not cloud.converged and cloud.history == []
+        assert cloud.particles.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0]]
+
+    def test_seed_union_images_match_per_box_images(self):
+        # one evolve_batch of the union keeps each box's bits
+        model = _linear()
+        boxes = [np.linspace(-1, 1, 17)[:, None], np.linspace(2, 3, 5)[:, None]]
+        sched = _schedule(coeff=2)
+        cloud = pullback_attractor(model, OM, T0, boxes, sched)
+        deepest = sched.starts[len(cloud.history)]
+        per_box = np.concatenate([evolve_batch(model, OM, deepest, T0, b) for b in boxes])
+        assert np.array_equal(cloud.particles, per_box)
+        with pytest.raises(StateError):
+            pullback_attractor(model, OM, T0, [boxes[0], np.zeros((2, 2))], sched)
 
     def test_invariance_identity_exact_zero(self):
         cloud = AttractorCloud(T0, np.array([[0.0], [1.0]]), [], converged=True)
@@ -399,6 +422,16 @@ class TestEsmMeanResidual:
         rho = gaussian_draw(0.0, 1.0, 64, salt=11)
         fam = RandomMeasure({i: rho for i in range(5)}, 5)
         assert distance(esm_mean(fam), rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_of_diracs_is_the_equal_weight_measure_bitwise(self):
+        # esm-verify's periodicity check reuses the mean measure for this one
+        for n in [*range(1, 61), 97, 400, 1000, 4096]:
+            points = gaussian_draw(0.3, 1.7, n, salt=n).particles[:, 0]
+            mean = esm_mean(RandomMeasure(
+                {i: EmpiricalMeasure.dirac([points[i]]) for i in range(n)}, n))
+            equal = EmpiricalMeasure.equal_weight(points[:, None])
+            assert mean.particles.tobytes() == equal.particles.tobytes(), n
+            assert mean.weights.tobytes() == equal.weights.tobytes(), n
 
     def test_identity_flow_nonuniqueness_mean(self):
         # two-point mixtures with weights alpha / 1-alpha on two halves of the

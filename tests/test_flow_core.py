@@ -18,7 +18,8 @@ from stochflow.flow_core import (
     markov_apply,
     tanh_coordinate,
 )
-from stochflow.models import EMModel, FourierForcing, LinearDrift, LinearOUModel
+from stochflow.models.em import EMModel
+from stochflow.models.linear import FourierForcing, LinearDrift, LinearOUModel
 from stochflow.wiener import NoiseRealization, RealizationStream
 
 OM = NoiseRealization(17, 0)

@@ -5,7 +5,8 @@ import scipy.integrate
 from stochflow.dyadic import dyadic
 from stochflow.errors import DivergenceError
 from stochflow.flow_core import evolve, evolve_batch, evolve_ensemble
-from stochflow.models import EMModel, FourierForcing, LinearDrift, LinearOUModel
+from stochflow.models.em import EMModel
+from stochflow.models.linear import FourierForcing, LinearDrift, LinearOUModel
 from stochflow import wiener
 from stochflow.wiener import NoiseRealization, increments
 

@@ -14,10 +14,11 @@ every workload.  The last argument is N (default 20): each config runs at
 seeds 1..N, in this process through ``stochflow.cli.run_experiment``.
 
 Prints one table per config: for each verdict, the number of seeds where it
-failed, and the min, median and max over the seeds of its value over its
-threshold; for a band check (a verdict with a target) that is
-|value - target| over the half-width.  Most checks pass at a ratio of at
-most 1; one that passes above its threshold, such as
+failed, and the min, median and max over the seeds of |value - target| over
+its threshold, with target 0 where the verdict records none: for a band check
+that is the distance from the centre over the half-width, for a check of
+|value| <= threshold the magnitude over the threshold.  Most checks pass at a
+ratio of at most 1; one that passes above its threshold, such as
 ``esm.residual_rejects_wrong_family``, passes at a ratio above 1.  A ratio is
 ``-`` where a verdict has no numeric value or a zero threshold.  A seed whose
 run is refused (exit 2) counts on a ``refused`` row.  Nothing here changes a
@@ -55,16 +56,15 @@ def configs(target: str):
 
 
 def ratio(verdict) -> float | None:
-    """Value over threshold; for a band, distance from the target over the half-width."""
+    """|value - target| over threshold, target 0 where none is recorded."""
     try:
         value, threshold = float(verdict.value), float(verdict.threshold)
     except (TypeError, ValueError):
         return None
     if threshold == 0:
         return None
-    if verdict.target is not None:
-        return abs(value - float(verdict.target)) / threshold
-    return value / threshold
+    target = 0.0 if verdict.target is None else float(verdict.target)
+    return abs(value - target) / threshold
 
 
 def sweep(make, n: int) -> tuple[dict, int]:
