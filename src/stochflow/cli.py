@@ -238,12 +238,21 @@ def run_experiment(cfg: dict) -> RunReport:
 
 
 def write_outputs(report: RunReport, out_dir: str):
+    """Write the tables, then ``summary.json``.  Each file goes to a temporary
+    name in ``out_dir`` and is renamed onto its target, so a failed write
+    leaves every file whole: its new bytes or its old ones."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        fh.write(report.summary_json())
-    for name, content in sorted(report.tables.items()):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(content)
+    for name, content in [*sorted(report.tables.items()), ("summary.json", report.summary_json())]:
+        target = os.path.join(out_dir, name)
+        tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(content)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 def main(argv=None) -> int:

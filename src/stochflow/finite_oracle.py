@@ -5,10 +5,14 @@ equality, never a tolerance.  Noise symbols are i.i.d. across time steps, so
 past- and future-generated information are independent by construction, and
 the one-step kernels compose exactly as matrix products.
 
-The pushforward, the pullback and the martingale check read one enumeration
-of the words that end at an anchor, ``history_walk``; every other word goes
-through one forward composition, ``compose_word_map``, which refuses a word
-too short for its span.
+Every exact average is one of two sums: ``_mix``, the weighted sum of rows
+coordinate by coordinate (kernel rows, kernel products, transported and mean
+measures), and ``ExactMeasure.integral``, the integral of a function given
+state by state.  Every enumeration of words passes one limit check,
+``_check_words``, before it builds a word.  The pushforward, the pullback and
+the martingale check read one enumeration of the words that end at an anchor,
+``history_walk``; every other word goes through one forward composition,
+``compose_word_map``, which refuses a word too short for its span.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -36,6 +41,11 @@ _TAG_SYMBOL = 0x53594D42
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+def _mix(weights, rows) -> tuple:
+    """sum_i weights[i] * rows[i], coordinate by coordinate, exactly."""
+    return tuple(sum(map(mul, weights, column), ZERO) for column in zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,11 @@ class ExactMeasure:
     def tv_distance(self, other: "ExactMeasure") -> Fraction:
         return sum((abs(a - b) for a, b in zip(self.masses, other.masses)), ZERO) / 2
 
+    def integral(self, f) -> Fraction:
+        """sum_x f[x] * masses[x] for f given state by state: exact for
+        Fraction or int values."""
+        return sum(map(mul, self.masses, f), ZERO)
+
 
 def compose_word_map(flow: FiniteFlow, word, s: int, t: int) -> tuple:
     """State map of the word's first t - s symbols, applied at times s, ..., t - 1."""
@@ -121,6 +136,18 @@ def ff_evolve(flow: FiniteFlow, word, s: int, t: int, state: int) -> int:
     return compose_word_map(flow, word, s, t)[state]
 
 
+def _check_words(flow: FiniteFlow, depth: int) -> None:
+    """Refuse a negative depth, or more than ``ENUMERATION_LIMIT`` words of
+    ``depth`` symbols, before any word is built."""
+    if depth < 0:
+        raise ConfigError(f"history depth {depth} is negative")
+    # the power is capped: n**17 > 2**16 for every n >= 2
+    if flow.n_symbols ** min(depth, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {ENUMERATION_LIMIT}"
+        )
+
+
 def history_walk(flow: FiniteFlow, t: int, depth: int, value=lambda length, comp: None):
     """Every word of at most ``depth`` symbols that ends at time t, depth first.
 
@@ -129,13 +156,7 @@ def history_walk(flow: FiniteFlow, t: int, depth: int, value=lambda length, comp
     Yields ``(word, comp, val, children)``, children being the ``(word, comp,
     val)`` of its one-symbol extensions in symbol order, none at ``depth``.
     """
-    if depth < 0:
-        raise ConfigError(f"history depth {depth} is negative")
-    # the power is capped: n**17 > 2**16 for every n >= 2
-    if flow.n_symbols ** min(depth, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{flow.n_symbols}**{depth} words exceed the enumeration limit {ENUMERATION_LIMIT}"
-        )
+    _check_words(flow, depth)
     identity = tuple(range(flow.n_states))
     stack = [((), identity, value(0, identity))]
     while stack:
@@ -150,40 +171,33 @@ def history_walk(flow: FiniteFlow, t: int, depth: int, value=lambda length, comp
         yield word, comp, val, children
 
 
+def _points(n_states: int) -> tuple:
+    """The point masses as rows: the identity kernel."""
+    return tuple(ExactMeasure.point(n_states, x).masses for x in range(n_states))
+
+
 def one_step_kernel(flow: FiniteFlow, time_index: int) -> tuple:
-    """Row-stochastic transition matrix of the step at ``time_index``."""
-    n = flow.n_states
-    rows = []
-    for x in range(n):
-        row = [ZERO] * n
-        for sigma, p in enumerate(flow.probs):
-            row[flow.step_map(time_index, sigma)[x]] += p
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Row-stochastic transition matrix of the step at ``time_index``: row x
+    mixes the point masses at x's images by the symbol probabilities."""
+    points = _points(flow.n_states)
+    maps = [flow.step_map(time_index, sigma) for sigma in range(flow.n_symbols)]
+    return tuple(_mix(flow.probs, [points[m[x]] for m in maps]) for x in range(flow.n_states))
 
 
 def kernel_product(a: tuple, b: tuple) -> tuple:
-    """(a b)[x][y] = sum_z a[x][z] b[z][y]: transport by a, then by b."""
-    n = len(a)
-    return tuple(
-        tuple(sum((a[x][z] * b[z][y] for z in range(n)), ZERO) for y in range(n))
-        for x in range(n)
-    )
+    """(a b)[x] = sum_z a[x][z] b[z]: transport by a, then by b."""
+    return tuple(_mix(row, b) for row in a)
 
 
 def kernel_between(flow: FiniteFlow, s: int, t: int) -> tuple:
-    n = flow.n_states
-    out = tuple(tuple(ONE if x == y else ZERO for y in range(n)) for x in range(n))
+    out = _points(flow.n_states)
     for tau in range(s, t):
         out = kernel_product(out, one_step_kernel(flow, tau))
     return out
 
 
 def apply_kernel(mu: ExactMeasure, kernel: tuple) -> ExactMeasure:
-    n = len(kernel)
-    return ExactMeasure(
-        tuple(sum((mu.masses[x] * kernel[x][y] for x in range(n)), ZERO) for y in range(n))
-    )
+    return ExactMeasure(_mix(mu.masses, kernel))
 
 
 def chapman_check(flow: FiniteFlow, s: int, t: int, u: int) -> bool:
@@ -229,51 +243,35 @@ def _closed_classes(kernel: tuple) -> list:
     for z in range(n):
         for x in range(n):
             if reach[x][z]:
-                row_z = reach[z]
-                row_x = reach[x]
-                for y in range(n):
-                    if row_z[y]:
-                        row_x[y] = True
-    classes = []
-    seen = [False] * n
-    for x in range(n):
-        if seen[x]:
-            continue
-        cls = [y for y in range(n) if reach[x][y] and reach[y][x]]
-        for y in cls:
-            seen[y] = True
-        closed = all(not kernel[y][z] > 0 or z in cls for y in cls for z in range(n))
-        if closed:
-            classes.append(tuple(cls))
-    return classes
+                reach[x] = [a or b for a, b in zip(reach[x], reach[z])]
+    # each communicating class once, in order of its least state
+    classes = dict.fromkeys(tuple(y for y in range(n) if reach[x][y] and reach[y][x])
+                            for x in range(n))
+    return [cls for cls in classes
+            if all(not kernel[y][z] > 0 or z in cls for y in cls for z in range(n))]
 
 
 def _solve_stationary(kernel: tuple, support: tuple) -> ExactMeasure:
     """Unique stationary row vector of an irreducible kernel restricted to
     ``support`` (exact Gaussian elimination)."""
     m = len(support)
-    idx = {x: i for i, x in enumerate(support)}
-    # Equations: sum_x pi_x (K[x][y] - delta_xy) = 0 for y, replaced last by sum = 1.
-    a = [[kernel[x][y] - (ONE if x == y else ZERO) for x in support] for y in support]
-    a[m - 1] = [ONE] * m
-    b = [ZERO] * (m - 1) + [ONE]
+    # Equations: sum_x pi_x (K[x][y] - delta_xy) = 0 for y, replaced last by
+    # sum = 1; each row ends with its right-hand side.
+    a = [tuple(kernel[x][y] - (ONE if x == y else ZERO) for x in support) + (ZERO,)
+         for y in support]
+    a[m - 1] = (ONE,) * (m + 1)
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:
             raise ConfigError("kernel restriction is not irreducible")
         a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = b[col] * inv
+        a[col] = _mix((1 / a[col][col],), (a[col],))
         for r in range(m):
             if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                b[r] = b[r] - factor * b[col]
+                a[r] = _mix((ONE, -a[r][col]), (a[r], a[col]))
     masses = [ZERO] * len(kernel)
-    for x in support:
-        masses[x] = b[idx[x]]
+    for x, row in zip(support, a):
+        masses[x] = row[m]
     return ExactMeasure(tuple(masses))
 
 
@@ -295,11 +293,10 @@ def ff_esm_solve(flow: FiniteFlow) -> EsmSolution:
         if all(len(c) == 1 for c in classes) and len(classes) == flow.n_states:
             note = "identity-like period map: the full simplex is stationary; " + note
         return EsmSolution(False, None, extremes, note)
-    rho0 = extremes[0]
-    family = [rho0]
-    for k in range(flow.period - 1):
+    family = [extremes[0]]
+    for k in range(flow.period):
         family.append(apply_kernel(family[-1], one_step_kernel(flow, k)))
-    if apply_kernel(family[-1], one_step_kernel(flow, flow.period - 1)) != rho0:
+    if family.pop() != family[0]:
         raise AssertionError("period map stationarity failed to propagate")
     return EsmSolution(True, tuple(family), extremes, "unique stationary vector")
 
@@ -331,48 +328,43 @@ def conditional_expectation_check(
     averaged measure, exactly.
     """
     probs = tuple(Fraction(p) for p in outcome_probs)
-    if sum(probs, ZERO) != ONE:
-        raise ConfigError("outcome probabilities must sum to 1 exactly")
-    n_out = len(probs)
+    if sum(probs, ZERO) != ONE or any(p < 0 for p in probs):
+        raise ConfigError("outcome probabilities must be nonnegative and sum to 1 exactly")
     covered = sorted(w for block in partition for w in block)
-    if covered != list(range(n_out)):
+    if covered != list(range(len(probs))):
         raise ConfigError("partition must be disjoint and exhaustive")
-    n_pts = len(measures[0].masses)
-    rho = [sum((probs[w] * measures[w].masses[x] for w in range(n_out)), ZERO)
-           for x in range(n_pts)]
-    # Mean-independence precondition, block by block.
+    rho = ExactMeasure(_mix(probs, [mu.masses for mu in measures]))
+    # Mean-independence precondition, every block before any integrand is read.
+    laws = []  # the outcome law given each block; None on a null block
     for b_idx, block in enumerate(partition):
         p_block = sum((probs[w] for w in block), ZERO)
-        if p_block == 0:
-            continue
-        for x in range(n_pts):
-            cond = sum((probs[w] * measures[w].masses[x] for w in block), ZERO) / p_block
-            if cond != rho[x]:
-                return ConditionalExpectationReport(
-                    Fraction(0), (), independence_ok=False, failing_block=b_idx
-                )
+        law = ExactMeasure(tuple(probs[w] / p_block for w in block)) if p_block else None
+        if law is not None and (_mix(law.masses, [measures[w].masses for w in block])
+                                != rho.masses):
+            return ConditionalExpectationReport(
+                Fraction(0), (), independence_ok=False, failing_block=b_idx
+            )
+        laws.append(law)
     residuals = []
-    for b_idx, block in enumerate(partition):
-        p_block = sum((probs[w] for w in block), ZERO)
-        if p_block == 0:
+    for b_idx, (block, law) in enumerate(zip(partition, laws)):
+        if law is None:
             residuals.append(ZERO)
             continue
-        ref = block[0]
-        for w in block:
-            if f_table[w] != f_table[ref]:
-                raise MeasurabilityError(
-                    f"integrand is not constant on block {b_idx}", block=b_idx
-                )
-        lhs = sum(
-            (probs[w] * sum((Fraction(f_table[w][x]) * measures[w].masses[x]
-                             for x in range(n_pts)), ZERO) for w in block),
-            ZERO,
-        ) / p_block
-        rhs = sum((Fraction(f_table[ref][x]) * rho[x] for x in range(n_pts)), ZERO)
-        residuals.append(abs(lhs - rhs))
+        if any(f_table[w] != f_table[block[0]] for w in block):
+            raise MeasurabilityError(
+                f"integrand is not constant on block {b_idx}", block=b_idx
+            )
+        f = tuple(map(Fraction, f_table[block[0]]))
+        lhs = law.integral([measures[w].integral(f) for w in block])
+        residuals.append(abs(lhs - rho.integral(f)))
     return ConditionalExpectationReport(
         max(residuals) if residuals else ZERO, tuple(residuals), True
     )
+
+
+def _word_prob(flow: FiniteFlow, word) -> Fraction:
+    """Probability of drawing the word's symbols, i.i.d. across steps."""
+    return math.prod(map(flow.probs.__getitem__, word), start=ONE)
 
 
 def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_seed: int = 5):
@@ -381,26 +373,20 @@ def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_
     before it, so mean-independence holds by construction."""
     if not (0 < split < depth):
         raise ConfigError("split must cut the word interior")
-    n_sym = flow.n_symbols
-    words = list(itertools.product(range(n_sym), repeat=depth))
-    probs = [math.prod((flow.probs[s] for s in w), start=ONE) for w in words]
-    prefixes = {}
-    for i, w in enumerate(words):
-        prefixes.setdefault(w[:split], []).append(i)
-    partition = tuple(tuple(block) for block in prefixes.values())
+    _check_words(flow, depth)
+    words = list(itertools.product(range(flow.n_symbols), repeat=depth))
+    probs = [_word_prob(flow, w) for w in words]
+    # in lexicographic order the words of one prefix are contiguous
+    size = flow.n_symbols ** (depth - split)
+    partition = tuple(tuple(range(i, i + size)) for i in range(0, len(words), size))
     base = ExactMeasure.uniform(flow.n_states)
-    measures = []
-    for w in words:
-        suffix_map = compose_word_map(flow, w[split:], split, depth)
-        measures.append(base.pushforward(suffix_map))
-    f_table = []
-    for w in words:
-        row = tuple(
-            Fraction(1 + (chain(f_seed, *w[:split], x) % 7), 8)
-            for x in range(flow.n_states)
-        )
-        f_table.append(row)
-    return probs, partition, tuple(measures), tuple(f_table)
+    measures = tuple(base.pushforward(compose_word_map(flow, w[split:], split, depth))
+                     for w in words)
+    f_table = tuple(
+        tuple(Fraction(1 + (chain(f_seed, *w[:split], x) % 7), 8) for x in range(flow.n_states))
+        for w in words
+    )
+    return probs, partition, measures, f_table
 
 
 # -- martingale and pullback enumeration ---------------------------------------
@@ -424,16 +410,17 @@ def ff_martingale_check(flow: FiniteFlow, t: int, f_values, depth: int,
     if len(f_values) != flow.n_states:
         raise ConfigError(f"f has {len(f_values)} values for {flow.n_states} states")
     f_values = tuple(Fraction(f) for f in f_values)
+    symbol_law = ExactMeasure(flow.probs)
 
     def m_value(length: int, comp: tuple) -> Fraction:
-        rho = family.at(t - length)
-        return sum((rho.masses[x] * f_values[comp[x]] for x in range(flow.n_states)), ZERO)
+        """The integral of f against the family at t - length pushed by comp."""
+        return family.at(t - length).integral(map(f_values.__getitem__, comp))
 
     worst = ZERO
     count = 0
     for _, _, m_here, children in history_walk(flow, t, depth, m_value):
         if children:
-            expectation = sum((p * m for p, (_, _, m) in zip(flow.probs, children)), ZERO)
+            expectation = symbol_law.integral([m for _, _, m in children])
             worst = max(worst, abs(expectation - m_here))
             count += 1
     return MartingaleVerdict(worst == 0, worst, count)
@@ -465,7 +452,6 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     word_measures = {}
     gap = ZERO
     all_sync = True
-    mean = [ZERO] * flow.n_states
 
     def pulled(length: int, comp: tuple) -> ExactMeasure:
         return family.at(t - length).pushforward(comp)
@@ -477,10 +463,9 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
             word_measures[leaf] = mu
             all_sync = all_sync and len(set(comp)) == 1
             gap = max(gap, mu.tv_distance(mu_shallow))
-            p_word = math.prod((flow.probs[s] for s in leaf), start=ONE)
-            for x in range(flow.n_states):
-                mean[x] += p_word * mu.masses[x]
-    mean_ok = ExactMeasure(tuple(mean)) == family.at(t)
+    mean = _mix([_word_prob(flow, w) for w in word_measures],
+                [mu.masses for mu in word_measures.values()])
+    mean_ok = ExactMeasure(mean) == family.at(t)
     return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, word_measures)
 
 
@@ -620,14 +605,10 @@ def _scenario_identity() -> ScenarioReport:
         for fam in (fam1, fam2) for side in ("in", "out")
     )
     distinct = fam1["in"] != fam2["in"]
-    mean1 = ExactMeasure(
-        tuple(half * a + half * b for a, b in zip(fam1["in"].masses, fam1["out"].masses))
-    )
-    mean2 = ExactMeasure(
-        tuple(half * a + half * b for a, b in zip(fam2["in"].masses, fam2["out"].masses))
-    )
+    mean1, mean2 = (ExactMeasure(_mix((half, half), (fam["in"].masses, fam["out"].masses)))
+                    for fam in (fam1, fam2))
     shared = mean1 == mean2 == ExactMeasure((half, half))
-    semigroup_invariant = apply_kernel(mean1, ((ONE, ZERO), (ZERO, ONE))) == mean1
+    semigroup_invariant = apply_kernel(mean1, _points(2)) == mean1
     ok = invariant and distinct and shared and semigroup_invariant
     return ScenarioReport(
         "remark-identity",
@@ -677,13 +658,11 @@ class FiniteFlowLift(FlowModelBase):
         s_i, t_i = s.at_level(0), t.at_level(0)
         comp = compose_word_map(self.flow, self.word_for(omega, s_i, t_i), s_i, t_i)
         rows = np.atleast_2d(states)
-        out = np.empty_like(rows, dtype=float)
-        for r, row in enumerate(rows):
-            x = int(round(row[0]))
-            if not (0 <= x < self.flow.n_states):
-                raise ConfigError(f"state {row[0]} is not a valid state index")
-            out[r, 0] = float(comp[x])
-        return out
+        x = np.rint(rows[:, 0])  # half to even, as round does
+        bad = np.flatnonzero(~((0 <= x) & (x < self.flow.n_states)))
+        if bad.size:
+            raise ConfigError(f"state {rows[bad[0], 0]} is not a valid state index")
+        return np.asarray(comp, dtype=float)[x.astype(np.intp), None]
 
     def exact_chapman_residual(self, s: DyadicTime, t: DyadicTime, u: DyadicTime) -> float:
         return 0.0 if chapman_check(self.flow, s.at_level(0), t.at_level(0), u.at_level(0)) else 1.0

@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import importlib.util
 import json
@@ -178,6 +179,32 @@ def test_pullback_run_writes_tables_and_is_deterministic(tmp_path):
     for name in ("summary.json", "distances.csv", "measure.tsv"):
         assert filecmp.cmp(os.path.join(out_a, name), os.path.join(out_b, name),
                            shallow=False)
+
+
+def test_failed_write_leaves_every_file_whole_and_no_temp_file(tmp_path, monkeypatch):
+    # the second table's write stops halfway with a full disk: each file keeps
+    # its old bytes or has its new ones, summary.json (written last) its old
+    out_dir = tmp_path / "out"
+    old = cli.RunReport("oracle", {"seed": 1}, tables={"a.csv": "old a\n", "b.csv": "old b\n"})
+    cli.write_outputs(old, str(out_dir))
+    new = cli.RunReport("oracle", {"seed": 2},
+                        tables={"a.csv": "new a\n", "b.csv": "new b\n" * 1000})
+
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        if "b.csv" in os.path.basename(path):
+            def half_then_full_disk(text):
+                type(fh).write(fh, text[:len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fh.write = half_then_full_disk
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        cli.write_outputs(new, str(out_dir))
+    assert {path.name: path.read_text() for path in out_dir.iterdir()} == {
+        "a.csv": "new a\n", "b.csv": "old b\n", "summary.json": old.summary_json()}
 
 
 def test_seed_override_changes_measure(tmp_path):

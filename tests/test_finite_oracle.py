@@ -1,8 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stochflow.finite_oracle as fo
 from stochflow.dyadic import dyadic
@@ -34,6 +36,13 @@ class TestConstruction:
             fo.ExactMeasure((HALF, HALF, HALF))
         mu = fo.ExactMeasure.uniform(4)
         assert sum(mu.masses) == 1
+
+    def test_integral_is_exact_for_fraction_and_int_values(self):
+        mu = fo.ExactMeasure((F(1, 3), F(2, 3)))
+        assert mu.integral((F(1, 7), F(3, 5))) == F(1, 21) + F(2, 5)
+        value = mu.integral((3, -1))  # Fraction times int stays exact
+        assert type(value) is Fraction and value == F(1, 3)
+        assert fo.ExactMeasure.point(3, 2).integral(iter((F(9), F(8), F(7)))) == 7
 
 
 class TestEvolve:
@@ -232,6 +241,63 @@ class TestConditionalExpectation:
         assert not rep.independence_ok
         assert rep.failing_block is not None
 
+    def test_dependence_is_reported_before_any_integrand_is_read(self):
+        # every block's mean-independence is checked before any block's
+        # integrand, so a dependent block is reported, not a MeasurabilityError
+        flow = fo.two_state_noisy()  # bijections: every measure is uniform
+        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 4, 2)
+
+        def non_measurable_on(b):
+            bad = [list(row) for row in ftab]
+            bad[part[b][0]][0] += 1
+            return tuple(map(tuple, bad))
+
+        for b in (0, 1):
+            with pytest.raises(MeasurabilityError) as err:
+                fo.conditional_expectation_check(probs, part, meas, non_measurable_on(b))
+            assert err.value.block == b
+        # block 0 made dependent, block 1's integrand not measurable
+        dependent = list(meas)
+        dependent[part[0][0]] = fo.ExactMeasure.point(2, 0)
+        rep = fo.conditional_expectation_check(probs, part, tuple(dependent),
+                                               non_measurable_on(1))
+        assert not rep.independence_ok and rep.failing_block == 0
+        assert rep.max_residual == 0 and rep.block_residuals == ()
+        # blocks 1 and 2 moved apart, so the averaged measure and block 0's
+        # conditional mean stay uniform; block 0's integrand is not measurable
+        dependent = list(meas)
+        dependent[part[1][0]] = fo.ExactMeasure.point(2, 0)
+        dependent[part[2][0]] = fo.ExactMeasure.point(2, 1)
+        rep = fo.conditional_expectation_check(probs, part, tuple(dependent),
+                                               non_measurable_on(0))
+        assert not rep.independence_ok and rep.failing_block == 1
+
+    def test_outcome_probabilities_must_be_a_law(self):
+        meas = (fo.ExactMeasure.point(2, 0), fo.ExactMeasure.point(2, 1))
+        f_table = ((F(1), F(2)),) * 2
+        for probs in ((F(1, 2), F(1, 3)), (F(3, 2), F(-1, 2))):
+            with pytest.raises(ConfigError, match="nonnegative and sum to 1"):
+                fo.conditional_expectation_check(probs, ((0,), (1,)), meas, f_table)
+
+    def test_scenario_words_in_lexicographic_order(self):
+        flow = fo.period_two_alternating()
+        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 3, 1)
+        words = list(itertools.product(range(2), repeat=3))
+        assert probs == [math.prod(flow.probs[s] for s in w) for w in words]
+        assert part == tuple(tuple(i for i, w in enumerate(words) if w[0] == p) for p in (0, 1))
+        assert meas == tuple(
+            fo.ExactMeasure.uniform(3).pushforward(fo.compose_word_map(flow, w[1:], 1, 3))
+            for w in words
+        )
+        assert [ftab[i] for i in part[0]] == [ftab[part[0][0]]] * len(part[0])
+
+    def test_scenario_past_the_limit_is_refused_before_any_word(self, monkeypatch):
+        # 2**17 words: refused at once, as the history walk refuses them
+        monkeypatch.setattr(itertools, "product",
+                            lambda *args, **kwargs: pytest.fail("words were enumerated"))
+        with pytest.raises(EnumerationLimitError):
+            fo.independence_scenario_from_flow(fo.two_state_noisy(), 17, 2)
+
     def test_non_measurable_integrand_rejected(self):
         flow = fo.two_state_noisy()
         probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 4, 2)
@@ -396,6 +462,28 @@ class TestLift:
         out = lift.evolve_batch(om, dyadic(-3), dyadic(4), np.array([[2.0], [0.0], [1.0], [2.0]]))
         assert out[:, 0].tolist() == [comp[2], comp[0], comp[1], comp[2]]
 
+    def test_rows_round_half_to_even(self):
+        lift = fo.FiniteFlowLift(fo.cyclic_doubly_stochastic(3))
+        out = lift.evolve_batch(NoiseRealization(1, 0), dyadic(4), dyadic(4),
+                                np.array([[0.5], [1.5], [2.5]]))
+        assert out.shape == (3, 1) and out[:, 0].tolist() == [0.0, 2.0, 2.0]
+
+    def test_first_invalid_row_is_named(self):
+        lift = fo.FiniteFlowLift(fo.cyclic_doubly_stochastic(3))
+        rows = np.array([[0.0], [-0.4], [2.4], [2.6], [-0.7]])
+        with pytest.raises(ConfigError, match=r"^state 2\.6 is not a valid state index$"):
+            lift.evolve_batch(NoiseRealization(1, 0), dyadic(0), dyadic(2), rows)
+
+    def test_batch_matches_the_row_by_row_rounding(self):
+        flow = fo.period_two_alternating()
+        lift = fo.FiniteFlowLift(flow)
+        om = NoiseRealization(8, 2)
+        rows = np.random.default_rng(5).uniform(-0.49, 2.49, size=(300, 1))
+        rows[:6, 0] = [0.5, 1.5, 2.5, -0.5, 0.0, 2.0]
+        comp = fo.compose_word_map(flow, lift.word_for(om, -3, 4), -3, 4)
+        expected = [[float(comp[int(round(x))])] for x in rows[:, 0]]
+        assert lift.evolve_batch(om, dyadic(-3), dyadic(4), rows).tolist() == expected
+
     def test_mc_agrees_with_exact_kernel(self):
         flow = fo.FiniteFlow(2, (F(1, 4), F(3, 4)), (((0, 1), (1, 0)),))
         lift = fo.FiniteFlowLift(flow)
@@ -449,3 +537,53 @@ class TestLift:
         p1_hat = float(np.sum(mean.weights[mean.particles[:, 0] == 1.0]))
         stderr = np.sqrt(exact_p1 * (1 - exact_p1) / n)
         assert abs(p1_hat - exact_p1) <= 4 * stderr
+
+
+# -- flow and semigroup on random small flows -------------------------------------
+
+@st.composite
+def _small_flows(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    period = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    weights[0] += sum(weights) == 0
+    state_map = st.tuples(*[st.integers(0, n - 1)] * n)
+    banks = draw(st.lists(st.lists(state_map, min_size=k, max_size=k),
+                          min_size=period, max_size=period))
+    probs = tuple(F(w, sum(weights)) for w in weights)
+    return fo.FiniteFlow(n, probs, tuple(map(tuple, banks)), period)
+
+
+# derandomized: the same examples on every run, so the suite stays reproducible
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flow=_small_flows(), data=st.data())
+def test_flow_and_semigroup_agree_on_random_small_flows(flow, data):
+    n = flow.n_states
+    s = data.draw(st.integers(-3, 3), label="s")
+    t = s + data.draw(st.integers(0, 4), label="t - s")
+    u = t + data.draw(st.integers(0, 3), label="u - t")
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="mu")
+    weights[-1] += sum(weights) == 0
+    mu = fo.ExactMeasure(tuple(F(w, sum(weights)) for w in weights))
+
+    # the flow side, summed here term by term: each word's image of mu,
+    # weighted by the word's probability, is the semigroup's transport of mu
+    res = fo.ff_pushforward(flow, mu, s, t)
+    assert set(res.word_measures) == set(itertools.product(range(flow.n_symbols), repeat=t - s))
+    mean = [F(0)] * n
+    for word, nu in res.word_measures.items():
+        assert nu == mu.pushforward(fo.compose_word_map(flow, word, s, t))
+        p_word = math.prod((flow.probs[sym] for sym in word), start=F(1))
+        for x in range(n):
+            mean[x] += p_word * nu.masses[x]
+    kernel = fo.kernel_between(flow, s, t)
+    assert tuple(mean) == res.mean_measure.masses == fo.apply_kernel(mu, kernel).masses
+    assert all(sum(row) == 1 for row in kernel)
+    assert fo.chapman_check(flow, s, t, u)
+
+    sol = fo.ff_esm_solve(flow)
+    if sol.unique:
+        depth = max(t - s, 1)
+        assert fo.ff_pullback(flow, t, depth, sol).mean_matches_family
+        assert fo.ff_martingale_check(flow, t, tuple(F(x + 1, 3) for x in range(n)), depth, sol).ok
