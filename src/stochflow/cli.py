@@ -10,8 +10,10 @@ files.  Wall-clock goes to stderr only, never into the artifacts.
 Each ensemble is one path-store or estimator call along a realization axis,
 in one process.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config,
-3 an unexpected error inside the run (one line on stderr names it).
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config
+(a repeated key, or an output directory that cannot be written, among them),
+3 an unexpected error inside the run (one line on stderr names it).  A FAIL
+line on stdout names the check's value, threshold and target, where recorded.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class RunReport:
 # -- config handling -----------------------------------------------------------
 
 def parse_config_text(text: str) -> dict:
-    out = {}
+    """The keys and values of config text; a repeated key is refused."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +83,10 @@ def parse_config_text(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: {line!r} repeats key {key!r} of line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
         out[key] = _coerce(val)
     return out
 
@@ -289,11 +296,16 @@ def main(argv=None) -> int:
         return 3
     out_dir = args.out or cfg.get("out")
     if out_dir:
-        write_outputs(report, out_dir)
+        try:
+            write_outputs(report, out_dir)
+        except OSError as err:
+            print(f"error: cannot write the outputs to {out_dir!r}: {err}", file=sys.stderr)
+            return 2
     for v in report.verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        extra = f" value={v.value}" if v.value is not None else ""
-        print(f"{status} {v.name}{extra}")
+        shown = ("value",) if v.passed else ("value", "threshold", "target")
+        extra = "".join(f" {key}={getattr(v, key)}" for key in shown
+                        if getattr(v, key) is not None)
+        print(f"{'PASS' if v.passed else 'FAIL'} {v.name}{extra}")
     print(f"# wall-clock {report.wall_clock:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -374,18 +374,22 @@ def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_
     if not (0 < split < depth):
         raise ConfigError("split must cut the word interior")
     _check_words(flow, depth)
-    words = list(itertools.product(range(flow.n_symbols), repeat=depth))
-    probs = [_word_prob(flow, w) for w in words]
-    # in lexicographic order the words of one prefix are contiguous
-    size = flow.n_symbols ** (depth - split)
-    partition = tuple(tuple(range(i, i + size)) for i in range(0, len(words), size))
+    # in lexicographic order the words of one prefix are contiguous, and each
+    # block runs through every suffix in lexicographic order: a word's measure
+    # is its suffix's, its probability its prefix's times its suffix's
+    symbols = range(flow.n_symbols)
+    prefixes = list(itertools.product(symbols, repeat=split))
+    suffixes = list(itertools.product(symbols, repeat=depth - split))
     base = ExactMeasure.uniform(flow.n_states)
-    measures = tuple(base.pushforward(compose_word_map(flow, w[split:], split, depth))
-                     for w in words)
-    f_table = tuple(
-        tuple(Fraction(1 + (chain(f_seed, *w[:split], x) % 7), 8) for x in range(flow.n_states))
-        for w in words
-    )
+    prefix_probs, suffix_probs = ([_word_prob(flow, w) for w in ws] for ws in (prefixes, suffixes))
+    probs = [p * q for p in prefix_probs for q in suffix_probs]
+    size = len(suffixes)
+    partition = tuple(tuple(range(i, i + size)) for i in range(0, len(probs), size))
+    measures = tuple(base.pushforward(compose_word_map(flow, w, split, depth))
+                     for w in suffixes) * len(prefixes)
+    prefix_f = [tuple(Fraction(1 + (chain(f_seed, *w, x) % 7), 8) for x in range(flow.n_states))
+                for w in prefixes]
+    f_table = tuple(f for f in prefix_f for _ in range(size))
     return probs, partition, measures, f_table
 
 

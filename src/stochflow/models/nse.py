@@ -24,6 +24,11 @@ row's (2, n, n) block in one call over the last three axes, which adds a row's
 terms in the order the sum over that row alone does.  The grid's factors are
 stored complex, so that no product casts them.
 
+Trace: ``evolve_trace`` returns one ``NSETrace`` per call, on the n_pts points
+of the step grid of [s, t].  ``times``, ``z_abs_sum`` and ``z_v_norm`` have
+shape (n_pts,); ``v_h_sq`` and ``v_v_sq`` have shape (n_pts,) for a field and
+(rows, n_pts) for a stack, and row r holds the bits of row r's own trace.
+
 Buffered step: ``_advance`` allocates one ``SpectralWork`` per call (the
 operators' buffers, and the grid's factors copied out to the stack's shape)
 and its own buffers, and every step writes into them.  The operators take
@@ -254,15 +259,21 @@ def random_divfree(n: int, seed: int) -> np.ndarray:
 
 # -- configuration ------------------------------------------------------------
 
+def default_noise_modes(n: int, amplitude: float = 0.05) -> tuple:
+    return (shear_mode(n, amplitude, True), shear_mode(n, amplitude, False))
+
+
 @dataclass(eq=False)
 class NSEConfig:
-    """Model settings.  The forcing at time t is cos(t) * ``forcing_field``."""
+    """Model settings.  The forcing at time t is cos(t) * ``forcing_field``;
+    ``noise_modes`` defaults to ``default_noise_modes(resolution)``, and ``()``
+    means no noise."""
 
     viscosity: float = 0.1
     resolution: int = 16
     level: int = 6
     forcing_field: np.ndarray | None = None
-    noise_modes: tuple = ()
+    noise_modes: tuple | None = None
     ou_rate: float = 1.0
     guard: float = 1e6
 
@@ -272,6 +283,8 @@ class NSEConfig:
         g = grid_for(self.resolution)
         if self.forcing_field is None:
             self.forcing_field = taylor_green(self.resolution, 0.5)
+        if self.noise_modes is None:
+            self.noise_modes = default_noise_modes(self.resolution)
         check_field(self.forcing_field, 1e-8)
         for phi in self.noise_modes:
             check_field(phi, 1e-8)
@@ -287,17 +300,6 @@ class NSEConfig:
     @property
     def step(self) -> float:
         return 2.0**-self.level
-
-
-def default_noise_modes(n: int, amplitude: float = 0.05) -> tuple:
-    return (shear_mode(n, amplitude, True), shear_mode(n, amplitude, False))
-
-
-def default_nse_config(**overrides) -> NSEConfig:
-    res = overrides.pop("resolution", 16)
-    if "noise_modes" not in overrides:
-        overrides["noise_modes"] = default_noise_modes(res)
-    return NSEConfig(resolution=res, **overrides)
 
 
 # -- the flow model -----------------------------------------------------------
@@ -346,9 +348,8 @@ class NSEModel(FlowModelBase):
         """Advance a (rows, 2, n, n) stack over the step grid of ``zvals``.
 
         Every step runs through one set of buffers, allocated here, so the
-        state returned is no other call's buffer.  ``record(k, u_h_sq, v,
-        z_field)`` sees each grid point, and ``v`` only until it returns; its
-        |u|^2 per row is the guard's."""
+        state returned is no other call's buffer.  ``record(k, v, z_field)``
+        sees each grid point, and ``v`` only until it returns."""
         h = self.cfg.step
         n_steps = zvals.shape[0] - 1
         work = SpectralWork(u.shape)
@@ -358,11 +359,10 @@ class NSEModel(FlowModelBase):
                                     for a in (self.cfg.forcing_field, self.inv_denom))
         source = np.empty(u.shape[-3:], dtype=complex)
         z_now = self._z_field(zvals[0])
-        u_sq = norm_h_sq(u) if record is not None else None
         for k in range(n_steps):
             np.subtract(u, z_now, out=v)
             if record is not None:
-                record(k, u_sq, v, z_now)
+                record(k, v, z_now)
             rhs = bilinear_b(u, u, work)
             np.multiply(float(np.cos((i0 + k) * h)), forcing_field, out=forcing)
             np.subtract(forcing, rhs, out=rhs)  # f - B: the bits of -B + f
@@ -377,7 +377,7 @@ class NSEModel(FlowModelBase):
             if not (u_sq <= self.cfg.guard).all():  # inf and NaN fail too
                 raise DivergenceError(f"flow blew past the guard at step {k}", step=k)
         if record is not None:
-            record(n_steps, u_sq, np.subtract(u, z_now, out=v), z_now)
+            record(n_steps, np.subtract(u, z_now, out=v), z_now)
         return u
 
     def evolve_field(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray) -> np.ndarray:
@@ -399,36 +399,28 @@ class NSEModel(FlowModelBase):
         return out.view(float).reshape(states.shape)
 
     def evolve_trace(self, omega, s: DyadicTime, t: DyadicTime, u: np.ndarray):
-        """Evolve while recording the per-step norm series used by the energy
-        diagnostics.  Returns (u_t, NSETrace) for one field (2, n, n), and
-        (u_t, [NSETrace per row]) for a stack (rows, 2, n, n)."""
+        """Evolve while recording the per-step norm series of the energy
+        balance.  Returns (u_t, NSETrace) for a field (2, n, n) and for a stack
+        (rows, 2, n, n) alike; the module docstring gives the trace's shapes."""
         stack = u[None] if u.ndim == 3 else u
-        rows = stack.shape[0]
         zvals = self.z_values(omega, s, t)
         i0 = s.at_level(self.grid_level)
-        h = self.cfg.step
         n_pts = zvals.shape[0]
-        times = (np.arange(n_pts) + i0) * h
-        v_h_sq, v_v_sq, u_h_sq = np.empty((3, rows, n_pts))
+        v_h_sq, v_v_sq = np.empty((2, len(stack), n_pts))
         z_v_norm = np.empty(n_pts)
 
-        def record(k, u_sq, v_k, z_field):
+        def record(k, v_k, z_field):
             density = np.real(v_k * np.conj(v_k))  # one |v(k)|^2 for both norms
             v_h_sq[:, k] = _summed(density)
             v_v_sq[:, k] = _summed(self.grid.ksq * density)
-            u_h_sq[:, k] = u_sq
             z_v_norm[k] = math.sqrt(norm_v_sq(z_field)) if self.n_noise else 0.0
 
         u_t = self._advance(stack, zvals, i0, record=record)
-        z_abs_sum = np.sum(np.abs(zvals), axis=1)
-        traces = [
-            NSETrace(level=self.grid_level, times=times, v_h_sq=v_h_sq[r], v_v_sq=v_v_sq[r],
-                     u_h_sq=u_h_sq[r], z_abs_sum=z_abs_sum, z_v_norm=z_v_norm)
-            for r in range(rows)
-        ]
         if u.ndim == 3:
-            return u_t[0], traces[0]
-        return u_t, traces
+            u_t, v_h_sq, v_v_sq = u_t[0], v_h_sq[0], v_v_sq[0]
+        return u_t, NSETrace(level=self.grid_level, times=(np.arange(n_pts) + i0) * self.cfg.step,
+                             v_h_sq=v_h_sq, v_v_sq=v_v_sq,
+                             z_abs_sum=np.sum(np.abs(zvals), axis=1), z_v_norm=z_v_norm)
 
 
 # -- energy diagnostics --------------------------------------------------------
@@ -439,22 +431,22 @@ class NSETrace:
     times: np.ndarray
     v_h_sq: np.ndarray
     v_v_sq: np.ndarray
-    u_h_sq: np.ndarray
     z_abs_sum: np.ndarray
     z_v_norm: np.ndarray
 
-    SERIES = ("times", "v_h_sq", "v_v_sq", "u_h_sq", "z_abs_sum", "z_v_norm")
+    SERIES = ("times", "v_h_sq", "v_v_sq", "z_abs_sum", "z_v_norm")
 
     def __post_init__(self):
         n = len(self.times)
         for name in self.SERIES[1:]:
-            if len(getattr(self, name)) != n:
+            if np.shape(getattr(self, name))[-1] != n:
                 raise ConfigError(f"trace series {name} has mismatched length")
 
 
 @dataclass
 class EnergyDiagnostics:
-    """Discrete balance series for the transformed velocity.
+    """Discrete balance series for the transformed velocity, at the trace's
+    points after the first (a row axis leads for a stack's trace).
 
     ``lhs`` is d|v|^2/dt + (nu/4)||v||^2 + (nu/4 - 2*beta*sum|z_j|)|v|^2 per
     step (the Poincare constant lambda1 is 1 on this torus); ``g_surrogate``
@@ -462,20 +454,9 @@ class EnergyDiagnostics:
     ``slack`` is the dissipation surplus max(-lhs, 0).
     """
 
-    times: np.ndarray
-    v_h_sq: np.ndarray
-    v_v_sq: np.ndarray
-    z_abs_sum: np.ndarray
-    z_v_norm: np.ndarray
-    derivative: np.ndarray
     lhs: np.ndarray
     g_surrogate: np.ndarray
     slack: np.ndarray
-    beta_hat: float
-
-    def absorbing_radius(self, window: float = 1.0) -> float:
-        """max over the trailing time window of ||v|| + ||z||_V."""
-        return _window_peak(self.times, self.v_v_sq, self.z_v_norm, self.times[-1], window)
 
 
 def _window_peak(times, v_v_sq, z_v_norm, t_end, window, peak=-math.inf) -> float:
@@ -487,21 +468,11 @@ def _window_peak(times, v_v_sq, z_v_norm, t_end, window, peak=-math.inf) -> floa
 def energy_diagnostics(cfg: NSEConfig, trace: NSETrace, beta_hat: float) -> EnergyDiagnostics:
     h = 2.0**-trace.level
     d = np.diff(trace.v_h_sq) / h
-    visc = 0.25 * cfg.viscosity * trace.v_v_sq[1:]
-    coercive = (0.25 * cfg.viscosity - 2.0 * beta_hat * trace.z_abs_sum[1:]) * trace.v_h_sq[1:]
-    lhs = d + visc + coercive
-    return EnergyDiagnostics(
-        times=trace.times[1:],
-        v_h_sq=trace.v_h_sq[1:],
-        v_v_sq=trace.v_v_sq[1:],
-        z_abs_sum=trace.z_abs_sum[1:],
-        z_v_norm=trace.z_v_norm[1:],
-        derivative=d,
-        lhs=lhs,
-        g_surrogate=np.maximum(lhs, 0.0) / 2.0,
-        slack=np.maximum(-lhs, 0.0),
-        beta_hat=beta_hat,
-    )
+    v_h_sq, v_v_sq = trace.v_h_sq[..., 1:], trace.v_v_sq[..., 1:]
+    lhs = d + 0.25 * cfg.viscosity * v_v_sq + (
+        0.25 * cfg.viscosity - 2.0 * beta_hat * trace.z_abs_sum[1:]) * v_h_sq
+    return EnergyDiagnostics(lhs=lhs, g_surrogate=np.maximum(lhs, 0.0) / 2.0,
+                             slack=np.maximum(-lhs, 0.0))
 
 
 _ABSORBING_SEED = 11  # keys the shape every initial field of the sweep shares
@@ -542,9 +513,9 @@ def absorbing_radius_experiment(
         flat = model.evolve_batch(omega, s, quiet, u.view(float).reshape(len(u), -1))
         u = flat.view(complex).reshape(u.shape)
         if quiet < end:
-            u, traces = model.evolve_trace(omega, quiet, end, u)
-            peaks[:len(u)] = [_window_peak(tr.times[1:], tr.v_v_sq[1:], tr.z_v_norm[1:], t_end,
-                                           window, peak) for tr, peak in zip(traces, peaks)]
+            u, trace = model.evolve_trace(omega, quiet, end, u)
+            peaks[:len(u)] = [_window_peak(trace.times[1:], row[1:], trace.z_v_norm[1:], t_end,
+                                           window, peak) for row, peak in zip(trace.v_v_sq, peaks)]
     radii = {}
     gaps = {}
     for lb in lookbacks:

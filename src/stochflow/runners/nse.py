@@ -8,7 +8,7 @@ import numpy as np
 from ..cli import RunReport, Verdict, _fmt_rows, _refused
 from ..dyadic import DyadicTime, dyadic
 from ..models import nse as nse_mod
-from ..models.nse import NSEModel, default_nse_config
+from ..models.nse import NSEConfig, NSEModel
 from ..wiener import NoiseRealization
 
 
@@ -21,7 +21,7 @@ def run_nse(cfg: dict, report: RunReport):
     modes = nse_mod.default_noise_modes(res, cfg["noise_amp"])
     for key, phi in (("forcing_amp", forcing),) + tuple(("noise_amp", m) for m in modes):
         _refused(cfg, (key,), lambda: nse_mod.check_field(phi, 1e-8))
-    nse_cfg = _refused(cfg, ("viscosity", "resolution", "level"), lambda: default_nse_config(
+    nse_cfg = _refused(cfg, ("viscosity", "resolution", "level"), lambda: NSEConfig(
         resolution=res,
         viscosity=cfg["viscosity"],
         level=cfg["level"],
@@ -64,10 +64,9 @@ def run_nse(cfg: dict, report: RunReport):
         "models.poincare_exact", bool(np.all(trace.v_h_sq <= trace.v_v_sq))
     ))
     diag = nse_mod.energy_diagnostics(nse_cfg, trace, model.beta_hat)
-    rows = list(zip(map(float, diag.times), map(float, diag.v_h_sq),
-                    map(float, diag.v_v_sq), map(float, diag.z_abs_sum),
-                    map(float, diag.lhs), map(float, diag.g_surrogate),
-                    map(float, diag.slack)))
+    series = (trace.times[1:], trace.v_h_sq[1:], trace.v_v_sq[1:], trace.z_abs_sum[1:],
+              diag.lhs, diag.g_surrogate, diag.slack)
+    rows = list(zip(*(map(float, x) for x in series)))
     report.tables["energy.csv"] = _fmt_rows(
         ("time", "v_h_sq", "v_v_sq", "z_abs_sum", "lhs", "g_surrogate", "slack"), rows
     )

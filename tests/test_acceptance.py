@@ -25,7 +25,7 @@ from stochflow.measure import (
 from stochflow.models.em import EMModel
 from stochflow.models.linear import FourierForcing, LinearDrift, LinearOUModel
 from stochflow.models import nse as nm
-from stochflow.models.nse import NSEModel, default_nse_config
+from stochflow.models.nse import NSEConfig, NSEModel
 from stochflow.wiener import (
     NoiseRealization,
     OUConfig,
@@ -52,7 +52,7 @@ def _linear(level=6):
 
 
 def _nse_model():
-    return NSEModel(default_nse_config(viscosity=0.25))
+    return NSEModel(NSEConfig(viscosity=0.25))
 
 
 def _deadline_schedule(anchor, tol=0.02):
@@ -325,10 +325,9 @@ def test_criterion_8_nse_structural_checks():
     _, trace = model.evolve_trace(om, dyadic(0), dyadic(2), nm.taylor_green(16, 1.0))
     checks["poincare"] = bool(np.all(trace.v_h_sq <= trace.v_v_sq))
 
-    quiet = NSEModel(default_nse_config(noise_modes=(),
-                                        forcing_field=nm.taylor_green(16, 0.0)))
+    quiet = NSEModel(NSEConfig(noise_modes=(), forcing_field=nm.taylor_green(16, 0.0)))
     _, trace0 = quiet.evolve_trace(om, dyadic(0), dyadic(2), nm.taylor_green(16, 1.0))
-    checks["zero_input_decay"] = bool(np.all(np.diff(trace0.u_h_sq) <= 1e-12))
+    checks["zero_input_decay"] = bool(np.all(np.diff(trace0.v_h_sq) <= 1e-12))
 
     phi = nm.shear_mode(16, 0.05)
     b1 = nm.estimate_beta(phi)

@@ -135,6 +135,47 @@ def test_parse_config_text():
     assert cfg["flag"] is True
 
 
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ValueError, match="line 4: 'seed = 2' repeats key 'seed' of line 2"):
+        parse_config_text("kind = oracle\nseed = 1\n# the seed again\nseed = 2\n")
+
+
+def test_seed_of_a_wrong_type_is_refused():
+    # the refusal table's seed rows repeat the key; this is the type check alone
+    for val in (True, 2.5, "x"):
+        assert "'seed' must be an integer" in validate_config({"kind": "oracle", "seed": val})
+
+
+@pytest.mark.parametrize("route", ["flag", "key"])
+def test_unwritable_output_dir_exits_2_with_one_error_line(tmp_path, capsys, route):
+    (tmp_path / "notadir").write_text("a regular file\n")
+    out = str(tmp_path / "notadir" / route)
+    text = "kind = counterexamples\nseed = 1\n"
+    path = _write(tmp_path, "c.cfg", text if route == "flag" else f"{text}out = {out}\n")
+    assert main(["--config", path] + (["--out", out] if route == "flag" else [])) == 2
+    captured = capsys.readouterr()
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and repr(out) in line, line
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg", "notadir"]
+
+
+def test_fail_lines_name_their_bounds(tmp_path, capsys):
+    # a tiny noise run fails four checks, three of them two-sided bands with a target
+    path = _write(tmp_path, "n.cfg", "kind = noise\nseed = 1\nensemble = 8\nintervals = 4\n")
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out)]) == 1
+    failed = [v for v in json.loads((out / "summary.json").read_text())["verdicts"]
+              if not v["passed"]]
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert len(lines) == len(failed) == 4 and sum("target" in v for v in failed) == 3
+    for (_, name, *fields), v in zip(lines, failed):
+        assert name == v["name"]
+        assert {key: float(val) for key, val in (f.split("=") for f in fields)} == {
+            key: v[key] for key in ("value", "threshold", "target") if key in v}
+
+
 def test_unknown_kind_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "bad.cfg", "kind = frobnicate\nseed = 1\n")
     assert main(["--config", path]) == 2
@@ -443,6 +484,8 @@ _BAD_SIZES = [
     ("pullback", f"anchor = {10**30}", "anchor"),
     # a deepest start past the float range
     ("attractor", "schedule.depth = 1025", "schedule.depth"),
+    # a key given twice: seed = 1 is on line 2
+    ("oracle", "seed = 2", "seed"),
 ]
 
 

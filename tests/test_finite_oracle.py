@@ -291,6 +291,33 @@ class TestConditionalExpectation:
         )
         assert [ftab[i] for i in part[0]] == [ftab[part[0][0]]] * len(part[0])
 
+    @pytest.mark.parametrize("flow", [fo.two_state_noisy(), fo.period_two_alternating(),
+                                      fo.synchronizing_pair()], ids=["noisy", "period2", "sync"])
+    def test_scenario_matches_a_per_word_construction(self, flow, monkeypatch):
+        # against each word's suffix map, measure and probability built on its
+        # own; the scenario composes each suffix's map, and weighs each prefix
+        # and each suffix, once
+        compose, word_prob = fo.compose_word_map, fo._word_prob
+        calls = []
+        monkeypatch.setattr(fo, "compose_word_map", lambda *a: calls.append(1) or compose(*a))
+        monkeypatch.setattr(fo, "_word_prob", lambda *a: calls.append(0) or word_prob(*a))
+        base = fo.ExactMeasure.uniform(flow.n_states)
+        n = flow.n_symbols
+        for depth in range(3, 9):
+            words = list(itertools.product(range(n), repeat=depth))
+            for split in range(1, depth):
+                size = n ** (depth - split)
+                want = (
+                    [math.prod((flow.probs[s] for s in w), start=F(1)) for w in words],
+                    tuple(tuple(range(i, i + size)) for i in range(0, len(words), size)),
+                    tuple(base.pushforward(compose(flow, w[split:], split, depth)) for w in words),
+                    tuple(tuple(F(1 + (chain(5, *w[:split], x) % 7), 8)
+                                for x in range(flow.n_states)) for w in words),
+                )
+                calls.clear()
+                assert fo.independence_scenario_from_flow(flow, depth, split) == want
+                assert calls.count(1) == size and calls.count(0) == n ** split + size
+
     def test_scenario_past_the_limit_is_refused_before_any_word(self, monkeypatch):
         # 2**17 words: refused at once, as the history walk refuses them
         monkeypatch.setattr(itertools, "product",
