@@ -12,8 +12,11 @@ in one process.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config
 (a repeated key, or an output directory that cannot be written, among them),
-3 an unexpected error inside the run (one line on stderr names it).  A FAIL
-line on stdout names the check's value, threshold and target, where recorded.
+3 an unexpected error inside the run (one line on stderr names it).  Each
+numeric check is one of three rules of ``Verdict``: ``at_most`` a bound,
+``within`` a half-width of a target (0 when none is recorded), or ``above`` a
+bound.  A FAIL line on stdout names the check's value and that rule's bound
+(its threshold), and the target where one is recorded.
 """
 
 from __future__ import annotations
@@ -37,6 +40,23 @@ class Verdict:
     threshold: object = None
     note: str = ""
     target: object = None  # the centre of a two-sided band; threshold is its half-width
+
+    # the numeric checks' rules, each comparison written once; NaN fails every rule
+    @classmethod
+    def at_most(cls, name, value, bound, note=""):
+        """Passes when ``value <= bound``."""
+        return cls(name, bool(value <= bound), value, bound, note)
+
+    @classmethod
+    def within(cls, name, value, half_width, target=None):
+        """Passes when ``|value - target| <= half_width``; no target: centred on 0."""
+        passed = abs(value - (0.0 if target is None else target)) <= half_width
+        return cls(name, bool(passed), value, half_width, target=target)
+
+    @classmethod
+    def above(cls, name, value, bound):
+        """Passes when ``value > bound``: equality fails."""
+        return cls(name, bool(value > bound), value, bound)
 
     def to_dict(self):
         out = {"name": self.name, "passed": bool(self.passed)}

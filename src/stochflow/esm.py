@@ -26,7 +26,6 @@ from .measure import (
     DEFAULT_PARTICLES,
     EmpiricalMeasure,
     MeasureFamily,
-    RandomMeasure,
     _pair_distances,
     distance,
     mixture,
@@ -38,13 +37,15 @@ DEFAULT_TOL = 0.02
 
 @dataclass(frozen=True)
 class PullbackSchedule:
-    """Anchor time plus strictly decreasing start times, deepest last."""
+    """Anchor time plus strictly decreasing start times, deepest last; tol > 0."""
 
     anchor: DyadicTime
     starts: tuple
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise ConfigError(f"schedule tolerance must be > 0, got {self.tol!r}")
         if len(self.starts) < 2:
             raise ConfigError("schedule needs at least two start times")
         for s in self.starts:
@@ -222,13 +223,12 @@ class AttractorCloud:
 def pullback_attractor(
     model: FlowModelBase,
     omega: NoiseRealization,
-    t: DyadicTime,
     seed_boxes: Sequence[np.ndarray],
     schedule: PullbackSchedule,
 ) -> AttractorCloud:
-    """Push the seed boxes from ever earlier starts, one ``evolve_batch`` of
-    their union per start; accumulate the images and stop once fresh images
-    add nothing beyond the tolerance, twice in a row.
+    """Push the seed boxes from ever earlier starts to the schedule's anchor,
+    one ``evolve_batch`` of their union per start; accumulate the images and
+    stop once fresh images add nothing beyond the tolerance, twice in a row.
 
     The retained particle set is the image from the deepest start used, which
     approximates the attracting set at the anchor; the seed set itself if the
@@ -240,6 +240,7 @@ def pullback_attractor(
     if len({b.shape[1:] for b in boxes}) > 1:
         raise StateError(f"seed boxes must share one state dimension, got {[b.shape for b in boxes]}")
     seeds = np.concatenate(boxes)
+    t = schedule.anchor
     cloud, accumulated, history = seeds, None, []
     for s in schedule.starts:
         try:
@@ -261,16 +262,16 @@ def pullback_attractor(
 def attractor_invariance_residual(
     model: FlowModelBase,
     omega: NoiseRealization,
-    s: DyadicTime,
-    t: DyadicTime,
     cloud_s: AttractorCloud,
     cloud_t: AttractorCloud,
 ) -> float:
-    """Symmetric Hausdorff distance between the pushed earlier cloud and the
-    later cloud; small when both approximate an invariant family."""
+    """Symmetric Hausdorff distance between the earlier cloud, pushed from its
+    time to the later cloud's, and the later cloud; small when both
+    approximate an invariant family."""
     if not (cloud_s.converged and cloud_t.converged):
         raise ConfigError("invariance residual requires converged clouds")
-    pushed = evolve_batch(model, omega, s, t, np.atleast_2d(cloud_s.particles))
+    pushed = evolve_batch(model, omega, cloud_s.time, cloud_t.time,
+                          np.atleast_2d(cloud_s.particles))
     return hausdorff_distance(pushed, np.atleast_2d(cloud_t.particles))
 
 
@@ -289,9 +290,8 @@ class SelectedTrajectory:
         return worst
 
 
-def pullback_points(model: FlowModelBase, omegas, t: DyadicTime,
-                    schedule: PullbackSchedule) -> np.ndarray:
-    """The collapsed pullback state at t, one row per realization.
+def pullback_points(model: FlowModelBase, omegas, schedule: PullbackSchedule) -> np.ndarray:
+    """The collapsed pullback state at the anchor, one row per realization.
 
     Contracting case: ``pullback_ensemble`` pushes two probes, the all-zeros
     and all-ones states, from each start in turn, for every row still running.
@@ -300,8 +300,7 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime,
     point, and the construction is refused.
     Finite-flow lifts are delegated to their exact synchronization-based selector.
     """
-    if schedule.anchor != t:
-        raise ConfigError("schedule must be anchored at the requested time")
+    t = schedule.anchor
     omegas = tuple(omegas)
     exact = getattr(model, "exact_select_states", None)
     if exact is not None:
@@ -314,7 +313,7 @@ def pullback_points(model: FlowModelBase, omegas, t: DyadicTime,
     prev = np.zeros((len(omegas),) + probes.shape)
 
     def keep_running(rows, imgs):
-        coll = np.linalg.norm(imgs[:, :, None] - imgs[:, None], axis=-1).max(axis=(1, 2))
+        coll = np.linalg.norm(imgs[:, 0] - imgs[:, 1], axis=-1)
         move = np.max(np.linalg.norm(imgs - prev[rows], axis=2), axis=1)
         hits[rows] = np.where(seen[rows] & (coll < tol) & (move < tol), hits[rows] + 1, 0)
         seen[rows], prev[rows] = True, imgs
@@ -343,23 +342,22 @@ def select_trajectory(
     times = sorted(times)
     if schedule.anchor != times[0]:
         raise ConfigError("schedule must be anchored at the earliest requested time")
-    states = [pullback_points(model, (omega,), times[0], schedule)[0]]
+    states = [pullback_points(model, (omega,), schedule)[0]]
     for a, b in zip(times, times[1:]):
         states.append(evolve(model, omega, a, b, states[-1]))
     return SelectedTrajectory(tuple(times), np.stack(states))
 
 
-def pullback_point(model: FlowModelBase, omega: NoiseRealization, t: DyadicTime,
+def pullback_point(model: FlowModelBase, omega: NoiseRealization,
                    schedule: PullbackSchedule) -> np.ndarray:
     """Convenience: ``pullback_points`` for one realization."""
-    return pullback_points(model, (omega,), t, schedule)[0]
+    return pullback_points(model, (omega,), schedule)[0]
 
 
 # -- flow family <-> semigroup family ----------------------------------------
 
-def esm_mean(family: RandomMeasure) -> EmpiricalMeasure:
-    """Equal-weight mixture over the realization ensemble."""
-    members = family.members()
+def esm_mean(members: Sequence[EmpiricalMeasure]) -> EmpiricalMeasure:
+    """Equal-weight mixture of the ensemble's measures, one per realization."""
     if not members:
         raise ConfigError("empty ensemble")
     w = np.full(len(members), 1.0 / len(members))

@@ -230,22 +230,6 @@ def mixture(measures, mix_weights) -> EmpiricalMeasure:
     return EmpiricalMeasure(pts, ws)
 
 
-@dataclass(frozen=True)
-class RandomMeasure:
-    """Finite ensemble standing in for a realization-indexed measure family."""
-
-    assignment: dict
-    ensemble_size: int
-
-    def __post_init__(self):
-        for i in range(self.ensemble_size):
-            if i not in self.assignment:
-                raise ConfigError(f"assignment missing realization index {i}")
-
-    def members(self):
-        return [self.assignment[i] for i in range(self.ensemble_size)]
-
-
 # -- serialization ----------------------------------------------------------
 
 def to_table(mu: EmpiricalMeasure) -> str:

@@ -46,15 +46,14 @@ def run_noise(cfg: dict, report: RunReport):
 
     w1 = grid_values(omegas, 0, one, one, 0)[:, 0]
     var = float(w1.var(ddof=1))
-    report.verdicts.append(Verdict("wiener.w1_variance", 0.94 <= var <= 1.06, var, 0.06,
-                                   target=1.0))
+    report.verdicts.append(Verdict.within("wiener.w1_variance", var, 0.06, target=1.0))
     report.tables["w1_samples.csv"] = _fmt_rows(("index", "w1"), list(enumerate(map(float, w1))))
 
     half = 1 << level  # increments over [0, 2], split at 1; row sums are exact
     incs = increments(omegas[:10_000], 0, zero, two, level)
     sums = np.stack([incs[:, :half].sum(axis=1), incs[:, half:].sum(axis=1)], axis=1)
     corr = float(np.corrcoef(sums[:, 0], sums[:, 1])[0, 1])
-    report.verdicts.append(Verdict("wiener.disjoint_interval_corr", abs(corr) <= 0.05, corr, 0.05))
+    report.verdicts.append(Verdict.within("wiener.disjoint_interval_corr", corr, 0.05))
 
     n_int = cfg["intervals"]
     base = chain(seed, 0xA11CE)
@@ -68,11 +67,9 @@ def run_noise(cfg: dict, report: RunReport):
 
     z0, z1 = ou_grid(omegas[:4000], 0, ou_cfg, zero, one, 0).T  # one history per row
     target = ou_cfg.stationary_variance
-    bound = 0.1 * target
     ou_var = float(z0.var(ddof=1))
-    report.verdicts.append(Verdict("wiener.ou_variance", abs(ou_var - target) <= bound,
-                                   ou_var, bound, target=target))
+    report.verdicts.append(Verdict.within("wiener.ou_variance", ou_var, 0.1 * target,
+                                          target=target))
     ac = float(np.corrcoef(z0, z1)[0, 1])
-    expected = float(np.exp(-ou_cfg.rate))
-    report.verdicts.append(Verdict("wiener.ou_autocorr_lag1", abs(ac - expected) <= 0.05,
-                                   ac, 0.05, target=expected))
+    report.verdicts.append(Verdict.within("wiener.ou_autocorr_lag1", ac, 0.05,
+                                          target=float(np.exp(-ou_cfg.rate))))

@@ -18,7 +18,6 @@ from stochflow.flow_core import evolve_batch, flow_residual
 from stochflow.measure import (
     EmpiricalMeasure,
     GaussianFamily,
-    RandomMeasure,
     distance,
     gaussian_draw,
 )
@@ -156,7 +155,7 @@ def test_criterion_3_pullback_on_linear_model():
     worst_gap = 0.0
     for i in range(100):
         om = NoiseRealization(SEED + 5, i)
-        x_star = pullback_point(model12, om, t, sched12)[0]
+        x_star = pullback_point(model12, om, sched12)[0]
         dw = increments(om, 0, s0, t, lvl)
         lefts = np.arange(s0.value, t.value, h)
         noise = SIGMA * float(np.dot(np.exp(-RATE * (0.0 - lefts)), dw))
@@ -174,7 +173,7 @@ def _pullback_ensemble(anchor_int: int, salt: int, n: int = 1000):
         t = dyadic(anchor_int)
         sched = PullbackSchedule.geometric(t, 7, dyadic(2))
         pts = np.array([
-            pullback_point(model, NoiseRealization(salt, i), t, sched)[0]
+            pullback_point(model, NoiseRealization(salt, i), sched)[0]
             for i in range(n)
         ])
         _ensemble_cache[key] = pts
@@ -187,9 +186,7 @@ def test_criterion_4_esm_mean_and_residual():
     model = _linear(6)
     t = dyadic(0)
     points = _pullback_ensemble(0, SEED + 6, n)
-    ensemble = RandomMeasure(
-        {i: EmpiricalMeasure.dirac([points[i]]) for i in range(n)}, n)
-    mean_measure = esm_mean(ensemble)
+    mean_measure = esm_mean([EmpiricalMeasure.dirac([x]) for x in points])
     m0, std = model.periodic_mean(0.0), model.stationary_std
     baseline = distance(gaussian_draw(m0, std, n, salt=SEED + 7),
                         gaussian_draw(m0, std, n, salt=SEED + 8))
@@ -216,7 +213,7 @@ def test_criterion_5_periodicity():
     t_shift = DyadicTime(two_pi_int, 6)
     sched = PullbackSchedule.geometric(t_shift, 7, dyadic(2))
     shifted = np.array([
-        pullback_point(model, NoiseRealization(SEED + 12, i), t_shift, sched)[0]
+        pullback_point(model, NoiseRealization(SEED + 12, i), sched)[0]
         for i in range(n)
     ])
     m0, std = model.periodic_mean(0.0), model.stationary_std

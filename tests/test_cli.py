@@ -120,6 +120,64 @@ def test_seed_sweep_ratio_is_the_distance_from_the_target():
     assert sweep.ratio(cli.Verdict("zero", True, 1.0, 0.0)) is None
 
 
+def test_each_rule_passes_at_its_bound_and_fails_on_nan():
+    nan, up = float("nan"), lambda x: np.nextafter(x, np.inf)
+    assert cli.Verdict.at_most("m", 0.1, 0.1).passed
+    assert not cli.Verdict.at_most("m", up(0.1), 0.1).passed
+    assert cli.Verdict.within("band", 1.5, 0.5, target=1.0).passed
+    assert cli.Verdict.within("band", 0.5, 0.5, target=1.0).passed
+    assert not cli.Verdict.within("band", up(1.5), 0.5, target=1.0).passed
+    assert cli.Verdict.within("corr", -0.0625, 0.0625).passed
+    assert not cli.Verdict.within("corr", up(0.0625), 0.0625).passed
+    assert not cli.Verdict.above("a", 0.1, 0.1).passed  # equality fails
+    assert cli.Verdict.above("a", up(0.1), 0.1).passed
+    for verdict in (cli.Verdict.at_most("m", nan, 1.0), cli.Verdict.at_most("m", 0.0, nan),
+                    cli.Verdict.within("band", nan, 0.5, target=1.0),
+                    cli.Verdict.within("band", 1.0, 0.5, target=nan),
+                    cli.Verdict.within("band", 1.0, nan, target=1.0),
+                    cli.Verdict.within("corr", nan, 0.05), cli.Verdict.above("a", nan, 0.0),
+                    cli.Verdict.above("a", 1.0, nan)):
+        assert verdict.passed is False, verdict
+
+
+def test_within_with_no_target_is_centred_on_zero_and_records_none():
+    verdict = cli.Verdict.within("wiener.disjoint_interval_corr", -0.03, 0.05)
+    assert verdict.passed and verdict.target is None
+    assert "target" not in verdict.to_dict()
+    assert not cli.Verdict.within("wiener.disjoint_interval_corr", 0.97, 0.05).passed
+
+
+# each rule next to the verdict the runners built by hand before it, same numbers
+_RULES_AND_HAND_BUILT = [
+    (cli.Verdict.within("wiener.w1_variance", 1.03, 0.06, target=1.0),
+     cli.Verdict("wiener.w1_variance", 0.94 <= 1.03 <= 1.06, 1.03, 0.06, target=1.0)),
+    (cli.Verdict.within("wiener.w1_variance", 0.9, 0.06, target=1.0),
+     cli.Verdict("wiener.w1_variance", 0.94 <= 0.9 <= 1.06, 0.9, 0.06, target=1.0)),
+    (cli.Verdict.within("wiener.disjoint_interval_corr", -0.07, 0.05),
+     cli.Verdict("wiener.disjoint_interval_corr", abs(-0.07) <= 0.05, -0.07, 0.05)),
+    (cli.Verdict.within("wiener.ou_autocorr_lag1", 0.4, 0.05, target=float(np.exp(-1.0))),
+     cli.Verdict("wiener.ou_autocorr_lag1", abs(0.4 - float(np.exp(-1.0))) <= 0.05, 0.4, 0.05,
+                 target=float(np.exp(-1.0)))),
+    (cli.Verdict.at_most("esm.periodicity", np.float64(0.012), np.float64(0.02)),
+     cli.Verdict("esm.periodicity", np.float64(0.012) <= np.float64(0.02), np.float64(0.012),
+                 np.float64(0.02))),
+    (cli.Verdict.at_most("models.absorbing_radius_agreement", 0.07, 0.05, note="t_star=4"),
+     cli.Verdict("models.absorbing_radius_agreement", 0.07 <= 0.05, 0.07, 0.05,
+                 note="t_star=4")),
+    (cli.Verdict.at_most("esm.attractor_invariance", 0.01, 2 * 1),
+     cli.Verdict("esm.attractor_invariance", 0.01 <= 2 * 1, 0.01, 2 * 1)),
+    (cli.Verdict.above("esm.residual_rejects_wrong_family", 0.04, 0.43),
+     cli.Verdict("esm.residual_rejects_wrong_family", 0.04 > 0.43, 0.04, 0.43)),
+]
+
+
+@pytest.mark.parametrize("rule, by_hand", _RULES_AND_HAND_BUILT,
+                         ids=[f"{rule.name}-{rule.value}" for rule, _ in _RULES_AND_HAND_BUILT])
+def test_each_rule_records_what_the_hand_built_verdict_did(rule, by_hand):
+    assert rule.to_dict() == by_hand.to_dict()
+    assert json.dumps(rule.to_dict()) == json.dumps(by_hand.to_dict())
+
+
 def test_parse_config_text():
     cfg = parse_config_text("""
     # comment
@@ -448,8 +506,13 @@ _BAD_SIZES = [
     ("pullback", "model.level = 2.5", "model.level"),
     ("pullback", "anchor = 0.3", "anchor"),
     ("pullback", "schedule.tol = nan", "schedule.tol"),
+    # a tolerance that no strict convergence test can stay under
+    ("pullback", "schedule.tol = 0", "schedule.tol"),
+    ("attractor", "schedule.tol = -1", "schedule.tol"),
     ("esm-verify", "depth = 2.5", "depth"),
     ("esm-verify", "depth = 1", "depth"),
+    # a schedule too shallow for the probes to collapse
+    ("esm-verify", "depth = 2", "depth"),
     ("pullback", "model.rate = 0", "model.rate"),
     ("noise", "ou_rate = 0", "ou_rate"),
     ("noise", "level = 40", "level"),

@@ -103,10 +103,9 @@ def test_measures_of_no_points_are_refused_as_config_errors(empty):
 def test_attractor_requires_nonempty_seeds():
     sched = PullbackSchedule.geometric(dyadic(0), 3, 1)
     with pytest.raises(ConfigError):
-        pullback_attractor(IdentityFlow(1, 6), OM, dyadic(0), [], sched)
+        pullback_attractor(IdentityFlow(1, 6), OM, [], sched)
     with pytest.raises(ConfigError):
-        pullback_attractor(IdentityFlow(1, 6), OM, dyadic(0),
-                           [np.empty((0, 1))], sched)
+        pullback_attractor(IdentityFlow(1, 6), OM, [np.empty((0, 1))], sched)
 
 
 def test_select_trajectory_refuses_non_singleton_attractor():

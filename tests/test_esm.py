@@ -40,7 +40,6 @@ from stochflow.measure import (
     ConstantFamily,
     EmpiricalMeasure,
     GaussianFamily,
-    RandomMeasure,
     distance,
     gaussian_draw,
     mixture,
@@ -75,6 +74,12 @@ class TestSchedule:
             PullbackSchedule(T0, (dyadic(-2), dyadic(-1)))
         with pytest.raises(ConfigError):
             PullbackSchedule(T0, (dyadic(1), dyadic(-1)))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # every convergence test is strict: nothing stays under a tolerance of 0
+        with pytest.raises(ConfigError, match="tolerance"):
+            _schedule(tol=tol)
 
 
 class TestPullbackMeasure:
@@ -174,7 +179,7 @@ class TestAttractor:
     def test_decaying_flow_collapses_to_origin(self):
         model = ScalarExpFlow(-1.0, 6)
         box = np.linspace(-1, 1, 41)[:, None]
-        cloud = pullback_attractor(model, OM, T0, [box], _schedule(coeff=1))
+        cloud = pullback_attractor(model, OM, [box], _schedule(coeff=1))
         assert cloud.converged
         assert np.max(np.abs(cloud.particles)) <= 0.02
 
@@ -182,7 +187,7 @@ class TestAttractor:
         model = _linear()
         box = np.linspace(-1, 1, 33)[:, None]
         sched = _schedule(coeff=2)
-        cloud = pullback_attractor(model, OM, T0, [box], sched)
+        cloud = pullback_attractor(model, OM, [box], sched)
         assert cloud.converged
         deepest = sched.starts[len(cloud.history)].value
         bound = np.exp(-model.rate * (T0.value - deepest)) * 2.0
@@ -191,14 +196,14 @@ class TestAttractor:
     def test_expanding_flow_does_not_converge(self):
         model = ScalarExpFlow(+1.0, 6)
         box = np.linspace(-1, 1, 9)[:, None]
-        cloud = pullback_attractor(model, OM, T0, [box], _schedule(coeff=1))
+        cloud = pullback_attractor(model, OM, [box], _schedule(coeff=1))
         assert not cloud.converged
 
     def test_blow_up_at_the_first_start_keeps_every_seed(self):
         # the flow diverges from the first start: the cloud is the whole seed set
         model = EMModel(lambda t, x: 100.0 * x, [[0.0]], grid_level=4, guard=1e6)
         boxes = [np.array([[1.0], [2.0]]), np.array([[3.0], [4.0], [5.0]])]
-        cloud = pullback_attractor(model, OM, T0, boxes, _schedule(coeff=1))
+        cloud = pullback_attractor(model, OM, boxes, _schedule(coeff=1))
         assert not cloud.converged and cloud.history == []
         assert cloud.particles.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0]]
 
@@ -207,18 +212,17 @@ class TestAttractor:
         model = _linear()
         boxes = [np.linspace(-1, 1, 17)[:, None], np.linspace(2, 3, 5)[:, None]]
         sched = _schedule(coeff=2)
-        cloud = pullback_attractor(model, OM, T0, boxes, sched)
+        cloud = pullback_attractor(model, OM, boxes, sched)
         deepest = sched.starts[len(cloud.history)]
         per_box = np.concatenate([evolve_batch(model, OM, deepest, T0, b) for b in boxes])
         assert np.array_equal(cloud.particles, per_box)
         with pytest.raises(StateError):
-            pullback_attractor(model, OM, T0, [boxes[0], np.zeros((2, 2))], sched)
+            pullback_attractor(model, OM, [boxes[0], np.zeros((2, 2))], sched)
 
     def test_invariance_identity_exact_zero(self):
         cloud = AttractorCloud(T0, np.array([[0.0], [1.0]]), [], converged=True)
         cloud_s = AttractorCloud(dyadic(-1), np.array([[0.0], [1.0]]), [], converged=True)
-        res = attractor_invariance_residual(IdentityFlow(1, 6), OM, dyadic(-1), T0,
-                                            cloud_s, cloud)
+        res = attractor_invariance_residual(IdentityFlow(1, 6), OM, cloud_s, cloud)
         assert res == 0.0
 
     def test_invariance_linear_contraction(self):
@@ -226,16 +230,16 @@ class TestAttractor:
         box = np.linspace(-1, 1, 17)[:, None]
         s_t = dyadic(-1)
         tol = 0.02
-        cloud_t = pullback_attractor(model, OM, T0, [box], _schedule(T0, 7, 2, tol))
-        cloud_s = pullback_attractor(model, OM, s_t, [box], _schedule(s_t, 7, 2, tol))
+        cloud_t = pullback_attractor(model, OM, [box], _schedule(T0, 7, 2, tol))
+        cloud_s = pullback_attractor(model, OM, [box], _schedule(s_t, 7, 2, tol))
         assert cloud_t.converged and cloud_s.converged
-        res = attractor_invariance_residual(model, OM, s_t, T0, cloud_s, cloud_t)
+        res = attractor_invariance_residual(model, OM, cloud_s, cloud_t)
         assert res <= 2 * tol
 
     def test_unconverged_rejected(self):
         bad = AttractorCloud(T0, np.zeros((1, 1)), [], converged=False)
         with pytest.raises(ConfigError):
-            attractor_invariance_residual(IdentityFlow(1, 6), OM, dyadic(-1), T0, bad, bad)
+            attractor_invariance_residual(IdentityFlow(1, 6), OM, bad, bad)
 
 
 class TestSelectTrajectory:
@@ -291,12 +295,12 @@ def test_martingale_flatness_rows_equal_per_handle_traces():
     assert np.array_equal(report["stderr"], rows.std(axis=0, ddof=1) / np.sqrt(6))
 
 
-def _pullback_loop(model, omega, t, schedule):
+def _pullback_loop(model, omega, schedule):
     """The collapsed pullback point of one realization, start by start."""
     probes = np.array([[0.0], [1.0]])
     prev, hits = None, 0
     for s in schedule.starts:
-        imgs = evolve_batch(model, omega, s, t, probes)
+        imgs = evolve_batch(model, omega, s, schedule.anchor, probes)
         coll = float(np.max(cdist(imgs, imgs)))
         if prev is not None:
             move = float(np.max(np.linalg.norm(imgs - prev, axis=1)))
@@ -311,20 +315,20 @@ def test_pullback_points_equal_per_handle_points():
     model = _linear(sigma=1.0)
     omegas = [NoiseRealization(5, i) for i in range(12)]
     deep = _schedule(depth=6)
-    got = pullback_points(model, omegas, T0, deep)
+    got = pullback_points(model, omegas, deep)
     for omega, row in zip(omegas, got):
-        assert np.array_equal(row, pullback_point(model, omega, T0, deep))
-        assert np.array_equal(row, _pullback_loop(model, omega, T0, deep))
+        assert np.array_equal(row, pullback_point(model, omega, deep))
+        assert np.array_equal(row, _pullback_loop(model, omega, deep))
     # realizations 4 and 7 leave one start earlier than the rest: at depth 5
     # they still collapse, while realization 0 never does
     short = _schedule(depth=5)
     left = [omegas[4], omegas[7]]
-    assert np.array_equal(pullback_points(model, left, T0, short), got[[4, 7]])
+    assert np.array_equal(pullback_points(model, left, short), got[[4, 7]])
     for one_row in (pullback_point, _pullback_loop):
         with pytest.raises(UnsupportedCaseError):
-            one_row(model, omegas[0], T0, short)
+            one_row(model, omegas[0], short)
     with pytest.raises(UnsupportedCaseError, match="realization 0"):
-        pullback_points(model, [omegas[4], omegas[0], omegas[7]], T0, short)
+        pullback_points(model, [omegas[4], omegas[0], omegas[7]], short)
 
 
 def _per_start_points(model, omegas, t, schedule):
@@ -362,7 +366,7 @@ def test_pullback_points_fill_each_interval_once_with_per_start_bits(sigma, coef
     want, exits = _per_start_points(model, omegas, T0, sched)
     with mock.patch.object(linear, "HELD_VALUES", held), \
             mock.patch.object(wiener, "_fill", wraps=wiener._fill) as fill:
-        got = pullback_points(model, omegas, T0, sched)
+        got = pullback_points(model, omegas, sched)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     filled = Counter((o, n) for c in fill.call_args_list for o in c.args[0]
                      for n in range(c.args[2], c.args[3]))
@@ -412,23 +416,21 @@ def test_pullback_points_delegate_finite_lifts():
     lift = fo.FiniteFlowLift(fo.synchronizing_pair())
     sched = PullbackSchedule.geometric(T0, 6, dyadic(1))
     omegas = [NoiseRealization(9, i) for i in range(5)]
-    got = pullback_points(lift, omegas, T0, sched)
+    got = pullback_points(lift, omegas, sched)
     for omega, row in zip(omegas, got):
-        assert np.array_equal(row, pullback_point(lift, omega, T0, sched))
+        assert np.array_equal(row, pullback_point(lift, omega, sched))
 
 
 class TestEsmMeanResidual:
     def test_mean_of_identical_members(self):
         rho = gaussian_draw(0.0, 1.0, 64, salt=11)
-        fam = RandomMeasure({i: rho for i in range(5)}, 5)
-        assert distance(esm_mean(fam), rho) == pytest.approx(0.0, abs=1e-12)
+        assert distance(esm_mean([rho] * 5), rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_of_diracs_is_the_equal_weight_measure_bitwise(self):
         # esm-verify's periodicity check reuses the mean measure for this one
         for n in [*range(1, 61), 97, 400, 1000, 4096]:
             points = gaussian_draw(0.3, 1.7, n, salt=n).particles[:, 0]
-            mean = esm_mean(RandomMeasure(
-                {i: EmpiricalMeasure.dirac([points[i]]) for i in range(n)}, n))
+            mean = esm_mean([EmpiricalMeasure.dirac([x]) for x in points])
             equal = EmpiricalMeasure.equal_weight(points[:, None])
             assert mean.particles.tobytes() == equal.particles.tobytes(), n
             assert mean.weights.tobytes() == equal.weights.tobytes(), n
@@ -438,11 +440,11 @@ class TestEsmMeanResidual:
         # ensemble average to the half-half measure for every alpha
         x1, x2 = EmpiricalMeasure.dirac([0.0]), EmpiricalMeasure.dirac([1.0])
         for alpha in (0.0, 0.3, 1.0):
-            members = {}
+            members = []
             for i in range(10):
                 w = alpha if i < 5 else 1 - alpha
-                members[i] = mixture([x1, x2], [w, 1 - w])
-            mean = esm_mean(RandomMeasure(members, 10))
+                members.append(mixture([x1, x2], [w, 1 - w]))
+            mean = esm_mean(members)
             target = mixture([x1, x2], [0.5, 0.5])
             assert distance(mean, target) == pytest.approx(0.0, abs=1e-12)
 
@@ -451,12 +453,10 @@ class TestEsmMeanResidual:
         sched = _schedule(depth=7)
         n = 400
         points = np.array([
-            pullback_point(model, NoiseRealization(550, i), T0, sched)[0]
+            pullback_point(model, NoiseRealization(550, i), sched)[0]
             for i in range(n)
         ])
-        ensemble = RandomMeasure(
-            {i: EmpiricalMeasure.dirac([points[i]]) for i in range(n)}, n)
-        mean = esm_mean(ensemble)
+        mean = esm_mean([EmpiricalMeasure.dirac([x]) for x in points])
         m0, std = model.periodic_mean(0.0), model.stationary_std
         baseline = distance(gaussian_draw(m0, std, n, salt=21),
                             gaussian_draw(m0, std, n, salt=22))

@@ -542,7 +542,7 @@ class TestLift:
         # selected point for every realization, and the ensemble mean matches
         # the exact averaged family within Monte Carlo error
         from stochflow.esm import PullbackSchedule, esm_mean, pullback_measure
-        from stochflow.measure import ConstantFamily, EmpiricalMeasure, RandomMeasure
+        from stochflow.measure import ConstantFamily, EmpiricalMeasure
 
         flow = fo.synchronizing_pair()
         lift = fo.FiniteFlowLift(flow)
@@ -552,15 +552,15 @@ class TestLift:
         sched = PullbackSchedule.geometric(dyadic(0), 3, 2)
         source = ConstantFamily(EmpiricalMeasure.equal_weight([[0.0], [1.0]]))
         n = 800
-        members = {}
+        members = []
         for i in range(n):
             om = NoiseRealization(33, i)
             mu, diag = pullback_measure(lift, om, sched, source, 2)
             assert diag.converged
             # synchronization collapses the measure to one exact point
             assert np.all(mu.particles == mu.particles[0])
-            members[i] = mu
-        mean = esm_mean(RandomMeasure(members, n))
+            members.append(mu)
+        mean = esm_mean(members)
         p1_hat = float(np.sum(mean.weights[mean.particles[:, 0] == 1.0]))
         stderr = np.sqrt(exact_p1 * (1 - exact_p1) / n)
         assert abs(p1_hat - exact_p1) <= 4 * stderr

@@ -14,7 +14,6 @@ from stochflow.measure import (
     ConstantFamily,
     EmpiricalMeasure,
     GaussianFamily,
-    RandomMeasure,
     distance,
     expect,
     from_table,
@@ -378,11 +377,6 @@ def test_to_table_matches_row_formatter_when_distinct_counts_multiply_past_2_63(
     mu = _mk(np.concatenate((pts, pts)), np.concatenate((w, np.roll(w, 1))))
     assert [np.unique(c).size for c in (mu.weights, *mu.particles.T)] == [256] * 9
     assert to_table(mu) == _table_rows(mu)
-
-
-def test_random_measure_requires_full_assignment():
-    with pytest.raises(ConfigError):
-        RandomMeasure({0: EmpiricalMeasure.dirac([0.0])}, 2)
 
 
 def test_families_are_deterministic_and_distinct():
