@@ -106,7 +106,7 @@ def pullback_measure(
         current = EmpiricalMeasure(pushed, rho.weights)
         used.append(s)
         spreads.append((rho.spread(), current.spread()))
-        del pushed  # current holds a copy; not held through the merge below
+        del pushed, rho  # current holds copies; neither is held through the merge below
         if previous is not None:
             distances.append(distance(current, previous))
             if len(distances) >= 2 and distances[-1] < schedule.tol \

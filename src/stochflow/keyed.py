@@ -28,6 +28,7 @@ _G2 = 0xBF58476D1CE4E5B9
 _G3 = 0x94D049BB133111EB
 _U1, _U2, _U3 = np.uint64(_G1), np.uint64(_G2), np.uint64(_G3)
 _U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+_PIECE = 1 << 14
 
 
 def mix64(x: int) -> int:
@@ -79,6 +80,17 @@ def uniform_from_keys(keys: np.ndarray) -> np.ndarray:
 
 def gauss_from_keys(keys: np.ndarray) -> np.ndarray:
     return ndtri(uniform_from_keys(keys))
+
+
+def gauss_range(base: int, n: int) -> np.ndarray:
+    """``gauss_from_keys(chain_offsets(base, np.arange(n)))``, hashed and drawn
+    ``_PIECE`` offsets at a time into one output: the same bits, without the
+    n-long key and uniform arrays.  Empty when n <= 0, as ``np.arange(n)`` is."""
+    out = np.empty(max(n, 0))
+    for i in range(0, n, _PIECE):
+        stop = min(i + _PIECE, n)
+        ndtri(uniform_from_keys(chain_offsets(base, np.arange(i, stop))), out=out[i:stop])
+    return out
 
 
 def gauss_from_key(key: int) -> float:

@@ -57,7 +57,7 @@ import numpy as np
 from ..dyadic import DyadicTime
 from ..errors import ConfigError, DivergenceError, StateError
 from ..flow_core import FlowModelBase
-from ..keyed import chain, chain_offsets, gauss_from_keys
+from ..keyed import chain, gauss_range
 from ..wiener import OUConfig, ou_grid
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -251,8 +251,7 @@ def random_divfree(n: int, seed: int) -> np.ndarray:
     """Deterministic random smooth divergence-free field: keyed Gaussian
     coefficients divided by 1 + |k|^2."""
     g = grid_for(n)
-    keys = chain_offsets(chain(_TAG_FIELD, seed), np.arange(4 * n * n))
-    raw = gauss_from_keys(keys).reshape(2, 2, n, n)
+    raw = gauss_range(chain(_TAG_FIELD, seed), 4 * n * n).reshape(2, 2, n, n)
     coeff = (raw[0] + 1j * raw[1]) / (1.0 + g.ksq)
     return _finalize(coeff)
 

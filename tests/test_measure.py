@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 from scipy.special import erf
 
 from stochflow.errors import ConfigError, StateError
+from stochflow import measure
 from stochflow.measure import (
-    _merge_ties,
     ConstantFamily,
     EmpiricalMeasure,
     GaussianFamily,
@@ -141,16 +141,33 @@ def test_distance_1d_properties(mu, nu, rnd):
 def _old_distance_1d(mu, nu, kind=None):
     """The 1D energy distance with every point of both measures sorted afresh.
 
-    The reference the sorted-once merge in ``distance`` must equal bit for bit.
+    The reference the run-length merge in ``distance`` must equal bit for bit.
     """
     z = np.concatenate((mu.particles[:, 0], nu.particles[:, 0]))
     order = np.argsort(z, kind=kind)
     z, w = z[order], np.concatenate((mu.weights, -nu.weights))[order]
     new = z[1:] != z[:-1]
     if not new.all():
-        z, w = _merge_ties(z, w, new)
+        z, w = _old_merge_ties(z, w, new)
     gap = np.cumsum(w[:-1])
     return float(2.0 * np.dot(np.diff(z), gap * gap))
+
+
+def _old_merge_ties(z, w, new):
+    """Collapse each run of equal sorted points to one point with the run's net
+    weight: each measure's weights in a run are added to 0.0, smallest first."""
+    start = np.concatenate(([True], new))
+    tied = ~(start & np.concatenate((new, [True])))
+    run = np.cumsum(start[tied]) - 1
+    v = w[tied]
+    order = np.lexsort((np.abs(v), run))
+    run, v = run[order], v[order]
+    k = run[-1] + 1
+    pos = v > 0
+    net = w[start]
+    net[tied[start]] = (np.bincount(run[pos], v[pos], minlength=k)
+                        - np.bincount(run[~pos], -v[~pos], minlength=k))
+    return z[start], net
 
 
 @given(weighted_1d(), weighted_1d(), st.randoms(use_true_random=False))
@@ -217,6 +234,47 @@ def test_equal_weight_distance_equals_the_unsorted_form_bit_for_bit(n, m):
                 cached[0] = 1.0
 
 
+# 2**12 points on at most five values each: signed zeros, subnormals, normals
+_COLLAPSED_POOLS = [[0.0, -0.0, 5e-324, -5e-324, 1.0], [0.0, -0.0, 2.2250738585072014e-308],
+                    [np.pi], [-1.0 / 3.0, 5e-324, 0.0]]
+
+
+@pytest.mark.parametrize("pool", _COLLAPSED_POOLS)
+def test_collapsed_distance_equals_the_unsorted_form_bit_for_bit(pool):
+    rng = np.random.default_rng(len(pool))
+    n = 1 << 12
+
+    def points():
+        return rng.choice(pool, n)
+    equal, unequal = _mk(points()), _mk(points(), rng.random(n) + 0.01)
+    zeros = _mk(points(), np.where(rng.random(n) < 0.3, 0.0, rng.random(n)))
+    spread = _mk(np.where(rng.random(n) < 0.5, points(), rng.normal(size=n)))
+    measures = (equal, unequal, zeros, spread)
+    for a in measures:
+        for b in measures:  # both orders, and each measure with itself
+            assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
+    for mu in (equal, unequal, zeros):
+        z, w = mu._sorted_1d  # one entry per distinct value; 0.0 and -0.0 are one
+        assert z.size == w.size == np.unique(mu.particles[:, 0]).size <= len(pool)
+        for cached in (z, w):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [measure._PIECE - 1, measure._PIECE + 1, 3 * measure._PIECE + 5])
+def test_distance_merged_over_many_pieces_equals_the_unsorted_form_bit_for_bit(n):
+    # values on a grid of n / 4 points, so that most values tie within and across
+    # the measures, and the merge runs over several pieces
+    rng = np.random.default_rng(n)
+
+    def points():
+        return rng.integers(0, n // 4, n) * 0.25 - n / 32
+    equal, unequal = _mk(points()), _mk(points(), rng.random(n) + 0.01)
+    plain = _mk(rng.normal(size=n))
+    for a, b in ((equal, unequal), (unequal, equal), (equal, plain), (plain, unequal)):
+        assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
+
+
 def _energy_exact(mu, nu):
     """2 E|X-Y| - E|X-X'| - E|Y-Y'| as an exact rational double sum."""
     def mean_abs(a, b):
@@ -271,6 +329,26 @@ def test_distance_memory_stays_below_one_dense_matrix():
     # one dense 3000 x 3000 matrix takes 72 MB; the blocked sums hold at most three
     # 256 x 3000 blocks (18 MB): the new block, its gap scratch and the previous block
     assert peak < 24e6
+
+
+def test_tie_heavy_distance_holds_the_merge_and_one_piece():
+    # half of one measure and all of the other sit on a grid of step 0.01, so
+    # both supports collapse runs and share values
+    n = 1 << 16
+    rng = np.random.default_rng(16)
+    mu = _mk(np.where(rng.random(n) < 0.5, np.round(rng.normal(size=n), 2), rng.normal(size=n)))
+    nu = _mk(np.round(rng.normal(size=n), 2), rng.random(n) + 0.01)
+    merged = mu._sorted_1d[0].size + nu._sorted_1d[0].size  # supports made, and kept
+    tracemalloc.start()
+    try:
+        distance(mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the merged values and weights, 16 bytes a point, and one piece of at
+    # most 2 * _PIECE points: its values, sort index and tie check, under 32
+    # bytes a point; sorting every point afresh and copying the ties took 6.4 MB
+    assert peak < 16 * merged + 32 * 2 * measure._PIECE + 4096
 
 
 def test_distance_dimension_mismatch():
@@ -423,3 +501,13 @@ def test_spread_resolves_tiny_spread_far_from_origin(centre):
     want = float(np.std(x - centre))
     got = EmpiricalMeasure.equal_weight(x[:, None]).spread()
     assert got == pytest.approx(want, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_spread_keeps_the_bits_of_the_summed_squares(dim):
+    rng = np.random.default_rng(dim)
+    mu = EmpiricalMeasure(rng.normal(2.0, 3.0, size=(5000, dim)), rng.random(5000) + 0.1)
+    centered = mu.particles - mu.mean()
+    centered -= mu.weights @ centered
+    want = float(np.sqrt(mu.weights @ np.sum(centered * centered, axis=1)))
+    assert _bits(mu.spread()) == _bits(want)

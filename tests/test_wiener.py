@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stochflow import wiener
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import ConfigError, OrderingError, ResolutionError
-from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys
+from stochflow.keyed import chain, chain_offsets, extend_key, gauss_from_keys, gauss_range
 from stochflow.wiener import (
     _TAG_BRIDGE,
     _bridge_scale,
@@ -325,6 +325,15 @@ def test_chain_offsets_on_scalars_is_a_0d_array_without_a_warning(base, offset):
         got = chain_offsets(base, offset)
     assert isinstance(got, np.ndarray) and got.shape == ()
     assert int(got) == extend_key(int(base), int(offset))
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5])
+def test_gauss_range_equals_the_two_call_form_bit_for_bit(n):
+    base = chain(7, n)
+    want = gauss_from_keys(chain_offsets(base, np.arange(n)))
+    got = gauss_range(base, n)
+    assert got.shape == want.shape == (max(n, 0),)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_w1_sample_variance():
