@@ -128,8 +128,9 @@ def _coerce(val: str):
 
 # One table per kind: key -> default.  The default's type is the key's type:
 # an int key takes an integer of at least _FLOORS.get(key, 1) (None: any), a
-# float key a finite real, and the tuple ``lookbacks`` comma-separated distinct
-# positive integers, used in ascending order.  A bool is never a number.
+# float key a finite real (an integer is read as its float), and the tuple
+# ``lookbacks`` comma-separated distinct positive integers, used in ascending
+# order.  A bool is never a number.
 _LINEAR = {"model.rate": 0.5, "model.sigma": 0.3, "model.level": 6, "model.forcing_amp": 1.0}
 _TABLES = {
     "noise": {"ensemble": 10_000, "level": 6, "ou_rate": 1.0, "intervals": 1000},
@@ -177,7 +178,12 @@ def _checked(key: str, val, default):
             return val
     elif isinstance(default, float):
         rule = "a finite real number"
-        if type(val) is int or (type(val) is float and np.isfinite(val)):
+        if type(val) is int:
+            try:
+                return float(val)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        elif type(val) is float and np.isfinite(val):
             return val
     else:
         rule = "a path"

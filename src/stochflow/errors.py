@@ -25,10 +25,6 @@ class StateError(StochFlowError, ValueError):
     """A state vector contains non-finite entries or has the wrong shape."""
 
 
-class EvaluationError(StochFlowError, ValueError):
-    """A test function produced non-finite values."""
-
-
 class DivergenceError(StochFlowError, RuntimeError):
     """A trajectory blew past the norm guard."""
 

@@ -1,8 +1,15 @@
-"""Pullback limits of measures, attractor clouds, martingale diagnostics, and
-the flow <-> semigroup correspondence on finite ensembles.
+"""Pullback limits of measures, attractor clouds, pullback points, the
+martingale trace, and the flow <-> semigroup correspondence on finite
+ensembles.
 
-Pullback convergence is always taken along a deterministic decreasing schedule
-of start times; nothing is interpolated between scheduled starts.
+A run reads ``pullback_measure``, ``pullback_attractor`` with
+``attractor_invariance_residual``, ``pullback_points`` and ``esm_residual``.
+``martingale_trace`` waits for a run of its own (the pitchfork kind on the
+roadmap), and ``esm_mean`` is the reference that the tests hold
+``esm-verify``'s mean measure to.
+
+Pullback convergence is always taken along a deterministic decreasing
+schedule of start times; nothing is interpolated between scheduled starts.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from .errors import ConfigError, DivergenceError, StateError, UnsupportedCaseErr
 from .flow_core import (
     BoundedFunction,
     FlowModelBase,
-    evolve,
     evolve_batch,
     evolve_ensemble,
     pullback_ensemble,
@@ -159,30 +165,6 @@ def martingale_trace(
     return MartingaleTrace(tuple(lbs), vals[0] if single else vals, f.id)
 
 
-def martingale_mean_flatness(
-    model: FlowModelBase,
-    stream: RealizationStream,
-    t: DyadicTime,
-    f: BoundedFunction,
-    family: MeasureFamily,
-    lookbacks: Sequence[DyadicTime],
-    n_realizations: int,
-    n_particles: int = 1 << 8,
-) -> dict:
-    """Ensemble means of the trace per lookback; flat when the source family
-    is an evolution family.  Reports the worst pairwise gap in combined
-    standard errors."""
-    if n_realizations < 2:
-        raise ConfigError("n_realizations must be at least 2")
-    traces = martingale_trace(model, stream.take(n_realizations), t, f, family, lookbacks,
-                              n_particles).values
-    means = traces.mean(axis=0)
-    serr = traces.std(axis=0, ddof=1) / np.sqrt(n_realizations)
-    gaps = np.abs(means[:, None] - means) / np.maximum(np.hypot(serr[:, None], serr), 1e-300)
-    worst = np.max(gaps, initial=0.0)
-    return {"means": means, "stderr": serr, "max_gap_in_stderr": worst}
-
-
 # -- attractor clouds ---------------------------------------------------------
 
 def hausdorff_semidistance(a: np.ndarray, b: np.ndarray) -> float:
@@ -277,19 +259,6 @@ def attractor_invariance_residual(
 
 # -- trajectory selection -----------------------------------------------------
 
-@dataclass
-class SelectedTrajectory:
-    times: tuple
-    states: np.ndarray
-
-    def consistency_residual(self, model: FlowModelBase, omega: NoiseRealization) -> float:
-        worst = 0.0
-        for k in range(len(self.times) - 1):
-            stepped = evolve(model, omega, self.times[k], self.times[k + 1], self.states[k])
-            worst = max(worst, float(np.max(np.abs(stepped - self.states[k + 1]))))
-        return worst
-
-
 def pullback_points(model: FlowModelBase, omegas, schedule: PullbackSchedule) -> np.ndarray:
     """The collapsed pullback state at the anchor, one row per realization.
 
@@ -329,23 +298,6 @@ def pullback_points(model: FlowModelBase, omegas, schedule: PullbackSchedule) ->
             "contracting models and finite lifts"
         )
     return out
-
-
-def select_trajectory(
-    model: FlowModelBase,
-    omega: NoiseRealization,
-    times: Sequence[DyadicTime],
-    schedule: PullbackSchedule,
-) -> SelectedTrajectory:
-    """A single trajectory supported by the attractor: the pullback point at
-    the earliest time (``pullback_points``, one row), carried forward."""
-    times = sorted(times)
-    if schedule.anchor != times[0]:
-        raise ConfigError("schedule must be anchored at the earliest requested time")
-    states = [pullback_points(model, (omega,), schedule)[0]]
-    for a, b in zip(times, times[1:]):
-        states.append(evolve(model, omega, a, b, states[-1]))
-    return SelectedTrajectory(tuple(times), np.stack(states))
 
 
 def pullback_point(model: FlowModelBase, omega: NoiseRealization,

@@ -9,10 +9,14 @@ Every exact average is one of two sums: ``_mix``, the weighted sum of rows
 coordinate by coordinate (kernel rows, kernel products, transported and mean
 measures), and ``ExactMeasure.integral``, the integral of a function given
 state by state.  Every enumeration of words passes one limit check,
-``_check_words``, before it builds a word.  The pushforward, the pullback and
-the martingale check read one enumeration of the words that end at an anchor,
+``_check_words``, before it builds a word.  The pullback and the martingale
+check read one enumeration of the words that end at an anchor,
 ``history_walk``; every other word goes through one forward composition,
 ``compose_word_map``, which refuses a word too short for its span.
+
+``FiniteFlowLift`` embeds a finite flow as a flow model, and its
+``exact_select_states`` gives ``esm.pullback_points`` the exact pullback
+point; no run reads the lift yet.
 """
 
 from __future__ import annotations
@@ -205,21 +209,6 @@ def chapman_check(flow: FiniteFlow, s: int, t: int, u: int) -> bool:
     return kernel_between(flow, s, u) == kernel_product(
         kernel_between(flow, s, t), kernel_between(flow, t, u)
     )
-
-
-@dataclass
-class PushforwardResult:
-    word_measures: dict
-    kernel: tuple
-    mean_measure: ExactMeasure
-
-
-def ff_pushforward(flow: FiniteFlow, mu: ExactMeasure, s: int, t: int) -> PushforwardResult:
-    """Exact image measure per symbol word plus the averaged kernel."""
-    word_measures = {word: mu.pushforward(comp)
-                     for word, comp, _, children in history_walk(flow, t, t - s) if not children}
-    kernel = kernel_between(flow, s, t)
-    return PushforwardResult(word_measures, kernel, apply_kernel(mu, kernel))
 
 
 # -- evolution families of the averaged kernels --------------------------------
@@ -473,12 +462,6 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, word_measures)
 
 
-def ff_attractor_sets(flow: FiniteFlow, word, start: int, times) -> dict:
-    """Image of the whole state set at each requested time, from one shared
-    history start; exactly flow-invariant across the requested times."""
-    return {t: frozenset(compose_word_map(flow, word, start, t)) for t in times}
-
-
 def ff_select_trajectory(flow: FiniteFlow, word, start: int, times) -> list:
     """Exact selected trajectory on a synchronizing history window."""
     times = sorted(times)
@@ -667,9 +650,6 @@ class FiniteFlowLift(FlowModelBase):
         if bad.size:
             raise ConfigError(f"state {rows[bad[0], 0]} is not a valid state index")
         return np.asarray(comp, dtype=float)[x.astype(np.intp), None]
-
-    def exact_chapman_residual(self, s: DyadicTime, t: DyadicTime, u: DyadicTime) -> float:
-        return 0.0 if chapman_check(self.flow, s.at_level(0), t.at_level(0), u.at_level(0)) else 1.0
 
     def exact_select_states(self, omega, times, schedule) -> np.ndarray:
         t_ints = [t.at_level(0) for t in times]

@@ -1,17 +1,17 @@
-"""Two-parameter stochastic flows and their Markov transition estimates.
+"""Two-parameter stochastic flows: the model contract and its checked calls.
 
 A flow model supplies the state map for grid-aligned dyadic time pairs.  On
 its own grid a stepper model composes bit-exactly: running s -> r -> t
 executes the identical per-step operation sequence as s -> t.
 
-Every caller reaches a model through ``evolve_batch`` or ``evolve_ensemble``
-(``evolve`` is the one-row case), which first make one check: s <= t, both
-on the model grid, and finite states of the model's shape.
+Every caller reaches a model through ``evolve_batch``, ``evolve_ensemble`` or
+``pullback_ensemble``, which first make one check: s <= t, both on the model
+grid, and finite states of the model's shape.
 
 ``evolve_ensemble`` adds a leading realization axis.  The base class loops
 over ``evolve_batch``; array code reads path rows from one query per block of
 rows (``wiener.increment_rows``).  Either way a row equals the one-realization
-``evolve_batch`` bit-for-bit, so the estimators below give a loop's bits.
+``evolve_batch`` bit-for-bit, so the estimators of ``esm`` give a loop's bits.
 ``pullback_ensemble`` pushes the same states from ever earlier starts, as
 the pullback needs; its images equal one ``evolve_ensemble`` per start.
 """
@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicTime
-from .errors import AlignmentError, ConfigError, EvaluationError, OrderingError, StateError
-from .wiener import NoiseRealization, RealizationStream
+from .errors import AlignmentError, ConfigError, OrderingError, StateError
+from .wiener import NoiseRealization
 
 
 class FlowModelBase:
@@ -98,12 +98,6 @@ def _checked(model, s: DyadicTime, t: DyadicTime, states, rows: int | None = Non
     return states
 
 
-def evolve(model: FlowModelBase, omega: NoiseRealization, s: DyadicTime, t: DyadicTime,
-           x) -> np.ndarray:
-    """The flow map on one state: the one-row case of ``evolve_batch``."""
-    return evolve_batch(model, omega, s, t, np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
-
-
 def evolve_batch(model, omega, s, t, states: np.ndarray) -> np.ndarray:
     """Checked ``model.evolve_batch``: the rows of ``states`` under S(t, s; omega)."""
     return model.evolve_batch(omega, s, t, _checked(model, s, t, np.atleast_2d(states)))
@@ -128,72 +122,6 @@ def pullback_ensemble(model, omegas, starts, t, states, keep_running) -> np.ndar
     return model.pullback_ensemble(tuple(omegas), starts, t, states, keep_running)
 
 
-def _f_values(model, s, t, f: Callable, states: np.ndarray, stream) -> np.ndarray:
-    """f(S(t, s; omega_i) x_i) for the rows x_i of ``states``, row i on the i-th
-    fresh realization from ``stream``: one ``evolve_ensemble`` call."""
-    ys = evolve_ensemble(model, stream.take(len(states)), s, t, states[:, None])[:, 0]
-    vals = np.array([f(y) for y in ys], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("test function overflowed during Markov estimate")
-    return vals
-
-
-def flow_residual(model, omega, s: DyadicTime, r: DyadicTime, t: DyadicTime,
-                  points) -> float:
-    """Composition defect max_x |S(t,r)S(r,s)x - S(t,s)x|, relative with floor 1.
-
-    Zero for steppers on aligned triples; bounded by accumulated rounding for
-    closed-form models.
-    """
-    composed = evolve_batch(model, omega, r, t, evolve_batch(model, omega, s, r, points))
-    direct = evolve_batch(model, omega, s, t, points)
-    num = np.linalg.norm(composed - direct, axis=1)
-    den = np.maximum(1.0, np.linalg.norm(direct, axis=1))
-    return float(np.max(num / den))
-
-
-def markov_apply(model, s: DyadicTime, t: DyadicTime, f: Callable, x,
-                 n_realizations: int, stream: RealizationStream):
-    """Monte Carlo estimate of E f(S(t,s;omega) x) with its standard error.
-
-    Fresh realization indices are consumed from ``stream`` so that repeated
-    estimates are independent yet reproducible.
-    """
-    if n_realizations < 2:
-        raise ConfigError("n_realizations must be at least 2")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _f_values(model, s, t, f, np.broadcast_to(x, (n_realizations,) + x.shape), stream)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_realizations))
-
-
-def chapman_residual(model, s: DyadicTime, t: DyadicTime, u: DyadicTime, f: Callable,
-                     x, n_realizations: int, stream: RealizationStream,
-                     n_inner: int | None = None):
-    """|direct estimate of E f(S(u,s)x) - two-stage estimate through t|.
-
-    Returns (residual, combined standard error).  Finite-flow lifts are
-    routed to the exact kernel algebra and return (0.0, 0.0) when the kernel
-    product identity holds exactly.
-    """
-    if not (s <= t <= u):
-        raise OrderingError("chapman_residual requires s <= t <= u")
-    exact = getattr(model, "exact_chapman_residual", None)
-    if exact is not None:
-        return float(exact(s, t, u)), 0.0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_inner = n_inner or max(2, n_realizations // 4)
-    if n_inner < 2:
-        raise ConfigError("n_inner must be at least 2")
-    direct, direct_se = markov_apply(model, s, u, f, x, n_realizations, stream)
-    outer = np.broadcast_to(x, (n_realizations, 1) + x.shape)
-    ys = evolve_ensemble(model, stream.take(n_realizations), s, t, outer)[:, 0]
-    inner = _f_values(model, t, u, f, np.repeat(ys, n_inner, axis=0), stream)
-    mids = inner.reshape(n_realizations, n_inner).mean(axis=1)
-    composed = float(mids.mean())
-    composed_se = float(mids.std(ddof=1) / np.sqrt(n_realizations))
-    return abs(direct - composed), float(np.hypot(direct_se, composed_se))
-
-
 # -- bounded test-function library -------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,27 +143,7 @@ def tanh_coordinate(i: int = 0, scale: float = 1.0) -> BoundedFunction:
     return BoundedFunction(f"tanh[{i},{scale:g}]", lambda x: np.tanh(scale * x[i]))
 
 
-def indicator_box(lo, hi) -> BoundedFunction:
-    lo = np.atleast_1d(np.asarray(lo, float))
-    hi = np.atleast_1d(np.asarray(hi, float))
-    return BoundedFunction(
-        f"box[{lo.tolist()},{hi.tolist()}]",
-        lambda x: 1.0 if bool(np.all(x >= lo) and np.all(x <= hi)) else 0.0,
-    )
-
-
 # -- elementary reference flows ----------------------------------------------
-
-class IdentityFlow(FlowModelBase):
-    """S(t,s;omega) = id; admits every constant-in-time measure family."""
-
-    def __init__(self, state_dim: int = 1, grid_level: int = 6):
-        self.state_dim = state_dim
-        self.grid_level = checked_grid_level(grid_level)
-
-    def evolve_batch(self, omega, s, t, states):
-        return np.array(states, dtype=float)
-
 
 class ScalarExpFlow(FlowModelBase):
     """Deterministic x' = rate * x; contracting for rate < 0."""
@@ -247,14 +155,3 @@ class ScalarExpFlow(FlowModelBase):
 
     def evolve_batch(self, omega, s, t, states):
         return np.asarray(states, float) * np.exp(self.rate * (t.value - s.value))
-
-
-class ShiftFlow(FlowModelBase):
-    """S(t,s) x = x + (t - s) on the half line; admits no evolution family."""
-
-    def __init__(self, grid_level: int = 6):
-        self.state_dim = 1
-        self.grid_level = checked_grid_level(grid_level)
-
-    def evolve_batch(self, omega, s, t, states):
-        return np.asarray(states, float) + (t.value - s.value)

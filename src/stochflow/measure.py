@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import DyadicTime
-from .errors import ConfigError, EvaluationError, StateError
+from .errors import ConfigError, StateError
 from .keyed import chain, gauss_range
 
 _WEIGHT_TOL = 1e-12
@@ -144,13 +144,6 @@ def pushforward(mu: EmpiricalMeasure, g: Callable) -> EmpiricalMeasure:
     if not np.all(np.isfinite(out)):
         raise StateError("state map produced non-finite output")
     return EmpiricalMeasure(out, mu.weights)
-
-
-def expect(mu: EmpiricalMeasure, f: Callable) -> float:
-    vals = np.array([f(x) for x in mu.particles], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("test function produced non-finite values")
-    return float(mu.weights @ vals)
 
 
 def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -296,13 +289,6 @@ def _number_distinct(ids: np.ndarray, bound: int):
     return inverse, values.size
 
 
-def from_table(text: str) -> EmpiricalMeasure:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    w = np.array([float(r[0]) for r in rows])
-    pts = np.array([[float(c) for c in r[1:]] for r in rows])
-    return EmpiricalMeasure(pts, w)
-
-
 # -- deterministic time-indexed samplers ------------------------------------
 
 class MeasureFamily:
@@ -310,14 +296,6 @@ class MeasureFamily:
 
     def sample(self, t: DyadicTime, n: int) -> EmpiricalMeasure:
         raise NotImplementedError
-
-
-class ConstantFamily(MeasureFamily):
-    def __init__(self, measure: EmpiricalMeasure):
-        self.measure = measure
-
-    def sample(self, t: DyadicTime, n: int) -> EmpiricalMeasure:
-        return self.measure
 
 
 class GaussianFamily(MeasureFamily):

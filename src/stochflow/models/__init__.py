@@ -1,1 +1,1 @@
-"""Flow models, each in its own module: ``linear``, ``em`` and ``nse``."""
+"""Flow models, each in its own module: ``linear`` and ``nse``."""

@@ -136,13 +136,3 @@ class LinearOUModel(FlowModelBase):
             shifts = np.array([shift + self.sigma * float(np.dot(decay[:-1], dw)) for dw in noise])
         return states * decay[0] + shifts.reshape((-1,) + (1,) * (states.ndim - 1))
 
-
-@dataclass(frozen=True)
-class LinearDrift:
-    """Vectorized drift -rate*x + forcing(t), for the generic stepper."""
-
-    rate: float
-    forcing: FourierForcing = ZERO_FORCING
-
-    def __call__(self, t, states):
-        return -self.rate * states + self.forcing(t)

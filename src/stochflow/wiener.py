@@ -375,7 +375,3 @@ def ou_grid(omegas, component: int, cfg: OUConfig, s: DyadicTime, t: DyadicTime,
         out[r] = [np.dot(weights, dw[i:i + m]) for i in firsts]
     return out[0] if single else out
 
-
-def ou_at(omega: NoiseRealization, component: int, cfg: OUConfig, t: DyadicTime) -> float:
-    """Stationary exponential average of the path history up to t."""
-    return float(ou_grid(omega, component, cfg, t, t)[0])

@@ -1,3 +1,4 @@
+import ast
 import errno
 import filecmp
 import importlib.util
@@ -97,10 +98,22 @@ def test_setup_loads_the_kinds_modules_and_the_run_loads_none(kind):
 
 
 def test_layer_tracer_finds_every_name_it_wraps():
-    # the benchmark's traced runs wrap stochflow functions and methods by name
-    here = os.path.dirname(__file__)
-    path = os.pathsep.join(os.path.join(here, os.pardir, d) for d in ("src", "bench"))
-    code = "import stochflow.cli, layertrace; layertrace.install()"
+    # the benchmark's traced runs wrap stochflow functions and methods by name;
+    # then every stochflow import of bench/ and tools/ resolves, so a name they
+    # read that leaves src/ fails here, not in a benchmark run
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    imports = []
+    for folder in ("bench", "tools"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if name.endswith(".py"):
+                with open(os.path.join(root, folder, name)) as fh:
+                    tree = ast.parse(fh.read())
+                imports += [ast.unparse(node) for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)
+                            and (node.module or "").split(".")[0] == "stochflow"]
+    assert len(imports) >= 5, imports
+    code = "\n".join(["import stochflow.cli, layertrace", "layertrace.install()", *imports])
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "bench"))
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -656,6 +669,28 @@ def test_float_extremes_keep_the_exit_contract(tmp_path, capsys, kind, key, val)
         assert f"{key!r} = {val}" in err, err
     else:
         assert code in (0, 1) and lines[0].startswith("# wall-clock"), err
+
+
+_FLOAT_KEYS = sorted({(kind, key) for kind, key, _ in _FLOAT_CASES})
+
+
+@pytest.mark.parametrize("kind, key", _FLOAT_KEYS, ids=[f"{k}-{key}" for k, key in _FLOAT_KEYS])
+def test_float_key_given_a_huge_integer_exits_2_naming_the_key(tmp_path, capsys, kind, key):
+    # 10**400 has no float: refused as a config error, not an OverflowError in the run
+    path = _write(tmp_path, "run.cfg", f"kind = {kind}\nseed = 1\n{key} = {10**400}\n")
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{key!r} must be a finite real number" in err, err
+
+
+def test_an_integer_for_a_float_key_runs_as_its_float(tmp_path, capsys):
+    # 10**300 reaches the run as 1e300, as its float spelling does; as an int it
+    # used to reach np.exp, which raised a TypeError (exit 3)
+    outcomes = []
+    for val in (str(10**300), "1e300"):
+        path = _write(tmp_path, "run.cfg", f"{GOLDEN_CONFIGS['noise']}ou_rate = {val}\n")
+        outcomes.append((main(["--config", path]), capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1, outcomes
 
 
 # -- a fuzz of the exit contract over tiny configs of every kind -------------------

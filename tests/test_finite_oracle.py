@@ -14,9 +14,12 @@ from stochflow.errors import (
     MeasurabilityError,
     UnsupportedCaseError,
 )
-from stochflow.flow_core import chapman_residual, coordinate, evolve, markov_apply
+from stochflow.esm import PullbackSchedule, esm_mean, pullback_measure, pullback_point
+from stochflow.flow_core import evolve_ensemble
 from stochflow.keyed import chain
+from stochflow.measure import EmpiricalMeasure
 from stochflow.wiener import NoiseRealization, RealizationStream
+from support import ConstantFamily, evolve
 
 F = Fraction
 HALF = F(1, 2)
@@ -139,19 +142,18 @@ class TestKernels:
     def test_pushforward_words_and_mean(self):
         flow = fo.two_state_noisy()
         mu = fo.ExactMeasure((F(1, 3), F(2, 3)))
-        res = fo.ff_pushforward(flow, mu, 0, 2)
-        assert len(res.word_measures) == 4
         # total mass of the word average equals the kernel transport, exactly
         mean = [fo.ZERO, fo.ZERO]
-        for word, nu in res.word_measures.items():
+        for word in itertools.product(range(2), repeat=2):
+            nu = mu.pushforward(fo.compose_word_map(flow, word, 0, 2))
             p = HALF * HALF
             for x in range(2):
                 mean[x] += p * nu.masses[x]
-        assert fo.ExactMeasure(tuple(mean)) == res.mean_measure
+        assert fo.ExactMeasure(tuple(mean)) == fo.apply_kernel(mu, fo.kernel_between(flow, 0, 2))
 
     def test_depth_limit(self):
         with pytest.raises(EnumerationLimitError):
-            fo.ff_pushforward(fo.two_state_noisy(), fo.ExactMeasure.uniform(2), 0, 40)
+            fo.ff_pullback(fo.two_state_noisy(), 0, 40)
 
 
 class TestEsmSolve:
@@ -407,9 +409,10 @@ class TestPullbackRoundTrip:
 
 class TestAttractorAndSelection:
     def test_attractor_sets_flow_invariant(self):
+        # the image of the whole state set at each time, from one history start
         flow = fo.synchronizing_pair()
         word = (0, 1, 1, 0, 1, 0, 0, 1)
-        sets = fo.ff_attractor_sets(flow, word, -4, [0, 2, 4])
+        sets = {t: frozenset(fo.compose_word_map(flow, word, -4, t)) for t in (0, 2, 4)}
         for t in (0, 2, 4):
             assert len(sets[t]) == 1
         # invariance: evolving the earlier set forward gives the later set
@@ -426,11 +429,11 @@ class TestAttractorAndSelection:
     def test_words_short_of_the_span_are_refused(self):
         flow = fo.synchronizing_pair()
         with pytest.raises(ConfigError):  # covers 2 of the 8 steps to time 4
-            fo.ff_attractor_sets(flow, (0, 1), -4, [0, 4])
+            fo.compose_word_map(flow, (0, 1), -4, 4)
         with pytest.raises(ConfigError):  # 1 of the 4 steps to time 0
             fo.ff_select_trajectory(flow, (1,), -4, [0])
         with pytest.raises(ConfigError):
-            fo.ff_attractor_sets(flow, (0, 1) * 4, 0, [-1])
+            fo.compose_word_map(flow, (0, 1) * 4, 0, -1)
 
     def test_selection_requires_synchronization(self):
         flow = fo.two_state_noisy()  # bijections never synchronize
@@ -516,34 +519,28 @@ class TestLift:
         lift = fo.FiniteFlowLift(flow)
         kernel = fo.kernel_between(flow, 0, 3)
         exact = float(kernel[0][1])
-        est, se = markov_apply(lift, dyadic(0), dyadic(3), coordinate(0), [0.0],
-                               4000, RealizationStream(55))
+        # the transition mean from state 0 over 4000 fresh realizations
+        n = 4000
+        ends = evolve_ensemble(lift, RealizationStream(55).take(n), dyadic(0), dyadic(3),
+                               np.zeros((n, 1, 1)))[:, 0, 0]
+        est, se = ends.mean(), ends.std(ddof=1) / np.sqrt(n)
         assert abs(est - exact) <= 4 * se
 
-    def test_chapman_delegates_to_exact_kernels(self):
-        lift = fo.FiniteFlowLift(fo.two_state_noisy())
-        res, se = chapman_residual(lift, dyadic(-2), dyadic(0), dyadic(3),
-                                   coordinate(0), [1.0], 16, RealizationStream(1))
-        assert res == 0.0 and se == 0.0
-
     def test_exact_selection_through_esm_interface(self):
-        from stochflow.esm import PullbackSchedule, select_trajectory
         lift = fo.FiniteFlowLift(fo.synchronizing_pair())
         times = [dyadic(0), dyadic(2), dyadic(3)]
         sched = PullbackSchedule.geometric(dyadic(0), 4, 2)
         for r in range(8):  # the selected point carried forward is the exact trajectory
             om = NoiseRealization(21, r)
-            traj = select_trajectory(lift, om, times, sched)
-            assert traj.consistency_residual(lift, om) == 0.0
-            assert np.array_equal(traj.states, lift.exact_select_states(om, times, sched))
+            states = [pullback_point(lift, om, sched)]
+            for a, b in zip(times, times[1:]):
+                states.append(evolve(lift, om, a, b, states[-1]))
+            assert np.array_equal(states, lift.exact_select_states(om, times, sched))
 
     def test_pullback_measure_on_lift_reproduces_exact_family(self):
         # synchronizing lift: the pullback measure collapses to the exact
         # selected point for every realization, and the ensemble mean matches
         # the exact averaged family within Monte Carlo error
-        from stochflow.esm import PullbackSchedule, esm_mean, pullback_measure
-        from stochflow.measure import ConstantFamily, EmpiricalMeasure
-
         flow = fo.synchronizing_pair()
         lift = fo.FiniteFlowLift(flow)
         sol = fo.ff_esm_solve(flow)
@@ -596,16 +593,14 @@ def test_flow_and_semigroup_agree_on_random_small_flows(flow, data):
 
     # the flow side, summed here term by term: each word's image of mu,
     # weighted by the word's probability, is the semigroup's transport of mu
-    res = fo.ff_pushforward(flow, mu, s, t)
-    assert set(res.word_measures) == set(itertools.product(range(flow.n_symbols), repeat=t - s))
     mean = [F(0)] * n
-    for word, nu in res.word_measures.items():
-        assert nu == mu.pushforward(fo.compose_word_map(flow, word, s, t))
+    for word in itertools.product(range(flow.n_symbols), repeat=t - s):
+        nu = mu.pushforward(fo.compose_word_map(flow, word, s, t))
         p_word = math.prod((flow.probs[sym] for sym in word), start=F(1))
         for x in range(n):
             mean[x] += p_word * nu.masses[x]
     kernel = fo.kernel_between(flow, s, t)
-    assert tuple(mean) == res.mean_measure.masses == fo.apply_kernel(mu, kernel).masses
+    assert tuple(mean) == fo.apply_kernel(mu, kernel).masses
     assert all(sum(row) == 1 for row in kernel)
     assert fo.chapman_check(flow, s, t, u)
 

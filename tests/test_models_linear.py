@@ -3,12 +3,11 @@ import pytest
 import scipy.integrate
 
 from stochflow.dyadic import dyadic
-from stochflow.errors import DivergenceError
-from stochflow.flow_core import evolve, evolve_batch, evolve_ensemble
-from stochflow.models.em import EMModel
-from stochflow.models.linear import FourierForcing, LinearDrift, LinearOUModel
+from stochflow.flow_core import evolve_batch, evolve_ensemble
+from stochflow.models.linear import FourierForcing, LinearOUModel
 from stochflow import wiener
 from stochflow.wiener import NoiseRealization, increments
+from support import evolve
 
 OM = NoiseRealization(41, 2)
 
@@ -61,49 +60,6 @@ def test_noise_part_matches_independent_summation():
     lefts = np.arange(s.value, t.value, h)
     oracle = sigma * float(np.sum(np.exp(-a * (t.value - lefts)) * dw))
     assert got == pytest.approx(oracle, rel=1e-12)
-
-
-def test_em_strong_order_one():
-    # halving h should halve the strong error against the closed form
-    a, sigma = 0.5, 0.3
-    forcing = FourierForcing(cos_coeffs=(1.0,))
-    drift = LinearDrift(a, forcing)
-    s, t = dyadic(0), dyadic(2)
-    errs = {}
-    for lvl in (5, 6, 7):
-        em = EMModel(drift, [[sigma]], grid_level=lvl)
-        closed = LinearOUModel(rate=a, sigma=sigma, forcing=forcing, grid_level=lvl)
-        diffs = []
-        for i in range(100):
-            om = NoiseRealization(99, i)
-            xe = evolve(em, om, s, t, [1.0])[0]
-            xc = evolve(closed, om, s, t, [1.0])[0]
-            diffs.append(abs(xe - xc))
-        errs[lvl] = np.mean(diffs)
-    for lvl in (5, 6):
-        ratio = errs[lvl] / errs[lvl + 1]
-        assert 1.5 <= ratio <= 2.5
-    h = 2.0**-5
-    assert errs[5] <= 5 * h * (1 + 1.0)
-
-
-def test_em_trivial_cases():
-    zero_drift = lambda t, x: np.zeros_like(x)
-    still = EMModel(zero_drift, [[0.0]], grid_level=4)
-    x = np.array([1.25])
-    assert np.array_equal(evolve(still, OM, dyadic(0), dyadic(3), x), x)
-    pure_noise = EMModel(zero_drift, [[1.0]], grid_level=4)
-    out = evolve(pure_noise, OM, dyadic(0), dyadic(3), x)
-    from stochflow.wiener import wiener_at
-    walked = wiener_at(OM, 0, dyadic(3)) - wiener_at(OM, 0, dyadic(0))
-    assert out[0] == x[0] + walked
-
-
-def test_em_blowup_guard():
-    explode = EMModel(lambda t, x: 100.0 * x, [[0.0]], grid_level=4, guard=1e6)
-    with pytest.raises(DivergenceError) as err:
-        evolve(explode, OM, dyadic(0), dyadic(16), [1.0])
-    assert err.value.step is not None
 
 
 def test_batch_matches_single():

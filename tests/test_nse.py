@@ -9,7 +9,6 @@ import pytest
 
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import ConfigError, DivergenceError
-from stochflow.flow_core import flow_residual
 from stochflow.models import nse as nm
 from stochflow.models.nse import (
     NSEConfig,
@@ -24,6 +23,7 @@ from stochflow.models.nse import (
     taylor_green,
 )
 from stochflow.wiener import NoiseRealization
+from support import flow_residual
 
 OM = NoiseRealization(8, 0, num_components=2)
 

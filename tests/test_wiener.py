@@ -21,7 +21,6 @@ from stochflow.wiener import (
     grid_values,
     increment_rows,
     increments,
-    ou_at,
     ou_grid,
     wiener_at,
 )
@@ -399,7 +398,7 @@ class TestOU:
 
     def test_determinism(self):
         t = dyadic(3, 2)
-        assert ou_at(OM, 0, self.CFG, t) == ou_at(OM, 0, self.CFG, t)
+        assert np.array_equal(ou_grid(OM, 0, self.CFG, t, t), ou_grid(OM, 0, self.CFG, t, t))
 
     def test_cutoff_resolves_tolerance(self):
         assert np.exp(-self.CFG.rate * self.CFG.cutoff_horizon) <= 1e-8
@@ -407,14 +406,14 @@ class TestOU:
     def test_grid_matches_pointwise(self):
         g = ou_grid(OM, 0, self.CFG, dyadic(0), dyadic(1))
         for k in (0, 17, 64):
-            assert g[k] == ou_at(OM, 0, self.CFG, DyadicTime(k, 6))
+            t = DyadicTime(k, 6)
+            assert g[k] == ou_grid(OM, 0, self.CFG, t, t)[0]
 
     def test_stationary_variance(self):
         # discrete left-endpoint sum has variance h*(1-exp(-2aT))/(exp(2ah)-1)
         n = 3000
-        vals = np.array([
-            ou_at(NoiseRealization(3, i), 0, self.CFG, dyadic(0)) for i in range(n)
-        ])
+        omegas = [NoiseRealization(3, i) for i in range(n)]
+        vals = ou_grid(omegas, 0, self.CFG, dyadic(0), dyadic(0))[:, 0]
         var = vals.var(ddof=1)
         a, h, cut = self.CFG.rate, 2.0**-self.CFG.level, self.CFG.cutoff_horizon
         exact_discrete = h * (1 - np.exp(-2 * a * cut)) / (np.exp(2 * a * h) - 1)
@@ -423,15 +422,11 @@ class TestOU:
 
     def test_autocorrelation(self):
         n = 3000
-        z0 = np.empty(n)
-        z1 = np.empty(n)
-        for i in range(n):
-            om = NoiseRealization(31, i)
-            z0[i] = ou_at(om, 0, self.CFG, dyadic(0))
-            z1[i] = ou_at(om, 0, self.CFG, dyadic(1))
+        omegas = [NoiseRealization(31, i) for i in range(n)]
+        z0, z1 = ou_grid(omegas, 0, self.CFG, dyadic(0), dyadic(1), level=0).T
         corr = np.corrcoef(z0, z1)[0, 1]
         assert abs(corr - np.exp(-self.CFG.rate)) <= 0.05
 
     def test_horizon_guard(self):
         with pytest.raises(ResolutionError):
-            ou_at(OM, 0, self.CFG, dyadic(-(1 << 16)))
+            ou_grid(OM, 0, self.CFG, dyadic(-(1 << 16)), dyadic(-(1 << 16)))
