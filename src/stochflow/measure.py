@@ -138,14 +138,6 @@ class EmpiricalMeasure:
         return float(np.sqrt(self.weights @ squares))
 
 
-def pushforward(mu: EmpiricalMeasure, g: Callable) -> EmpiricalMeasure:
-    """Image measure under a state map; weights are untouched."""
-    out = np.stack([np.atleast_1d(np.asarray(g(x), dtype=float)) for x in mu.particles])
-    if not np.all(np.isfinite(out)):
-        raise StateError("state map produced non-finite output")
-    return EmpiricalMeasure(out, mu.weights)
-
-
 def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Energy distance between two weighted particle measures."""
     if mu.dim != nu.dim:

@@ -29,17 +29,25 @@ of the step grid of [s, t].  ``times``, ``z_abs_sum`` and ``z_v_norm`` have
 shape (n_pts,); ``v_h_sq`` and ``v_v_sq`` have shape (n_pts,) for a field and
 (rows, n_pts) for a stack, and row r holds the bits of row r's own trace.
 
-Buffered step: ``_advance`` allocates one ``SpectralWork`` per call (the
-operators' buffers, and the grid's factors copied out to the stack's shape)
-and its own buffers, and every step writes into them.  The operators take
-their output or workspace as an optional argument, and without one allocate
-it and run the same calls, so both return the same bits.  The step adds,
-drops, reorders and re-associates no operation; it uses only exact
+Buffered step: ``_advance`` builds one ``SpectralWork`` per call, with the
+operators' buffers, the views of them that the operators read (the physical
+fields are the real parts of the transform buffer, transformed in place), and
+the grid's factors copied out to the stack's shape; every step writes into
+them.  The operators take their workspace as an optional argument, and
+without one build it and run the same calls, so both return the same bits.
+At a power-of-two n the forward passes scale by 1/n and the inverse passes
+not at all, in place of the separate n**2 multiply and divide: a power-of-two
+scale commutes with every rounding while no value overflows (the guard keeps
+a stepped state far from that), so the bits are those of the explicit scale.
+At any other n, 1/n rounds, and the explicit scale stays.  The step adds,
+drops, reorders and re-associates no other operation; it uses only exact
 identities: f - B for -B + f, rhs * h for h * rhs, a copied-out factor for
-its broadcast, and one ``not (|u|^2 <= guard)`` test, which inf and NaN fail
-at the same step, for the finiteness scan plus the bound.  B keeps its
-``u * dealias`` mask, although a stepped state is dealiased already: B is
-one operator for every caller.
+its broadcast, one call on stacked operands for two calls on their halves
+(both derivatives of v, and the products u_x d/dx v and u_y d/dy v), and
+one ``not (|u|^2 <= guard)`` test, which inf and NaN fail at the same step,
+for the finiteness scan plus the bound.  B keeps its ``u * dealias`` mask,
+although a stepped state is dealiased already: B is one operator for every
+caller.
 
 The noise bound ``estimate_beta`` is exact, with no iteration: the form's
 matrix on a real basis of the truncated space, Householder tridiagonalisation
@@ -93,62 +101,87 @@ def grid_for(n: int) -> SpectralGrid:
     return SpectralGrid(n)
 
 
-# ifft2/fft2 as two 1D passes, bit for bit; never pass out= to a 2D transform (wrong in numpy 2.4)
-def to_phys(spec: np.ndarray, out: np.ndarray | None = None,
-            work: np.ndarray | None = None) -> np.ndarray:
-    """The physical field of ``spec``, in ``out`` (real); ``work`` (complex,
-    ``spec``'s shape, may be ``spec`` itself) takes both passes."""
+# ifft2/fft2 as two 1D passes, bit for bit; never pass out= to a 2D transform (wrong in numpy 2.4).
+# Each pass scales by 1/n.  At a power-of-two n, norm="forward" moves that scale from the inverse
+# passes onto the forward ones and drops the n**2 multiply and divide, with no bit moved while no
+# value overflows: bilinear_b keeps every bit for fields of modulus 2^-900 to 2^400 (tested), and
+# above about 2^500 its products overflow and inf and NaN may take other bits.  At any other n the
+# scale rounds, and the explicit multiply and divide stay.
+def _fft_norm(n: int) -> str:
+    return "backward" if n & (n - 1) else "forward"  # "forward" where 1/n is exact
+
+
+def to_phys(spec: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """The physical field of ``spec``: the real part of ``work`` (complex,
+    ``spec``'s shape, may be ``spec`` itself), which takes both passes."""
+    n = spec.shape[-1]
     work = np.empty(spec.shape, dtype=complex) if work is None else work
-    np.fft.ifft(spec, axis=-1, out=work)
-    np.fft.ifft(work, axis=-2, out=work)
-    return np.multiply(work.real, spec.shape[-1] ** 2, out=out)
+    norm = _fft_norm(n)
+    np.fft.ifft(spec, axis=-1, out=work, norm=norm)
+    np.fft.ifft(work, axis=-2, out=work, norm=norm)
+    phys = work.real
+    return phys if norm == "forward" else np.multiply(phys, n * n, out=phys)
 
 
 def to_spec(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    n = phys.shape[-1]
     out = np.empty(phys.shape, dtype=complex) if out is None else out
-    np.fft.fft(phys, axis=-1, out=out)
-    np.fft.fft(out, axis=-2, out=out)
-    return np.divide(out, phys.shape[-1] ** 2, out=out)
+    norm = _fft_norm(n)
+    np.fft.fft(phys, axis=-1, out=out, norm=norm)
+    np.fft.fft(out, axis=-2, out=out, norm=norm)
+    return out if norm == "forward" else np.divide(out, n * n, out=out)
 
 
-def _conj_reflect(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _conj_take(flat: np.ndarray, neg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """conj(flat[..., neg]) in ``out``, both of shape (..., n * n)."""
+    taken = flat.take(neg, axis=-1, out=out, mode="clip")  # in range; "raise" buffers out
+    return np.conj(taken, out=taken)
+
+
+def _conj_reflect(spec: np.ndarray) -> np.ndarray:
     """conj(c[-k]) at every wavevector k, for the last two axes."""
     n = spec.shape[-1]
     flat = spec.reshape(spec.shape[:-2] + (n * n,))
-    out = np.empty(spec.shape, dtype=complex) if out is None else out
-    taken = np.take(flat, grid_for(n).neg, axis=-1, out=out.reshape(flat.shape),
-                    mode="clip")  # the indices are in range; "raise" would buffer out
-    return np.conj(taken, out=taken).reshape(spec.shape)
+    out = np.empty(flat.shape, dtype=complex)
+    return _conj_take(flat, grid_for(n).neg, out).reshape(spec.shape)
 
 
 class SpectralWork:
     """The buffers of ``leray_project``, ``_finalize`` and ``bilinear_b`` for a
-    stack of shape (..., 2, n, n), and the grid's factors copied out to that
-    shape: an operation whose operands share one shape skips numpy's
-    broadcasting iterator, and each element keeps its bits."""
+    stack of shape (..., 2, n, n), the views of them those operators read, and
+    the grid's factors copied out to that shape: an operation whose operands
+    share one shape skips numpy's broadcasting iterator, and each element
+    keeps its bits."""
 
     def __init__(self, shape: tuple):
-        g = grid_for(shape[-1])
+        n = shape[-1]
+        g = grid_for(n)
         self.fields = np.empty((3,) + shape, dtype=complex)  # u, d/dx v, d/dy v; transformed
-        self.phys = np.empty((3,) + shape)  # the three on the grid; then (u . grad) v
+        self.u_spec, self.dv_spec = self.fields[0], self.fields[1:]
+        phys = self.fields.real  # the three on the grid, and u_x d/dx v, u_y d/dy v in place
+        self.u_xy = np.moveaxis(phys[0], -3, 0)[..., None, :, :]  # (2, ..., 1, n, n)
+        self.dv, self.w, self.dvy = phys[1:], phys[1], phys[2]
         self.spec = np.empty(shape, dtype=complex)  # its transform, masked, reflected
         self.coef = np.empty(shape[:-3] + shape[-2:], dtype=complex)  # k.field / |k|^2
+        self.coef_b = self.coef[..., None, :, :]
         self.out = np.empty(shape, dtype=complex)
-        self.dealias, self.ikx, self.iky, self.kvec = (
-            np.broadcast_to(a, shape).copy() for a in (g.dealias, g.ikx, g.iky, g.kvec))
+        self.out_x, self.out_y = self.out[..., 0, :, :], self.out[..., 1, :, :]
+        flat = shape[:-2] + (n * n,)  # _conj_take's operands
+        self.out_flat, self.spec_flat = self.out.reshape(flat), self.spec.reshape(flat)
+        self.neg = g.neg
+        self.dealias, self.kvec = (np.broadcast_to(a, shape).copy() for a in (g.dealias, g.kvec))
+        self.ik = np.stack([np.broadcast_to(a, shape) for a in (g.ikx, g.iky)])
         self.inv_ksq = np.broadcast_to(g.inv_ksq, self.coef.shape).copy()
 
 
-def leray_project(field: np.ndarray, out: np.ndarray | None = None,
-                  work: SpectralWork | None = None) -> np.ndarray:
-    """Remove the component parallel to the wavevector (idempotent).  ``out``
-    must not overlap ``field``."""
+def leray_project(field: np.ndarray, work: SpectralWork | None = None) -> np.ndarray:
+    """Remove the component parallel to the wavevector (idempotent), in
+    ``work.out``; ``field`` must not be ``work.out``."""
     work = SpectralWork(field.shape) if work is None else work
-    out = np.empty(field.shape, dtype=complex) if out is None else out
-    np.multiply(work.kvec, field, out=out)
-    coef = np.add(out[..., 0, :, :], out[..., 1, :, :], out=work.coef)
+    out = np.multiply(work.kvec, field, out=work.out)
+    coef = np.add(work.out_x, work.out_y, out=work.coef)
     np.multiply(coef, work.inv_ksq, out=coef)
-    np.multiply(work.kvec, coef[..., None, :, :], out=out)
+    np.multiply(work.kvec, work.coef_b, out=out)
     np.subtract(field, out, out=out)
     out[..., 0, 0] = field[..., 0, 0]
     return out
@@ -159,8 +192,9 @@ def _finalize(field: np.ndarray, work: SpectralWork | None = None) -> np.ndarray
     ``work.out``; ``field`` may be ``work.spec``, which takes the masked field."""
     work = SpectralWork(field.shape) if work is None else work
     masked = np.multiply(field, work.dealias, out=work.spec)
-    out = leray_project(masked, out=work.out, work=work)
-    np.add(out, _conj_reflect(out, out=masked), out=out)
+    out = leray_project(masked, work)
+    _conj_take(work.out_flat, work.neg, work.spec_flat)  # into masked
+    np.add(out, masked, out=out)
     np.multiply(out, 0.5, out=out)
     out[..., 0, 0] = 0.0
     return out
@@ -172,14 +206,12 @@ def bilinear_b(u: np.ndarray, v: np.ndarray, work: SpectralWork | None = None) -
     if u.shape != v.shape:
         raise StateError("fields must share one resolution")
     work = SpectralWork(u.shape) if work is None else work
-    fields = work.fields
-    um = np.multiply(u, work.dealias, out=fields[0])
+    um = np.multiply(u, work.dealias, out=work.u_spec)
     vm = um if v is u else np.multiply(v, work.dealias, out=work.spec)
-    np.multiply(work.ikx, vm, out=fields[1])
-    np.multiply(work.iky, vm, out=fields[2])
-    u_ph, dvx, dvy = to_phys(fields, out=work.phys, work=fields)
-    w = np.multiply(u_ph[..., :1, :, :], dvx, out=dvx)
-    np.add(w, np.multiply(u_ph[..., 1:, :, :], dvy, out=dvy), out=w)
+    np.multiply(work.ik, vm, out=work.dv_spec)
+    to_phys(work.fields, work=work.fields)
+    np.multiply(work.u_xy, work.dv, out=work.dv)
+    w = np.add(work.w, work.dvy, out=work.w)
     return _finalize(to_spec(w, out=work.spec), work)
 
 
@@ -546,6 +578,7 @@ def _advection_form(phi: np.ndarray) -> np.ndarray:
     p = np.stack([-k[1], k[0]]) / np.sqrt(k[0] * k[0] + k[1] * k[1])
     pairs, s = p.shape[1], 2.0 * math.pi * math.sqrt(2.0)
     m = np.empty((2 * pairs, 2 * pairs))
+    work = None
     for j0 in range(0, 2 * pairs, _FORM_BLOCK):
         j = np.arange(j0, min(j0 + _FORM_BLOCK, 2 * pairs))
         q, rows = j % pairs, np.arange(j.size)[:, None]
@@ -553,7 +586,9 @@ def _advection_form(phi: np.ndarray) -> np.ndarray:
         e = np.zeros((j.size, 2, n, n), dtype=complex)
         e[rows, [0, 1], at[0, q, None], at[1, q, None]] = coef
         e[rows, [0, 1], neg[0, q, None], neg[1, q, None]] = np.conj(coef)
-        w = bilinear_b(e, np.broadcast_to(phi, e.shape))[:, :, at[0], at[1]]
+        if work is None or work.out.shape != e.shape:  # once, and for a shorter last block
+            work = SpectralWork(e.shape)
+        w = bilinear_b(e, np.broadcast_to(phi, e.shape), work)[:, :, at[0], at[1]]
         m[j, :pairs] = s * (p[0] * w.real[:, 0] + p[1] * w.real[:, 1])
         m[j, pairs:] = -s * (p[0] * w.imag[:, 0] + p[1] * w.imag[:, 1])
     return 0.5 * (m + m.T)

@@ -1,11 +1,11 @@
 """Fixtures that the tests share and no run reads: reference flows, a constant
-measure family, the one-state form of ``evolve_batch`` and a composition
-defect."""
+measure family, the one-state form of ``evolve_batch``, a composition defect
+and the image of a measure under a state map."""
 
 import numpy as np
 
 from stochflow.dyadic import DyadicTime
-from stochflow.errors import DivergenceError
+from stochflow.errors import DivergenceError, StateError
 from stochflow.flow_core import FlowModelBase, checked_grid_level, evolve_batch
 from stochflow.measure import EmpiricalMeasure, MeasureFamily
 
@@ -57,3 +57,11 @@ def flow_residual(model, omega, s: DyadicTime, r: DyadicTime, t: DyadicTime,
     num = np.linalg.norm(composed - direct, axis=1)
     den = np.maximum(1.0, np.linalg.norm(direct, axis=1))
     return float(np.max(num / den))
+
+
+def pushforward(mu: EmpiricalMeasure, g) -> EmpiricalMeasure:
+    """Image measure under a state map; weights are untouched."""
+    out = np.stack([np.atleast_1d(np.asarray(g(x), dtype=float)) for x in mu.particles])
+    if not np.all(np.isfinite(out)):
+        raise StateError("state map produced non-finite output")
+    return EmpiricalMeasure(out, mu.weights)

@@ -23,10 +23,10 @@ from stochflow.esm import (
     pullback_point,
 )
 from stochflow.flow_core import ScalarExpFlow, coordinate
-from stochflow.measure import EmpiricalMeasure, GaussianFamily, gaussian_draw, mixture, pushforward
+from stochflow.measure import EmpiricalMeasure, GaussianFamily, gaussian_draw, mixture
 from stochflow.models.linear import LinearOUModel
 from stochflow.wiener import NoiseRealization, OUConfig, RealizationStream
-from support import evolve, flow_residual
+from support import evolve, flow_residual, pushforward
 
 OM = NoiseRealization(1, 0)
 

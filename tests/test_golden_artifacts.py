@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of every artifact of small CLI runs.
 
 The digests pin the exact bytes that ``noise``, ``esm-verify``,
-``pullback``, ``attractor`` and ``nse`` write at tiny sizes.  A change to
+``pullback``, ``attractor`` and ``nse`` write at tiny sizes; ``nse`` also
+runs at grid sizes 18, whose transforms keep an explicit n**2 scale, and 32.  A change to
 the path store, the keyed hashing, the spectral model, the measure geometry
 or a runner that alters any stored bit shows here as a digest mismatch.  To
 print the digests of the current code:
@@ -23,9 +24,11 @@ CONFIGS = {
     "esm-verify": "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
     "pullback": "kind = pullback\nseed = 13\nparticles = 4096\n",
     "nse": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\n",
+    "nse-18": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\nresolution = 18\n",
+    "nse-32": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\nresolution = 32\n",
 }
 
-# kind -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
+# case -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
 # statistical checks fail; only the bytes matter here.
 GOLDEN = {
     "attractor": (0, {
@@ -49,6 +52,16 @@ GOLDEN = {
         "energy.csv": "11de1fd8371cdfd221342847fba217183c5de63c0e5442ed0a1a766a577bf9e4",
         "summary.json": "16cf9450cc3564f49b03356766891d15b37b51b9698500461d2b118cd9daa599",
     }),
+    "nse-18": (1, {
+        "absorbing.csv": "9a14c472a4ba0b1412d28fbcbcdd9ef57f8627418338f14791e36c82c5099db8",
+        "energy.csv": "896fc168ee22bd4e7931e3fddd337f6e97d696bcb8ff1b4dcc82211db8d26efd",
+        "summary.json": "85f38e4b47215d2a2457ae590e73bf490d00218de91c982f0c51e1b9e675079d",
+    }),
+    "nse-32": (1, {
+        "absorbing.csv": "c1d4e7ba98d0a775edea47e372b0715d4505b77349c1860d864218e87b28c3a4",
+        "energy.csv": "85dc1de65a64a0472c0f41949e353634e59470d7ec78d745efd557018c3e32a0",
+        "summary.json": "122942e7b6791aa6d4b18730d204511d20f0a5cc6bae542a5c0e854d8dafeb8c",
+    }),
     "pullback": (0, {
         # the energy distances of the merged-support form
         "distances.csv": "b9e3466be9da7940908b685aba54073740e84c25fac9a69fa66d54e579e17549",
@@ -59,11 +72,11 @@ GOLDEN = {
 }
 
 
-def artifact_digests(kind, tmp_dir):
-    cfg_path = os.path.join(tmp_dir, f"{kind}.cfg")
-    out_dir = os.path.join(tmp_dir, kind)
+def artifact_digests(case, tmp_dir):
+    cfg_path = os.path.join(tmp_dir, f"{case}.cfg")
+    out_dir = os.path.join(tmp_dir, case)
     with open(cfg_path, "w") as fh:
-        fh.write(CONFIGS[kind])
+        fh.write(CONFIGS[case])
     code = main(["--config", cfg_path, "--out", out_dir])
     digests = {}
     for name in sorted(os.listdir(out_dir)):
@@ -72,10 +85,10 @@ def artifact_digests(kind, tmp_dir):
     return code, digests
 
 
-@pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_artifacts_match_golden_digests(kind, tmp_path, capsys):
-    code, digests = artifact_digests(kind, str(tmp_path))
-    want_code, want = GOLDEN[kind]
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_artifacts_match_golden_digests(case, tmp_path, capsys):
+    code, digests = artifact_digests(case, str(tmp_path))
+    want_code, want = GOLDEN[case]
     assert code == want_code
     assert digests == want
 
@@ -84,9 +97,9 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in sorted(CONFIGS):
-            code, digests = artifact_digests(kind, tmp)
-            print(f"    {kind!r}: ({code}, {{", file=sys.stderr)
+        for case in sorted(CONFIGS):
+            code, digests = artifact_digests(case, tmp)
+            print(f"    {case!r}: ({code}, {{", file=sys.stderr)
             for name, digest in digests.items():
                 print(f"        {name!r}: {digest!r},", file=sys.stderr)
             print("    }),", file=sys.stderr)

@@ -16,11 +16,10 @@ from stochflow.measure import (
     distance,
     gaussian_draw,
     mixture,
-    pushforward,
     to_table,
 )
 from stochflow.dyadic import dyadic
-from support import ConstantFamily
+from support import ConstantFamily, pushforward
 
 
 def _mk(points, weights=None):
