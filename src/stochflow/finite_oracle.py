@@ -10,8 +10,8 @@ coordinate by coordinate (kernel rows, kernel products, transported and mean
 measures), and ``ExactMeasure.integral``, the integral of a function given
 state by state.  Every enumeration of words passes one limit check,
 ``_check_words``, before it builds a word.  The pullback and the martingale
-check read one enumeration of the words that end at an anchor,
-``history_walk``; every other word goes through one forward composition,
+check read ``map_law``, the law of the maps composed over the words that end
+at an anchor; every word goes through one forward composition,
 ``compose_word_map``, which refuses a word too short for its span.
 
 ``FiniteFlowLift`` embeds a finite flow as a flow model, and its
@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class FiniteFlow:
         if sum(probs, ZERO) != ONE or any(p < 0 for p in probs):
             raise ConfigError("symbol probabilities must be nonnegative and sum to 1 exactly")
         object.__setattr__(self, "probs", probs)
+        if self.period < 1:
+            raise ConfigError(f"period {self.period} is below 1")
         if len(self.step_maps) != self.period:
             raise ConfigError("one bank of step maps per time index mod period")
         for bank in self.step_maps:
@@ -85,8 +87,8 @@ class FiniteFlow:
     def n_symbols(self) -> int:
         return len(self.probs)
 
-    def step_map(self, time_index: int, symbol: int) -> tuple:
-        return self.step_maps[time_index % self.period][symbol]
+    def bank(self, time_index: int) -> tuple:
+        return self.step_maps[time_index % self.period]
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,20 @@ class ExactMeasure:
             out[state_map[x]] += m
         return ExactMeasure(tuple(out))
 
+    def _per_state(self, values) -> tuple:
+        """``values`` as a tuple, refused unless it has one value per state."""
+        values = tuple(values)
+        if len(values) != len(self.masses):
+            raise ConfigError(f"{len(values)} values for {len(self.masses)} states")
+        return values
+
     def tv_distance(self, other: "ExactMeasure") -> Fraction:
-        return sum((abs(a - b) for a, b in zip(self.masses, other.masses)), ZERO) / 2
+        return sum(map(abs, map(sub, self.masses, self._per_state(other.masses))), ZERO) / 2
 
     def integral(self, f) -> Fraction:
         """sum_x f[x] * masses[x] for f given state by state: exact for
         Fraction or int values."""
-        return sum(map(mul, self.masses, f), ZERO)
+        return sum(map(mul, self.masses, self._per_state(f)), ZERO)
 
 
 def compose_word_map(flow: FiniteFlow, word, s: int, t: int) -> tuple:
@@ -130,7 +139,7 @@ def compose_word_map(flow: FiniteFlow, word, s: int, t: int) -> tuple:
         raise ConfigError(f"need s <= t and a word covering [{s}, {t}), got {len(word)} symbols")
     current = tuple(range(flow.n_states))
     for tau in range(s, t):
-        step = flow.step_map(tau, word[tau - s])
+        step = flow.bank(tau)[word[tau - s]]
         current = tuple(step[x] for x in current)
     return current
 
@@ -142,7 +151,7 @@ def ff_evolve(flow: FiniteFlow, word, s: int, t: int, state: int) -> int:
 
 def _check_words(flow: FiniteFlow, depth: int) -> None:
     """Refuse a negative depth, or more than ``ENUMERATION_LIMIT`` words of
-    ``depth`` symbols, before any word is built."""
+    ``depth`` symbols, before any word or map is built."""
     if depth < 0:
         raise ConfigError(f"history depth {depth} is negative")
     # the power is capped: n**17 > 2**16 for every n >= 2
@@ -152,27 +161,24 @@ def _check_words(flow: FiniteFlow, depth: int) -> None:
         )
 
 
-def history_walk(flow: FiniteFlow, t: int, depth: int, value=lambda length, comp: None):
-    """Every word of at most ``depth`` symbols that ends at time t, depth first.
+def _after_step(flow: FiniteFlow, comp: tuple, time_index: int) -> list:
+    """``comp`` after the step at ``time_index``, one map per symbol in symbol order."""
+    return [tuple(comp[y] for y in m) for m in flow.bank(time_index)]
 
-    A word of length d covers [t - d, t); its state map is its suffix's map
-    after the step at t - d, and ``value(d, comp)`` is evaluated once per word.
-    Yields ``(word, comp, val, children)``, children being the ``(word, comp,
-    val)`` of its one-symbol extensions in symbol order, none at ``depth``.
-    """
+
+def map_law(flow: FiniteFlow, t: int, depth: int):
+    """The exact law ``{map: probability}`` of phi(t, t - d), d = 0, ..., depth, after the
+    word limit is checked.  A map at d + 1 is a map at d after the step at t - d - 1, weighted
+    by that symbol's probability, so a map reached only by words of probability 0 has 0."""
     _check_words(flow, depth)
-    identity = tuple(range(flow.n_states))
-    stack = [((), identity, value(0, identity))]
-    while stack:
-        word, comp, val = stack.pop()
-        children = []
-        if len(word) < depth:
-            d = len(word) + 1
-            for sigma in range(flow.n_symbols):
-                child = tuple(comp[y] for y in flow.step_map(t - d, sigma))
-                children.append(((sigma,) + word, child, value(d, child)))
-            stack.extend(reversed(children))
-        yield word, comp, val, children
+    law = {tuple(range(flow.n_states)): ONE}
+    yield law
+    for d in range(depth):
+        law, shallower = {}, law
+        for comp, p in shallower.items():
+            for child, q in zip(_after_step(flow, comp, t - d - 1), flow.probs):
+                law[child] = law.get(child, ZERO) + p * q
+        yield law
 
 
 def _points(n_states: int) -> tuple:
@@ -184,7 +190,7 @@ def one_step_kernel(flow: FiniteFlow, time_index: int) -> tuple:
     """Row-stochastic transition matrix of the step at ``time_index``: row x
     mixes the point masses at x's images by the symbol probabilities."""
     points = _points(flow.n_states)
-    maps = [flow.step_map(time_index, sigma) for sigma in range(flow.n_symbols)]
+    maps = flow.bank(time_index)
     return tuple(_mix(flow.probs, [points[m[x]] for m in maps]) for x in range(flow.n_states))
 
 
@@ -382,7 +388,7 @@ def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_
     return probs, partition, measures, f_table
 
 
-# -- martingale and pullback enumeration ---------------------------------------
+# -- martingale and pullback over the law of composed maps ---------------------
 
 @dataclass
 class MartingaleVerdict:
@@ -400,23 +406,21 @@ def ff_martingale_check(flow: FiniteFlow, t: int, f_values, depth: int,
         raise UnsupportedCaseError("martingale check needs a unique family")
     if depth < 1:
         raise ConfigError("the martingale check needs a history depth of at least 1")
-    if len(f_values) != flow.n_states:
-        raise ConfigError(f"f has {len(f_values)} values for {flow.n_states} states")
     f_values = tuple(Fraction(f) for f in f_values)
     symbol_law = ExactMeasure(flow.probs)
 
     def m_value(length: int, comp: tuple) -> Fraction:
         """The integral of f against the family at t - length pushed by comp."""
-        return family.at(t - length).integral(map(f_values.__getitem__, comp))
+        return family.at(t - length).pushforward(comp).integral(f_values)
 
+    # a cylinder's value depends only on its (depth, map) pair: each pair is
+    # checked once, at d < depth, and map_law checks the limit at depth
     worst = ZERO
-    count = 0
-    for _, _, m_here, children in history_walk(flow, t, depth, m_value):
-        if children:
-            expectation = symbol_law.integral([m for _, _, m in children])
-            worst = max(worst, abs(expectation - m_here))
-            count += 1
-    return MartingaleVerdict(worst == 0, worst, count)
+    for d, law in enumerate(itertools.islice(map_law(flow, t, depth), depth)):
+        for comp in law:
+            deeper = [m_value(d + 1, c) for c in _after_step(flow, comp, t - d - 1)]
+            worst = max(worst, abs(symbol_law.integral(deeper) - m_value(d, comp)))
+    return MartingaleVerdict(worst == 0, worst, sum(flow.n_symbols**d for d in range(depth)))
 
 
 @dataclass
@@ -425,41 +429,37 @@ class PullbackExactReport:
     tv_gap: Fraction
     stabilized: bool
     mean_matches_family: bool
-    word_measures: dict
+    map_measures: dict  # map at depth -> (probability, pulled-back measure)
 
 
 def ff_pullback(flow: FiniteFlow, t: int, depth: int,
                 family: EsmSolution | None = None) -> PullbackExactReport:
-    """Exact pullback of the averaged family through every symbol word.
+    """Exact pullback of the averaged family through each composed map of
+    ``depth`` symbols, weighted by the map's law.
 
-    Stabilization is certified either by synchronization (the composed map is
-    constant, so deeper history cannot matter) or by a zero total-variation
+    Stabilization is certified either by synchronization (every composed map
+    is constant, so deeper history cannot matter) or by a zero total-variation
     gap between consecutive depths.  The probability-weighted mean of the
-    per-word measures must reproduce the averaged family exactly.
+    per-map measures must reproduce the averaged family exactly.
     """
     family = family or ff_esm_solve(flow)
     if not family.unique:
         raise UnsupportedCaseError("exact pullback needs a unique family")
     if depth < 1:
         raise ConfigError("the exact pullback needs a history depth of at least 1")
-    word_measures = {}
-    gap = ZERO
-    all_sync = True
 
     def pulled(length: int, comp: tuple) -> ExactMeasure:
         return family.at(t - length).pushforward(comp)
 
-    for word, _, mu_shallow, children in history_walk(flow, t, depth, pulled):
-        if len(word) < depth - 1:
-            continue
-        for leaf, comp, mu in children:
-            word_measures[leaf] = mu
-            all_sync = all_sync and len(set(comp)) == 1
-            gap = max(gap, mu.tv_distance(mu_shallow))
-    mean = _mix([_word_prob(flow, w) for w in word_measures],
-                [mu.masses for mu in word_measures.values()])
+    *_, shallow, deep = map_law(flow, t, depth)
+    # each map at depth is a map at depth - 1 after one more step
+    gap = max(pulled(depth, child).tv_distance(pulled(depth - 1, comp))
+              for comp in shallow for child in _after_step(flow, comp, t - depth))
+    map_measures = {comp: (p, pulled(depth, comp)) for comp, p in deep.items()}
+    all_sync = all(len(set(comp)) == 1 for comp in deep)
+    mean = _mix(deep.values(), [mu.masses for _, mu in map_measures.values()])
     mean_ok = ExactMeasure(mean) == family.at(t)
-    return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, word_measures)
+    return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, map_measures)
 
 
 def ff_select_trajectory(flow: FiniteFlow, word, start: int, times) -> list:

@@ -47,6 +47,23 @@ class TestConstruction:
         assert type(value) is Fraction and value == F(1, 3)
         assert fo.ExactMeasure.point(3, 2).integral(iter((F(9), F(8), F(7)))) == 7
 
+    def test_period_below_one_is_refused(self):
+        for period in (0, -1):
+            with pytest.raises(ConfigError, match=f"period {period} "):
+                fo.FiniteFlow(2, (1,), (), period=period)
+
+    def test_operands_on_other_state_counts_are_refused(self):
+        mu = fo.ExactMeasure((F(1), F(0)))
+        for other in (fo.ExactMeasure((F(1), F(0), F(0))), fo.ExactMeasure((F(1),))):
+            n = len(other.masses)
+            with pytest.raises(ConfigError, match=f"{n} values for 2 states"):
+                mu.tv_distance(other)
+            with pytest.raises(ConfigError, match=f"2 values for {n} states"):
+                other.tv_distance(mu)
+        for f in ((F(1),), (F(1), F(2), F(3)), iter((F(1),))):
+            with pytest.raises(ConfigError, match="values for 2 states"):
+                mu.integral(f)
+
 
 class TestEvolve:
     def test_empty_word_is_identity(self):
@@ -79,49 +96,44 @@ class TestEvolve:
             fo.compose_word_map(flow, (1, 1), 2, 1)
 
 
-class TestHistoryWalk:
+class TestMapLaw:
     FLOWS = (fo.period_two_alternating(),
              fo.FiniteFlow(3, (F(1, 5), F(0), F(4, 5)), (((1, 2, 0), (0, 0, 2), (2, 2, 1)),)))
 
     @pytest.mark.parametrize("flow", FLOWS)
-    def test_each_word_map_is_its_forward_composition(self, flow):
+    def test_each_map_weighs_the_words_that_compose_to_it(self, flow):
         t, depth, n = 3, 4, flow.n_symbols
-        words = []
-        for word, comp, val, children in fo.history_walk(flow, t, depth, lambda d, c: (d, c)):
-            assert comp == fo.compose_word_map(flow, word, t - len(word), t)
-            assert val == (len(word), comp)
-            if len(word) < depth:
-                assert [c[:2] for c in children] == [
-                    ((s,) + word, fo.compose_word_map(flow, (s,) + word, t - len(word) - 1, t))
-                    for s in range(n)
-                ]
-                assert [c[2] for c in children] == [(len(word) + 1, c[1]) for c in children]
-            else:
-                assert children == []
-            words.append(word)
-        assert sorted(words) == sorted(
-            w for d in range(depth + 1) for w in itertools.product(range(n), repeat=d)
-        )
+        laws = list(fo.map_law(flow, t, depth))
+        assert len(laws) == depth + 1
+        for d, law in enumerate(laws):
+            # every word of d symbols, a word of probability 0 included
+            want = {}
+            for word in itertools.product(range(n), repeat=d):
+                comp = fo.compose_word_map(flow, word, t - d, t)
+                want[comp] = want.get(comp, F(0)) + fo._word_prob(flow, word)
+            assert law == want
 
-    def test_value_is_evaluated_once_per_word(self):
-        lengths = []
-        for _ in fo.history_walk(fo.two_state_noisy(), 0, 4, lambda d, c: lengths.append(d)):
-            pass
-        assert sorted(lengths) == [0] + [1] * 2 + [2] * 4 + [3] * 8 + [4] * 16
+    def test_each_depth_is_a_law(self):
+        for flow in self.FLOWS + (fo.two_state_noisy(),):
+            laws = list(fo.map_law(flow, 0, 4))
+            assert len(laws) == 5
+            assert all(sum(law.values()) == 1 for law in laws)
 
-    def test_limit_is_checked_before_any_word(self):
+    def test_limit_is_checked_before_any_map(self, monkeypatch):
         flow = fo.two_state_noisy()
-        values = []
-        next(fo.history_walk(flow, 0, 16, lambda d, c: values.append(d)))  # 2**16: at the limit
-        assert values == [0, 1, 1]
+        assert len(list(fo.map_law(flow, 0, 16))) == 17  # 2**16 words: at the limit
+        # one symbol: one map at every depth, so no depth exceeds the limit
+        assert [len(law) for law in fo.map_law(fo.identity_finite_flow(2), 0, 40)] == [1] * 41
+        monkeypatch.setattr(fo, "_after_step", lambda *a: pytest.fail("a map was built"))
         for depth in (17, 10**18):  # the power is never formed in full
             with pytest.raises(EnumerationLimitError):
-                next(fo.history_walk(flow, 0, depth, lambda d, c: values.append(d)))
-        assert values == [0, 1, 1]
+                next(fo.map_law(flow, 0, depth))
+            with pytest.raises(EnumerationLimitError):
+                fo.ff_pullback(flow, 0, depth)
+            with pytest.raises(EnumerationLimitError):
+                fo.ff_martingale_check(flow, 0, (F(0), F(1)), depth)
         with pytest.raises(ConfigError):
-            next(fo.history_walk(flow, 0, -1))
-        # one symbol: one word at every depth, so no depth exceeds the limit
-        assert sum(1 for _ in fo.history_walk(fo.identity_finite_flow(2), 0, 40)) == 41
+            next(fo.map_law(flow, 0, -1))
 
 
 class TestKernels:
@@ -321,7 +333,7 @@ class TestConditionalExpectation:
                 assert calls.count(1) == size and calls.count(0) == n ** split + size
 
     def test_scenario_past_the_limit_is_refused_before_any_word(self, monkeypatch):
-        # 2**17 words: refused at once, as the history walk refuses them
+        # 2**17 words: refused at once, as the map law refuses them
         monkeypatch.setattr(itertools, "product",
                             lambda *args, **kwargs: pytest.fail("words were enumerated"))
         with pytest.raises(EnumerationLimitError):
@@ -336,6 +348,12 @@ class TestConditionalExpectation:
         with pytest.raises(MeasurabilityError):
             fo.conditional_expectation_check(probs, part, meas,
                                              tuple(tuple(r) for r in bad))
+
+    def test_integrand_needs_one_value_per_state(self):
+        flow = fo.two_state_noisy()
+        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 4, 2)
+        with pytest.raises(ConfigError, match="1 values for 2 states"):
+            fo.conditional_expectation_check(probs, part, meas, tuple(f[:1] for f in ftab))
 
 
 class TestMartingale:
@@ -386,8 +404,8 @@ class TestPullbackRoundTrip:
         rep = fo.ff_pullback(fo.synchronizing_pair(), 3, 6)
         assert rep.all_synchronized and rep.stabilized
         assert rep.mean_matches_family
-        # each word measure is the point mass at the last constant map value
-        for word, mu in rep.word_measures.items():
+        # each map's measure is the point mass at the constant map's value
+        for _, mu in rep.map_measures.values():
             assert set(mu.masses) <= {fo.ZERO, fo.ONE}
 
     def test_period_two_round_trip(self):
@@ -398,9 +416,13 @@ class TestPullbackRoundTrip:
         flow = fo.period_two_alternating()
         sol = fo.ff_esm_solve(flow)
         rep = fo.ff_pullback(flow, 1, 5)
-        assert len(rep.word_measures) == 2**5
-        for word, mu in rep.word_measures.items():
-            assert mu == sol.at(1 - 5).pushforward(fo.compose_word_map(flow, word, -4, 1))
+        law = {}
+        for word in itertools.product(range(2), repeat=5):
+            comp = fo.compose_word_map(flow, word, -4, 1)
+            assert rep.map_measures[comp][1] == sol.at(1 - 5).pushforward(comp)
+            law[comp] = law.get(comp, F(0)) + fo._word_prob(flow, word)
+        # one entry per map that some word composes to, weighted by its words
+        assert {comp: p for comp, (p, _) in rep.map_measures.items()} == law
 
     def test_needs_one_symbol_of_history(self):
         with pytest.raises(ConfigError):

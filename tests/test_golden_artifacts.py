@@ -2,7 +2,9 @@
 
 The digests pin the exact bytes that ``noise``, ``esm-verify``,
 ``pullback``, ``attractor`` and ``nse`` write at tiny sizes; ``nse`` also
-runs at grid sizes 18, whose transforms keep an explicit n**2 scale, and 32.  A change to
+runs at grid sizes 18, whose transforms keep an explicit n**2 scale, and 32.
+The exact kinds, ``oracle`` (at its default depth and at depth 16) and
+``counterexamples``, are pinned too.  A change to
 the path store, the keyed hashing, the spectral model, the measure geometry
 or a runner that alters any stored bit shows here as a digest mismatch.  To
 print the digests of the current code:
@@ -20,12 +22,15 @@ from stochflow.cli import main
 
 CONFIGS = {
     "attractor": "kind = attractor\nseed = 15\nbox_points = 200\n",
+    "counterexamples": "kind = counterexamples\nseed = 17\n",
     "noise": "kind = noise\nseed = 11\nensemble = 100\nintervals = 50\n",
     "esm-verify": "kind = esm-verify\nseed = 12\nensemble = 16\nparticles = 100\ndepth = 6\n",
     "pullback": "kind = pullback\nseed = 13\nparticles = 4096\n",
     "nse": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\n",
     "nse-18": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\nresolution = 18\n",
     "nse-32": "kind = nse\nseed = 14\nsteps = 32\nlookbacks = 2,4\nresolution = 32\n",
+    "oracle": "kind = oracle\nseed = 18\n",
+    "oracle-16": "kind = oracle\nseed = 18\ndepth = 16\n",
 }
 
 # case -> (exit code, {artifact name: SHA-256}).  The tiny sizes make some
@@ -35,6 +40,9 @@ GOLDEN = {
         "cloud.tsv": "2fdb83ecd2b5184de0ecf062cd0929a68792f80282690b1a77b364d622d91448",
         "semidistance.csv": "cbb82b1eb28ab1f9a533a4dff6a890ba565fd2a443e1c0d53f34f6fb4cab6d4b",
         "summary.json": "cb2d48d396cf620a9a8fb929bf48cc2cb66d8e436c2f9ea6d03c16e6f624581a",
+    }),
+    "counterexamples": (0, {
+        "summary.json": "1d9a119cf8ed7725cb9b19d6189e78fd22aac9c1573b7842e7d66c2c8fd75f30",
     }),
     "esm-verify": (1, {
         "pullback_points.csv": "7b034af6fbd71439d8e80cf97292206f4f3bdeec9e72241d09d9d876336d9377",
@@ -61,6 +69,13 @@ GOLDEN = {
         "absorbing.csv": "c1d4e7ba98d0a775edea47e372b0715d4505b77349c1860d864218e87b28c3a4",
         "energy.csv": "85dc1de65a64a0472c0f41949e353634e59470d7ec78d745efd557018c3e32a0",
         "summary.json": "122942e7b6791aa6d4b18730d204511d20f0a5cc6bae542a5c0e854d8dafeb8c",
+    }),
+    "oracle": (0, {
+        "summary.json": "dea1f297eaa9cbec26fe942cdb408fc37bdd2491f1a377c749e2f5ad48eede7f",
+    }),
+    # the martingale check at the enumeration limit, 2**16 words
+    "oracle-16": (0, {
+        "summary.json": "f92da0c9356cecb946eb3327683b560e91a12adda286aabeee2608625fbd1b8e",
     }),
     "pullback": (0, {
         # the energy distances of the merged-support form
