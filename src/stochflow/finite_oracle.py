@@ -8,10 +8,11 @@ the one-step kernels compose exactly as matrix products.
 Every exact average is one of two sums: ``_mix``, the weighted sum of rows
 coordinate by coordinate (kernel rows, kernel products, transported and mean
 measures), and ``ExactMeasure.integral``, the integral of a function given
-state by state.  Every enumeration of words passes one limit check,
-``_check_words``, before it builds a word.  The pullback and the martingale
-check read ``map_law``, the law of the maps composed over the words that end
-at an anchor; every word goes through one forward composition,
+state by state.  Every enumeration passes one limit check, ``_check_words``,
+before it builds a word or a map.  The pullback, the martingale check and the
+independence scenario read ``map_law``, the law of the maps composed over the
+words that end at an anchor; only the scenario's prefixes enumerate words.
+The lift and the selected trajectory compose a word through
 ``compose_word_map``, which refuses a word too short for its span.
 
 ``FiniteFlowLift`` embeds a finite flow as a flow model, and its
@@ -48,7 +49,10 @@ ZERO = Fraction(0)
 
 
 def _mix(weights, rows) -> tuple:
-    """sum_i weights[i] * rows[i], coordinate by coordinate, exactly."""
+    """sum_i weights[i] * rows[i], coordinate by coordinate, exactly; refused
+    unless there is one weight per row."""
+    if len(weights) != len(rows):
+        raise ConfigError(f"{len(weights)} weights for {len(rows)} rows")
     return tuple(sum(map(mul, weights, column), ZERO) for column in zip(*rows))
 
 
@@ -142,11 +146,6 @@ def compose_word_map(flow: FiniteFlow, word, s: int, t: int) -> tuple:
         step = flow.bank(tau)[word[tau - s]]
         current = tuple(step[x] for x in current)
     return current
-
-
-def ff_evolve(flow: FiniteFlow, word, s: int, t: int, state: int) -> int:
-    """Left-to-right composition of the step maps named by the word."""
-    return compose_word_map(flow, word, s, t)[state]
 
 
 def _check_words(flow: FiniteFlow, depth: int) -> None:
@@ -325,6 +324,9 @@ def conditional_expectation_check(
     probs = tuple(Fraction(p) for p in outcome_probs)
     if sum(probs, ZERO) != ONE or any(p < 0 for p in probs):
         raise ConfigError("outcome probabilities must be nonnegative and sum to 1 exactly")
+    for name, table in (("measures", measures), ("integrand rows", f_table)):
+        if len(table) != len(probs):
+            raise ConfigError(f"{len(table)} {name} for {len(probs)} outcomes")
     covered = sorted(w for block in partition for w in block)
     if covered != list(range(len(probs))):
         raise ConfigError("partition must be disjoint and exhaustive")
@@ -369,19 +371,16 @@ def independence_scenario_from_flow(flow: FiniteFlow, depth: int, split: int, f_
     if not (0 < split < depth):
         raise ConfigError("split must cut the word interior")
     _check_words(flow, depth)
-    # in lexicographic order the words of one prefix are contiguous, and each
-    # block runs through every suffix in lexicographic order: a word's measure
-    # is its suffix's, its probability its prefix's times its suffix's
-    symbols = range(flow.n_symbols)
-    prefixes = list(itertools.product(symbols, repeat=split))
-    suffixes = list(itertools.product(symbols, repeat=depth - split))
+    # each block is a prefix word, in lexicographic order, and runs through the
+    # maps phi(depth, split) of the suffix law: an outcome's probability is its
+    # prefix's times its map's, its measure the uniform one pushed by the map
+    *_, suffix_law = map_law(flow, depth, depth - split)
+    prefixes = list(itertools.product(range(flow.n_symbols), repeat=split))
     base = ExactMeasure.uniform(flow.n_states)
-    prefix_probs, suffix_probs = ([_word_prob(flow, w) for w in ws] for ws in (prefixes, suffixes))
-    probs = [p * q for p in prefix_probs for q in suffix_probs]
-    size = len(suffixes)
+    probs = [_word_prob(flow, w) * q for w in prefixes for q in suffix_law.values()]
+    size = len(suffix_law)
     partition = tuple(tuple(range(i, i + size)) for i in range(0, len(probs), size))
-    measures = tuple(base.pushforward(compose_word_map(flow, w, split, depth))
-                     for w in suffixes) * len(prefixes)
+    measures = tuple(map(base.pushforward, suffix_law)) * len(prefixes)
     prefix_f = [tuple(Fraction(1 + (chain(f_seed, *w, x) % 7), 8) for x in range(flow.n_states))
                 for w in prefixes]
     f_table = tuple(f for f in prefix_f for _ in range(size))
@@ -409,17 +408,19 @@ def ff_martingale_check(flow: FiniteFlow, t: int, f_values, depth: int,
     f_values = tuple(Fraction(f) for f in f_values)
     symbol_law = ExactMeasure(flow.probs)
 
-    def m_value(length: int, comp: tuple) -> Fraction:
-        """The integral of f against the family at t - length pushed by comp."""
-        return family.at(t - length).pushforward(comp).integral(f_values)
+    def values(d: int, law: dict) -> dict:
+        """{map: the integral of f against the family at t - d pushed by the map}."""
+        mu = family.at(t - d)
+        return {comp: mu.pushforward(comp).integral(f_values) for comp in law}
 
-    # a cylinder's value depends only on its (depth, map) pair: each pair is
-    # checked once, at d < depth, and map_law checks the limit at depth
+    # a cylinder's value depends only on its (depth, map) pair: each pair's
+    # value is built once, and map_law checks the limit before any map
+    tables = itertools.starmap(values, enumerate(map_law(flow, t, depth)))
     worst = ZERO
-    for d, law in enumerate(itertools.islice(map_law(flow, t, depth), depth)):
-        for comp in law:
-            deeper = [m_value(d + 1, c) for c in _after_step(flow, comp, t - d - 1)]
-            worst = max(worst, abs(symbol_law.integral(deeper) - m_value(d, comp)))
+    for d, (shallow, deep) in enumerate(itertools.pairwise(tables)):
+        for comp, value in shallow.items():
+            deeper = [deep[c] for c in _after_step(flow, comp, t - d - 1)]
+            worst = max(worst, abs(symbol_law.integral(deeper) - value))
     return MartingaleVerdict(worst == 0, worst, sum(flow.n_symbols**d for d in range(depth)))
 
 
@@ -448,14 +449,13 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     if depth < 1:
         raise ConfigError("the exact pullback needs a history depth of at least 1")
 
-    def pulled(length: int, comp: tuple) -> ExactMeasure:
-        return family.at(t - length).pushforward(comp)
-
     *_, shallow, deep = map_law(flow, t, depth)
+    at_depth, one_later = family.at(t - depth), family.at(t - depth + 1)
+    map_measures = {comp: (p, at_depth.pushforward(comp)) for comp, p in deep.items()}
+    shallow_measures = {comp: one_later.pushforward(comp) for comp in shallow}
     # each map at depth is a map at depth - 1 after one more step
-    gap = max(pulled(depth, child).tv_distance(pulled(depth - 1, comp))
-              for comp in shallow for child in _after_step(flow, comp, t - depth))
-    map_measures = {comp: (p, pulled(depth, comp)) for comp, p in deep.items()}
+    gap = max(map_measures[child][1].tv_distance(mu) for comp, mu in shallow_measures.items()
+              for child in _after_step(flow, comp, t - depth))
     all_sync = all(len(set(comp)) == 1 for comp in deep)
     mean = _mix(deep.values(), [mu.masses for _, mu in map_measures.values()])
     mean_ok = ExactMeasure(mean) == family.at(t)
@@ -472,7 +472,7 @@ def ff_select_trajectory(flow: FiniteFlow, word, start: int, times) -> list:
         )
     states = [image.pop()]
     for a, b in zip(times, times[1:]):
-        states.append(ff_evolve(flow, word[a - start:], a, b, states[-1]))
+        states.append(compose_word_map(flow, word[a - start:], a, b)[states[-1]])
     return states
 
 

@@ -26,7 +26,7 @@ def run_oracle(cfg: dict, report: RunReport):
     chap = fo.chapman_check(flow, -3, 1, 4)
     report.verdicts.append(Verdict("finite_oracle.chapman_exact", chap))
 
-    pull = fo.ff_pullback(flow, 0, min(depth, 10))
+    pull = fo.ff_pullback(flow, 0, depth)
     report.verdicts.append(Verdict("finite_oracle.pullback_mean_is_family",
                                    pull.mean_matches_family and pull.stabilized,
                                    str(pull.tv_gap), "0"))

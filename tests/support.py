@@ -1,12 +1,19 @@
 """Fixtures that the tests share and no run reads: reference flows, a constant
-measure family, the one-state form of ``evolve_batch``, a composition defect
-and the image of a measure under a state map."""
+measure family, the one-state form of ``evolve_batch``, a composition defect,
+the image of a measure under a state map and the independence scenario built
+word by word."""
+
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from stochflow.dyadic import DyadicTime
 from stochflow.errors import DivergenceError, StateError
+from stochflow.finite_oracle import ExactMeasure, compose_word_map
 from stochflow.flow_core import FlowModelBase, checked_grid_level, evolve_batch
+from stochflow.keyed import chain
 from stochflow.measure import EmpiricalMeasure, MeasureFamily
 
 
@@ -65,3 +72,20 @@ def pushforward(mu: EmpiricalMeasure, g) -> EmpiricalMeasure:
     if not np.all(np.isfinite(out)):
         raise StateError("state map produced non-finite output")
     return EmpiricalMeasure(out, mu.weights)
+
+
+def per_word_scenario(flow, depth: int, split: int, f_seed: int = 5):
+    """The independence scenario with one outcome per word of ``depth`` symbols, in
+    lexicographic order: its probability is the word's, its measure the uniform
+    measure pushed through its suffix's composed map, its integrand keyed on its
+    prefix, and each block holds the words of one prefix."""
+    words = list(itertools.product(range(flow.n_symbols), repeat=depth))
+    size = flow.n_symbols ** (depth - split)
+    base = ExactMeasure.uniform(flow.n_states)
+    return (
+        [math.prod((flow.probs[s] for s in w), start=Fraction(1)) for w in words],
+        tuple(tuple(range(i, i + size)) for i in range(0, len(words), size)),
+        tuple(base.pushforward(compose_word_map(flow, w[split:], split, depth)) for w in words),
+        tuple(tuple(Fraction(1 + (chain(f_seed, *w[:split], x) % 7), 8)
+                    for x in range(flow.n_states)) for w in words),
+    )

@@ -19,10 +19,19 @@ from stochflow.flow_core import evolve_ensemble
 from stochflow.keyed import chain
 from stochflow.measure import EmpiricalMeasure
 from stochflow.wiener import NoiseRealization, RealizationStream
-from support import ConstantFamily, evolve
+from support import ConstantFamily, evolve, per_word_scenario
 
 F = Fraction
 HALF = F(1, 2)
+
+
+@pytest.fixture
+def pushed(monkeypatch):
+    """The maps passed to ``ExactMeasure.pushforward`` from here on, in call order."""
+    push, maps = fo.ExactMeasure.pushforward, []
+    monkeypatch.setattr(fo.ExactMeasure, "pushforward",
+                        lambda mu, comp: maps.append(comp) or push(mu, comp))
+    return maps
 
 
 class TestConstruction:
@@ -68,22 +77,22 @@ class TestConstruction:
 class TestEvolve:
     def test_empty_word_is_identity(self):
         flow = fo.two_state_noisy()
-        assert fo.ff_evolve(flow, (), 3, 3, 1) == 1
+        assert fo.compose_word_map(flow, (), 3, 3)[1] == 1
 
     def test_identity_maps(self):
         flow = fo.identity_finite_flow(3)
-        assert fo.ff_evolve(flow, (0, 0, 0), 0, 3, 2) == 2
+        assert fo.compose_word_map(flow, (0, 0, 0), 0, 3)[2] == 2
 
     def test_synchronizing_constant_maps(self):
         flow = fo.synchronizing_pair()
         # symbol 0 sends everything to 0, symbol 1 to 1
         for start in (0, 1):
-            assert fo.ff_evolve(flow, (0,), 0, 1, start) == 0
-            assert fo.ff_evolve(flow, (1,), 0, 1, start) == 1
+            assert fo.compose_word_map(flow, (0,), 0, 1)[start] == 0
+            assert fo.compose_word_map(flow, (1,), 0, 1)[start] == 1
 
     def test_word_too_short(self):
         with pytest.raises(ConfigError):
-            fo.ff_evolve(fo.two_state_noisy(), (0,), 0, 2, 0)
+            fo.compose_word_map(fo.two_state_noisy(), (0,), 0, 2)[0]
 
     def test_word_map_reads_the_span_and_refuses_a_short_word(self):
         flow = fo.two_state_noisy()  # symbol 0 holds, 1 swaps
@@ -162,6 +171,14 @@ class TestKernels:
             for x in range(2):
                 mean[x] += p * nu.masses[x]
         assert fo.ExactMeasure(tuple(mean)) == fo.apply_kernel(mu, fo.kernel_between(flow, 0, 2))
+
+    def test_kernel_rows_need_one_weight_each(self):
+        three = fo.one_step_kernel(fo.cyclic_doubly_stochastic(3), 0)
+        two = fo.one_step_kernel(fo.two_state_noisy(), 0)
+        with pytest.raises(ConfigError, match="2 weights for 3 rows"):
+            fo.apply_kernel(fo.ExactMeasure.uniform(2), three)
+        with pytest.raises(ConfigError, match="3 weights for 2 rows"):
+            fo.kernel_product(three, two)
 
     def test_depth_limit(self):
         with pytest.raises(EnumerationLimitError):
@@ -293,44 +310,32 @@ class TestConditionalExpectation:
             with pytest.raises(ConfigError, match="nonnegative and sum to 1"):
                 fo.conditional_expectation_check(probs, ((0,), (1,)), meas, f_table)
 
-    def test_scenario_words_in_lexicographic_order(self):
+    def test_scenario_blocks_run_through_suffix_maps(self):
         flow = fo.period_two_alternating()
-        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 3, 1)
-        words = list(itertools.product(range(2), repeat=3))
-        assert probs == [math.prod(flow.probs[s] for s in w) for w in words]
-        assert part == tuple(tuple(i for i, w in enumerate(words) if w[0] == p) for p in (0, 1))
-        assert meas == tuple(
-            fo.ExactMeasure.uniform(3).pushforward(fo.compose_word_map(flow, w[1:], 1, 3))
-            for w in words
-        )
-        assert [ftab[i] for i in part[0]] == [ftab[part[0][0]]] * len(part[0])
+        depth, split = 5, 2
+        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, depth, split)
+        *_, law = fo.map_law(flow, depth, depth - split)  # the maps phi(5, 2)
+        prefixes = list(itertools.product(range(2), repeat=split))
+        size = len(law)
+        assert 1 < size < 2 ** (depth - split)  # fewer maps than suffix words
+        assert probs == [fo._word_prob(flow, w) * q for w in prefixes for q in law.values()]
+        assert part == tuple(tuple(range(i * size, (i + 1) * size)) for i in range(len(prefixes)))
+        assert meas == tuple(fo.ExactMeasure.uniform(3).pushforward(c) for c in law) * len(prefixes)
+        assert ftab == tuple(tuple(F(1 + (chain(5, *w, x) % 7), 8) for x in range(3))
+                             for w in prefixes for _ in law)
 
     @pytest.mark.parametrize("flow", [fo.two_state_noisy(), fo.period_two_alternating(),
                                       fo.synchronizing_pair()], ids=["noisy", "period2", "sync"])
-    def test_scenario_matches_a_per_word_construction(self, flow, monkeypatch):
-        # against each word's suffix map, measure and probability built on its
-        # own; the scenario composes each suffix's map, and weighs each prefix
-        # and each suffix, once
-        compose, word_prob = fo.compose_word_map, fo._word_prob
-        calls = []
-        monkeypatch.setattr(fo, "compose_word_map", lambda *a: calls.append(1) or compose(*a))
-        monkeypatch.setattr(fo, "_word_prob", lambda *a: calls.append(0) or word_prob(*a))
-        base = fo.ExactMeasure.uniform(flow.n_states)
-        n = flow.n_symbols
+    def test_scenario_matches_per_word_report(self, flow, monkeypatch):
+        # the reference has one outcome per word and composes each suffix on
+        # its own; the scenario composes no word at all
+        monkeypatch.setattr(fo, "compose_word_map", lambda *a: pytest.fail("a word was composed"))
         for depth in range(3, 9):
-            words = list(itertools.product(range(n), repeat=depth))
             for split in range(1, depth):
-                size = n ** (depth - split)
-                want = (
-                    [math.prod((flow.probs[s] for s in w), start=F(1)) for w in words],
-                    tuple(tuple(range(i, i + size)) for i in range(0, len(words), size)),
-                    tuple(base.pushforward(compose(flow, w[split:], split, depth)) for w in words),
-                    tuple(tuple(F(1 + (chain(5, *w[:split], x) % 7), 8)
-                                for x in range(flow.n_states)) for w in words),
-                )
-                calls.clear()
-                assert fo.independence_scenario_from_flow(flow, depth, split) == want
-                assert calls.count(1) == size and calls.count(0) == n ** split + size
+                want = fo.conditional_expectation_check(*per_word_scenario(flow, depth, split))
+                got = fo.independence_scenario_from_flow(flow, depth, split)
+                assert fo.conditional_expectation_check(*got) == want
+                assert want.independence_ok and want.max_residual == 0
 
     def test_scenario_past_the_limit_is_refused_before_any_word(self, monkeypatch):
         # 2**17 words: refused at once, as the map law refuses them
@@ -348,6 +353,15 @@ class TestConditionalExpectation:
         with pytest.raises(MeasurabilityError):
             fo.conditional_expectation_check(probs, part, meas,
                                              tuple(tuple(r) for r in bad))
+
+    def test_measures_and_integrand_rows_need_one_per_outcome(self):
+        flow = fo.two_state_noisy()
+        probs, part, meas, ftab = fo.independence_scenario_from_flow(flow, 4, 2)
+        n = len(probs)
+        with pytest.raises(ConfigError, match=f"{n - 1} measures for {n} outcomes"):
+            fo.conditional_expectation_check(probs, part, meas[:-1], ftab)
+        with pytest.raises(ConfigError, match=f"{n - 1} integrand rows for {n} outcomes"):
+            fo.conditional_expectation_check(probs, part, meas, ftab[:-1])
 
     def test_integrand_needs_one_value_per_state(self):
         flow = fo.two_state_noisy()
@@ -379,6 +393,13 @@ class TestMartingale:
         verdict = fo.ff_martingale_check(fo.period_two_alternating(), 1,
                                          (F(0), F(1), F(1, 2)), 8)
         assert verdict.ok
+
+    def test_one_pushed_measure_per_depth_and_map(self, pushed):
+        flow = fo.period_two_alternating()
+        sol = fo.ff_esm_solve(flow)
+        verdict = fo.ff_martingale_check(flow, 1, (F(0), F(1), F(1, 2)), 6, family=sol)
+        assert verdict.ok
+        assert pushed == [comp for law in fo.map_law(flow, 1, 6) for comp in law]
 
     def test_f_needs_one_value_per_state(self):
         for f_values in ((F(0),), (F(0), F(1), F(2))):
@@ -424,6 +445,13 @@ class TestPullbackRoundTrip:
         # one entry per map that some word composes to, weighted by its words
         assert {comp: p for comp, (p, _) in rep.map_measures.items()} == law
 
+    def test_one_measure_per_map_at_the_last_two_depths(self, pushed):
+        flow = fo.period_two_alternating()
+        sol = fo.ff_esm_solve(flow)
+        assert fo.ff_pullback(flow, 1, 6, family=sol).mean_matches_family
+        *_, shallow, deep = fo.map_law(flow, 1, 6)
+        assert pushed == list(deep) + list(shallow)
+
     def test_needs_one_symbol_of_history(self):
         with pytest.raises(ConfigError):
             fo.ff_pullback(fo.two_state_noisy(), 0, 0)
@@ -439,14 +467,14 @@ class TestAttractorAndSelection:
             assert len(sets[t]) == 1
         # invariance: evolving the earlier set forward gives the later set
         s0 = next(iter(sets[0]))
-        assert fo.ff_evolve(flow, word[4:6], 0, 2, s0) in sets[2]
+        assert fo.compose_word_map(flow, word[4:6], 0, 2)[s0] in sets[2]
 
     def test_selection_consistency_exact(self):
         flow = fo.synchronizing_pair()
         word = (1, 0, 0, 1, 1, 0, 1, 0, 0, 1)
         states = fo.ff_select_trajectory(flow, word, -5, [0, 2, 5])
-        assert fo.ff_evolve(flow, word[5:7], 0, 2, states[0]) == states[1]
-        assert fo.ff_evolve(flow, word[7:10], 2, 5, states[1]) == states[2]
+        assert fo.compose_word_map(flow, word[5:7], 0, 2)[states[0]] == states[1]
+        assert fo.compose_word_map(flow, word[7:10], 2, 5)[states[1]] == states[2]
 
     def test_words_short_of_the_span_are_refused(self):
         flow = fo.synchronizing_pair()

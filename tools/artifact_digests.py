@@ -37,7 +37,7 @@ _spec.loader.exec_module(bench_run)
 
 # nse grids the benchmark does not run: at 18 the n**2 scalings are inexact, 32 is larger
 NSE_RESOLUTIONS = (18, 32)
-# the oracle at the enumeration limit, 2**16 words: its deepest martingale check
+# the oracle at the enumeration limit, 2**16 words: its deepest martingale check and pullback
 ORACLE_DEPTH = 16
 
 
