@@ -72,7 +72,8 @@ class RunReport:
     kind: str
     config: dict
     verdicts: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)  # name -> text content
+    # name -> text content: a str, or an iterable of str pieces (read once) written in turn
+    tables: dict = field(default_factory=dict)
     wall_clock: float = 0.0
 
     @property
@@ -270,17 +271,24 @@ def run_experiment(cfg: dict) -> RunReport:
     return report
 
 
+def pieces(content):
+    """A table's text as the pieces it is written in: a str is one piece."""
+    return (content,) if isinstance(content, str) else content
+
+
 def write_outputs(report: RunReport, out_dir: str):
-    """Write the tables, then ``summary.json``.  Each file goes to a temporary
-    name in ``out_dir`` and is renamed onto its target, so a failed write
-    leaves every file whole: its new bytes or its old ones."""
+    """Write the tables, then ``summary.json``.  A table's pieces are written
+    one after another, so one formatted piece at a time is held, never the
+    whole text.  Each file goes to a temporary name in ``out_dir`` and is
+    renamed onto its target, so a failed write leaves every file whole: its
+    new bytes or its old ones."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in [*sorted(report.tables.items()), ("summary.json", report.summary_json())]:
         target = os.path.join(out_dir, name)
         tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w") as fh:
-                fh.write(content)
+                fh.writelines(pieces(content))
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

@@ -8,7 +8,6 @@ compare and hash identically regardless of how they were built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlignmentError, ResolutionError
 
@@ -36,10 +35,6 @@ class DyadicTime:
     def value(self) -> float:
         # Exact: |numerator| < 2**53 for all supported levels and horizons.
         return self.numerator * 2.0 ** (-self.level)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.level)
 
     @property
     def floor_int(self) -> int:

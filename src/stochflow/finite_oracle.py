@@ -50,9 +50,12 @@ ZERO = Fraction(0)
 
 def _mix(weights, rows) -> tuple:
     """sum_i weights[i] * rows[i], coordinate by coordinate, exactly; refused
-    unless there is one weight per row."""
+    unless there is one weight per row and the rows have one length."""
     if len(weights) != len(rows):
         raise ConfigError(f"{len(weights)} weights for {len(rows)} rows")
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise ConfigError(f"rows of unequal lengths {', '.join(map(str, sorted(lengths)))}")
     return tuple(sum(map(mul, weights, column), ZERO) for column in zip(*rows))
 
 

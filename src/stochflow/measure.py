@@ -24,9 +24,12 @@ to last, then takes the root; a pairwise or einsum sum would round otherwise,
 and the tests hold this order to a reference bit for bit.  The energy terms add
 the blocks' contributions in block order.
 
-``to_table`` formats each distinct bit pattern of a column once and joins each
-distinct row once, so a measure that has collapsed onto a few points costs a
-few conversions and joins, and one gather of the finished lines.
+``table_pieces`` formats each distinct bit pattern of a column once and joins
+each distinct row once, so a measure that has collapsed onto a few points
+costs a few conversions and joins; equal weights are one cell, formatted once.
+It then yields the text ``_PIECE`` rows at a time, each piece one gather of
+the finished lines, so that a file written from it holds one piece of the
+text, never the whole.  ``to_table`` is the pieces joined.
 """
 
 from __future__ import annotations
@@ -244,14 +247,34 @@ def mixture(measures, mix_weights) -> EmpiricalMeasure:
 # -- serialization ----------------------------------------------------------
 
 def to_table(mu: EmpiricalMeasure) -> str:
-    """Columnar text: one particle per row, weight first, 17 significant digits.
+    """Columnar text: one particle per row, weight first, 17 significant digits."""
+    return "".join(table_pieces(mu))
+
+
+def table_pieces(mu: EmpiricalMeasure):
+    """``to_table``'s text, ``_PIECE`` rows at a time, formatted on the first
+    ``next``; the measure is not held while the pieces are yielded."""
+    lines, row = _distinct_lines(mu)
+    del mu
+    for start in range(0, row.size, _PIECE):
+        yield "".join(lines[row[start:start + _PIECE]].tolist())
+
+
+def _distinct_lines(mu: EmpiricalMeasure):
+    """Each distinct row's line, newline included, and each row's line number.
 
     ``%.17g`` runs once per distinct bit pattern of a column (0.0 != -0.0), and
-    each distinct row is joined once.
+    each distinct row is joined once.  Equal weights are one cell, formatted
+    once, that adds nothing to the row ids.
     """
     texts, inverses = [], []
     row, rows = np.zeros(mu.size, dtype=np.int64), 1
-    for col in (mu.weights, *mu.particles.T):
+    columns = (mu.weights, *mu.particles.T)
+    if mu._equal_weights:
+        texts.append(np.array(["%.17g" % float(mu.weights[0])], dtype=object))
+        inverses.append(np.broadcast_to(np.intp(0), (mu.size,)))
+        columns = columns[1:]
+    for col in columns:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         texts.append(np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
                               dtype=object))
@@ -263,10 +286,8 @@ def to_table(mu: EmpiricalMeasure) -> str:
     rep[row] = np.arange(mu.size)  # any row with that id: all its columns agree
     parts = [text[inverse[rep]].tolist() for text, inverse in zip(texts, inverses)]
     del inverses  # not held through the join below
-    # each line ends in its newline: appending one to the joined text would
-    # copy the whole text once more
-    lines = np.array([" ".join(cells) + "\n" for cells in zip(*parts)], dtype=object)
-    return "".join(lines[row].tolist())
+    # each line ends in its newline, so that the pieces join with nothing between
+    return np.array([" ".join(cells) + "\n" for cells in zip(*parts)], dtype=object), row
 
 
 def _number_distinct(ids: np.ndarray, bound: int):

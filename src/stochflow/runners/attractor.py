@@ -43,4 +43,4 @@ def run_attractor(cfg: dict, report: RunReport):
     )
     cloud = _refused(cfg, ("deterministic_rate",),  # a cloud that blew up is no measure
                      lambda: ms.EmpiricalMeasure.equal_weight(cloud_t.particles))
-    report.tables["cloud.tsv"] = ms.to_table(cloud)
+    report.tables["cloud.tsv"] = ms.table_pieces(cloud)

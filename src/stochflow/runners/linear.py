@@ -40,7 +40,7 @@ def run_pullback(cfg: dict, report: RunReport):
                                    len(diag.distances), note=diag.message))
     rows = list(zip([s.value for s in diag.starts_used[1:]], map(float, diag.distances)))
     report.tables["distances.csv"] = _fmt_rows(("start", "distance"), rows)
-    report.tables["measure.tsv"] = ms.to_table(mu)
+    report.tables["measure.tsv"] = ms.table_pieces(mu)
 
     rels = []
     for s, (source, got) in zip(diag.starts_used, diag.spreads):

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -356,6 +357,32 @@ def test_collapsing_pullback_writes_the_reference_tables(tmp_path):
     got = np.array([float(row.split(",")[1]) for row in rows])
     want = np.array([_old_distance_1d(a, b) for a, b in pairs])
     assert len(rows) == 5 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_writing_a_collapsed_measure_never_holds_its_text_twice(tmp_path):
+    # from the pulled-back measure's return through the write, the live peak
+    # stays below twice the size of measure.tsv: a whole text held in the
+    # report and encoded whole once more for the write reaches that on its own
+    n = 1 << 16
+    cfg = {"kind": "pullback", "seed": 11, "particles": n, "schedule.tol": 0.001}
+    pullback_measure = esm.pullback_measure
+
+    def measure_spy(*args):
+        result = pullback_measure(*args)
+        tracemalloc.reset_peak()
+        return result
+
+    with mock.patch.object(esm, "pullback_measure", measure_spy):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli.write_outputs(run_experiment(cfg), str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    text = (tmp_path / "measure.tsv").stat().st_size
+    assert np.unique((tmp_path / "measure.tsv").read_text().splitlines()).size < n // 8
+    assert peak < 2 * text
 
 
 def test_attractor_experiment(tmp_path, capsys):

@@ -180,6 +180,13 @@ class TestKernels:
         with pytest.raises(ConfigError, match="3 weights for 2 rows"):
             fo.kernel_product(three, two)
 
+    def test_ragged_rows_are_refused_not_truncated(self):
+        identity = ((F(1), F(0)), (F(0), F(1)))
+        with pytest.raises(ConfigError, match="rows of unequal lengths 2, 3"):
+            fo.kernel_product(identity, ((1, 0, 0), (0, 1)))
+        with pytest.raises(ConfigError, match="rows of unequal lengths 1, 2"):
+            fo.apply_kernel(fo.ExactMeasure.uniform(2), ((F(1),), (F(0), F(1))))
+
     def test_depth_limit(self):
         with pytest.raises(EnumerationLimitError):
             fo.ff_pullback(fo.two_state_noisy(), 0, 40)

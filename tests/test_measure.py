@@ -16,6 +16,7 @@ from stochflow.measure import (
     distance,
     gaussian_draw,
     mixture,
+    table_pieces,
     to_table,
 )
 from stochflow.dyadic import dyadic
@@ -453,6 +454,25 @@ def test_to_table_matches_row_formatter_when_distinct_counts_multiply_past_2_63(
     mu = _mk(np.concatenate((pts, pts)), np.concatenate((w, np.roll(w, 1))))
     assert [np.unique(c).size for c in (mu.weights, *mu.particles.T)] == [256] * 9
     assert to_table(mu) == _table_rows(mu)
+
+
+def _piece_measure(n, kind):
+    rng = np.random.default_rng(n)
+    if kind.startswith("tie-heavy"):  # signed zeros, subnormals and few values in all
+        weights = None if kind.endswith("equal") else rng.choice([0.25, 0.25, 1.0], n)
+        return _mk(rng.choice(_TABLE_POOL, size=(n, 2)), weights)
+    return _mk(rng.normal(size=n), None if kind == "equal" else rng.random(n) + 0.5)
+
+
+@pytest.mark.parametrize("kind", ["equal", "unequal", "tie-heavy", "tie-heavy-equal"])
+@pytest.mark.parametrize("n", [measure._PIECE - 1, measure._PIECE, measure._PIECE + 1,
+                               2 * measure._PIECE + 1])
+def test_table_pieces_join_to_the_row_formatter(n, kind):
+    mu = _piece_measure(n, kind)
+    pieces = list(table_pieces(mu))
+    assert [piece.count("\n") for piece in pieces] == [
+        min(measure._PIECE, n - start) for start in range(0, n, measure._PIECE)]
+    assert "".join(pieces) == to_table(mu) == _table_rows(mu)
 
 
 def test_families_are_deterministic_and_distinct():

@@ -58,8 +58,11 @@ def digests(seed: int):
     for label, cfg in runs(seed):
         report = cli.run_experiment(cfg)
         files = {"summary.json": report.summary_json(), **report.tables}
-        for name, text in sorted(files.items()):
-            yield label, name, hashlib.sha256(text.encode()).hexdigest()
+        for name, content in sorted(files.items()):
+            digest = hashlib.sha256()
+            for piece in cli.pieces(content):
+                digest.update(piece.encode())
+            yield label, name, digest.hexdigest()
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,9 @@ benchmark's pullback, at 2^18 particles with ``schedule.tol = 0.001`` and
 seed 1; another ``kind`` starts from its own defaults at seed 1.  The config runs twice in this process through ``stochflow.cli``,
 each time with its outputs written to a temporary directory, and with the
 pullback's stages wrapped: each source sample, each ``evolve_batch``, each
-``spread``, each ``distance``, ``to_table`` and the write.  The first run is
+``spread``, each ``distance`` and the write.  A run's tables are formatted
+piece by piece as they are written (``measure.table_pieces``), so the write
+stage holds the formatting of ``measure.tsv`` too.  The first run is
 untraced and reads ``ru_maxrss``, the process's peak resident memory so far,
 after each stage.  The second runs under ``tracemalloc``.  For each stage
 call the script prints the live memory held when the call began, the live
@@ -41,7 +43,7 @@ GEOMETRY = {"kind": "pullback", "seed": 1, "particles": 1 << 18, "schedule.tol":
 MB = 1 << 20  # as the benchmark's peak_rss_mb
 STAGES = ((measure.GaussianFamily, "sample", "sample"), (esm, "evolve_batch", "evolve"),
           (measure.EmpiricalMeasure, "spread", "spread"), (esm, "distance", "distance"),
-          (measure, "to_table", "to_table"), (cli, "write_outputs", "write"))
+          (cli, "write_outputs", "fmt+write"))
 CALLS: list = []  # (stage, held, peak, after, ru_maxrss) per wrapped call
 PEAK = [0]  # the live peak over the traced run: each stage resets tracemalloc's
 
