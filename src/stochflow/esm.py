@@ -262,27 +262,25 @@ def attractor_invariance_residual(
 def pullback_points(model: FlowModelBase, omegas, schedule: PullbackSchedule) -> np.ndarray:
     """The collapsed pullback state at the anchor, one row per realization.
 
-    Contracting case: ``pullback_ensemble`` pushes two probes, the all-zeros
-    and all-ones states, from each start in turn, for every row still running.
-    A row leaves once its probes have collapsed, and stopped moving, at two
-    starts in a row; a row that never does means the attractor is not a single
-    point, and the construction is refused.
-    Finite-flow lifts are delegated to their exact synchronization-based selector.
+    ``pullback_ensemble`` pushes the model's ``probe_states`` from each start
+    in turn, for every row still running.  A row leaves once its probes'
+    images lie within the tolerance of the first probe's image, and have
+    stopped moving, at two starts in a row; the point is the first probe's
+    image.  A row that never does means the attractor is not a single point,
+    and the construction is refused.  On a finite lift the probes are every
+    state, so collapse is exact synchronization.
     """
     t = schedule.anchor
     omegas = tuple(omegas)
-    exact = getattr(model, "exact_select_states", None)
-    if exact is not None:
-        return np.array([np.asarray(exact(o, [t], schedule), float)[0] for o in omegas])
     tol = schedule.tol
-    probes = np.repeat([[0.0], [1.0]], model.state_dim, axis=1)
+    probes = model.probe_states()
     out = np.empty((len(omegas), model.state_dim))
     hits = np.zeros(len(omegas), dtype=int)
     seen = np.zeros(len(omegas), dtype=bool)
     prev = np.zeros((len(omegas),) + probes.shape)
 
     def keep_running(rows, imgs):
-        coll = np.linalg.norm(imgs[:, 0] - imgs[:, 1], axis=-1)
+        coll = np.max(np.linalg.norm(imgs - imgs[:, :1], axis=-1), axis=1)
         move = np.max(np.linalg.norm(imgs - prev[rows], axis=2), axis=1)
         hits[rows] = np.where(seen[rows] & (coll < tol) & (move < tol), hits[rows] + 1, 0)
         seen[rows], prev[rows] = True, imgs

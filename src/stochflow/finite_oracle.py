@@ -12,12 +12,14 @@ state by state.  Every enumeration passes one limit check, ``_check_words``,
 before it builds a word or a map.  The pullback, the martingale check and the
 independence scenario read ``map_law``, the law of the maps composed over the
 words that end at an anchor; only the scenario's prefixes enumerate words.
-The lift and the selected trajectory compose a word through
-``compose_word_map``, which refuses a word too short for its span.
+The lift composes a word through ``compose_word_map``, which refuses a word
+too short for its span.
 
-``FiniteFlowLift`` embeds a finite flow as a flow model, and its
-``exact_select_states`` gives ``esm.pullback_points`` the exact pullback
-point; no run reads the lift yet.
+``FiniteFlowLift`` embeds a finite flow as a flow model.  Its probe states
+are every state, so ``esm.pullback_points`` runs its one collapse-and-stop
+rule on the lift and stops once the composed map is constant: exact
+synchronization, the coalescence that coupling from the past detects.  No
+run reads the lift yet.
 """
 
 from __future__ import annotations
@@ -465,20 +467,6 @@ def ff_pullback(flow: FiniteFlow, t: int, depth: int,
     return PullbackExactReport(all_sync, gap, all_sync or gap == 0, mean_ok, map_measures)
 
 
-def ff_select_trajectory(flow: FiniteFlow, word, start: int, times) -> list:
-    """Exact selected trajectory on a synchronizing history window."""
-    times = sorted(times)
-    image = set(compose_word_map(flow, word, start, times[0]))
-    if len(image) != 1:
-        raise UnsupportedCaseError(
-            "history window does not synchronize; selection is not determined"
-        )
-    states = [image.pop()]
-    for a, b in zip(times, times[1:]):
-        states.append(compose_word_map(flow, word[a - start:], a, b)[states[-1]])
-    return states
-
-
 # -- canned flows ----------------------------------------------------------------
 
 def two_state_noisy() -> FiniteFlow:
@@ -644,6 +632,10 @@ class FiniteFlowLift(FlowModelBase):
         u = uniform_from_keys(chain_offsets(key, np.arange(s, t)))
         return tuple(np.searchsorted(self._cum, u).tolist())
 
+    def probe_states(self) -> np.ndarray:
+        """Every state: their images collapse exactly when the composed map is constant."""
+        return np.arange(self.flow.n_states, dtype=float)[:, None]
+
     def evolve_batch(self, omega, s: DyadicTime, t: DyadicTime, states):
         s_i, t_i = s.at_level(0), t.at_level(0)
         comp = compose_word_map(self.flow, self.word_for(omega, s_i, t_i), s_i, t_i)
@@ -653,10 +645,3 @@ class FiniteFlowLift(FlowModelBase):
         if bad.size:
             raise ConfigError(f"state {rows[bad[0], 0]} is not a valid state index")
         return np.asarray(comp, dtype=float)[x.astype(np.intp), None]
-
-    def exact_select_states(self, omega, times, schedule) -> np.ndarray:
-        t_ints = [t.at_level(0) for t in times]
-        start = min(schedule.starts).at_level(0)
-        word = self.word_for(omega, start, max(t_ints))
-        states = ff_select_trajectory(self.flow, word, start, t_ints)
-        return np.array([[float(x)] for x in states])

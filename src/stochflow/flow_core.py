@@ -14,6 +14,9 @@ rows (``wiener.increment_rows``).  Either way a row equals the one-realization
 ``evolve_batch`` bit-for-bit, so the estimators of ``esm`` give a loop's bits.
 ``pullback_ensemble`` pushes the same states from ever earlier starts, as
 the pullback needs; its images equal one ``evolve_ensemble`` per start.
+The states that ``esm.pullback_points`` pushes so are the model's
+``probe_states``: the all-zeros and all-ones states unless a model names its
+own, as the finite lift names every state.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ class FlowModelBase:
     def evolve_batch(self, omega: NoiseRealization, s: DyadicTime, t: DyadicTime,
                      states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def probe_states(self) -> np.ndarray:
+        """The (n, state_dim) states a pullback point is read from, once all
+        their images collapse: here the all-zeros and all-ones states."""
+        return np.repeat([[0.0], [1.0]], self.state_dim, axis=1)
 
     def evolve_ensemble(self, omegas, s: DyadicTime, t: DyadicTime, states) -> np.ndarray:
         """Map an (R, n, state_dim) array: row r rides ``omegas[r]``."""

@@ -1,7 +1,7 @@
 """Fixtures that the tests share and no run reads: reference flows, a constant
 measure family, the one-state form of ``evolve_batch``, a composition defect,
-the image of a measure under a state map and the independence scenario built
-word by word."""
+the image of a measure under a state map, the independence scenario built
+word by word and the exact selected trajectory of a finite flow."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from stochflow.dyadic import DyadicTime
-from stochflow.errors import DivergenceError, StateError
+from stochflow.errors import DivergenceError, StateError, UnsupportedCaseError
 from stochflow.finite_oracle import ExactMeasure, compose_word_map
 from stochflow.flow_core import FlowModelBase, checked_grid_level, evolve_batch
 from stochflow.keyed import chain
@@ -89,3 +89,19 @@ def per_word_scenario(flow, depth: int, split: int, f_seed: int = 5):
         tuple(tuple(Fraction(1 + (chain(f_seed, *w[:split], x) % 7), 8)
                     for x in range(flow.n_states)) for w in words),
     )
+
+
+def ff_select_trajectory(flow, word, start: int, times) -> list:
+    """The exact selected trajectory at ``times`` of a finite flow: the one state
+    that the word's map from ``start`` to the first time takes every state to,
+    carried forward by the word; refused when that map is not constant."""
+    times = sorted(times)
+    image = set(compose_word_map(flow, word, start, times[0]))
+    if len(image) != 1:
+        raise UnsupportedCaseError(
+            "history window does not synchronize; selection is not determined"
+        )
+    states = [image.pop()]
+    for a, b in zip(times, times[1:]):
+        states.append(compose_word_map(flow, word[a - start:], a, b)[states[-1]])
+    return states

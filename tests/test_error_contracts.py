@@ -91,6 +91,14 @@ def test_select_trajectory_refuses_non_singleton_attractor():
         pullback_point(ScalarExpFlow(0.0, 6), OM, sched)
 
 
+def test_lift_pullback_point_refuses_an_off_grid_start():
+    # the start -1/2 lies off the lift's integer grid, as evolve_batch refuses it
+    lift = fo.FiniteFlowLift(fo.synchronizing_pair())
+    sched = PullbackSchedule(dyadic(0), (dyadic(-1, 1), dyadic(-3)))
+    with pytest.raises(AlignmentError, match="level-0 grid"):
+        pullback_point(lift, NoiseRealization(17, 0), sched)
+
+
 def test_finite_flow_lift_rejects_bad_state():
     lift = fo.FiniteFlowLift(fo.two_state_noisy())
     with pytest.raises(ConfigError):
@@ -113,8 +121,9 @@ _TIMED = {
     # trajectory selection: the pullback point at the schedule's anchor
     "select_trajectory": lambda m, a, b, c: pullback_point(m, OM, PullbackSchedule(b, (a, a - 1))),
 }
-_TIME_MODELS = {"exp": ScalarExpFlow(-1.0, 6), "linear": LinearOUModel(rate=1.0, sigma=0.5)}
-_BAD_PAIRS = {  # times (a, b, c) on the level-6 models above
+_TIME_MODELS = {"exp": ScalarExpFlow(-1.0, 6), "linear": LinearOUModel(rate=1.0, sigma=0.5),
+                "lift": fo.FiniteFlowLift(fo.synchronizing_pair())}
+_BAD_PAIRS = {  # times (a, b, c); b of the off-grid pair lies off every grid up to level 6
     "s_after_t": (dyadic(1), dyadic(0), dyadic(2)),
     "off_grid": (dyadic(0), dyadic(1, 7), dyadic(1)),
 }

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from stochflow import wiener
+from stochflow import finite_oracle as fo, wiener
 from stochflow.dyadic import DyadicTime, dyadic
 from stochflow.errors import (AlignmentError, ConfigError, OrderingError, StateError,
                              UnsupportedCaseError)
@@ -42,7 +43,7 @@ from stochflow.measure import (
 from stochflow.models import linear
 from stochflow.models.linear import FourierForcing, LinearOUModel
 from stochflow.wiener import NoiseRealization, RealizationStream
-from support import ConstantFamily, GuardTripFlow, ShiftFlow
+from support import ConstantFamily, GuardTripFlow, ShiftFlow, ff_select_trajectory
 
 OM = NoiseRealization(314, 0)
 T0 = dyadic(0)
@@ -423,14 +424,33 @@ def test_pullback_ensemble_checks_every_start_before_the_first_image():
         pullback_ensemble(model, [OM], [dyadic(-1), DyadicTime(-257, 7)], T0, probes, never)
 
 
-def test_pullback_points_delegate_finite_lifts():
-    from stochflow import finite_oracle as fo
-    lift = fo.FiniteFlowLift(fo.synchronizing_pair())
-    sched = PullbackSchedule.geometric(T0, 6, dyadic(1))
-    omegas = [NoiseRealization(9, i) for i in range(5)]
+@pytest.mark.parametrize("depth", [6, 8])
+@pytest.mark.parametrize("flow", [fo.synchronizing_pair(), fo.period_two_alternating()],
+                         ids=["synchronizing_pair", "period_two_alternating"])
+def test_pullback_points_on_finite_lifts_are_the_exact_selection(flow, depth):
+    # the generic collapse-and-stop rule, run on every state of the lift, picks
+    # the state that the composed map from the deepest start is constant at
+    lift = fo.FiniteFlowLift(flow)
+    sched = PullbackSchedule.geometric(T0, depth, dyadic(1))
+    deepest = sched.starts[-1].at_level(0)
+    omegas = RealizationStream(9).take(200)
     got = pullback_points(lift, omegas, sched)
-    for omega, row in zip(omegas, got):
-        assert np.array_equal(row, pullback_point(lift, omega, sched))
+    want = [ff_select_trajectory(flow, lift.word_for(om, deepest, 0), deepest, [0])
+            for om in omegas]
+    assert got.tolist() == want
+
+
+def test_pullback_points_on_a_lift_push_every_state():
+    # states 0 and 1 merge at the first step and state 2 never joins them: the
+    # all-zeros and all-ones probes collapse, and every state does not
+    flow = fo.FiniteFlow(3, (F(1, 2), F(1, 2)), (((0, 0, 2), (1, 1, 2)),))
+    lift = fo.FiniteFlowLift(flow)
+    sched = PullbackSchedule.geometric(T0, 6, dyadic(1))
+    omega = NoiseRealization(9, 0)
+    with pytest.raises(UnsupportedCaseError, match="^realization 0: "):
+        pullback_points(lift, [omega], sched)
+    with mock.patch.object(lift, "probe_states", lambda: np.array([[0.0], [1.0]])):
+        assert pullback_points(lift, [omega], sched).tolist() == [[0.0]]
 
 
 class TestEsmMeanResidual:

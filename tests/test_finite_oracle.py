@@ -19,10 +19,17 @@ from stochflow.flow_core import evolve_ensemble
 from stochflow.keyed import chain
 from stochflow.measure import EmpiricalMeasure
 from stochflow.wiener import NoiseRealization, RealizationStream
-from support import ConstantFamily, evolve, per_word_scenario
+from support import ConstantFamily, evolve, ff_select_trajectory, per_word_scenario
 
 F = Fraction
 HALF = F(1, 2)
+# a shift of the time index by a step or two changes which bank acts
+PERIOD_THREE = fo.FiniteFlow(3, (F(1, 3), F(2, 3)), (((0, 0, 1), (1, 2, 2)),
+                                                     ((2, 0, 1), (0, 1, 1)),
+                                                     ((1, 1, 0), (2, 0, 2))), period=3)
+# a time-periodic family that the flow does not keep: nonzero residuals and gaps
+DRIFTING = fo.EsmSolution(True, (fo.ExactMeasure.uniform(3), fo.ExactMeasure.point(3, 0),
+                                 fo.ExactMeasure((HALF, HALF, F(0)))), (), "not stationary")
 
 
 @pytest.fixture
@@ -40,8 +47,9 @@ class TestConstruction:
             fo.FiniteFlow(2, (HALF, F(1, 3)), (((0, 1), (1, 0)),))
 
     def test_maps_must_be_total(self):
-        with pytest.raises(ConfigError):
-            fo.FiniteFlow(2, (HALF, HALF), (((0, 5), (1, 0)),))
+        for image in (5, 2, -1):  # 2: one past the last state
+            with pytest.raises(ConfigError, match="total on the state set"):
+                fo.FiniteFlow(2, (HALF, HALF), (((0, image), (1, 0)),))
 
     def test_exact_measure_validation(self):
         with pytest.raises(ConfigError):
@@ -105,9 +113,40 @@ class TestEvolve:
             fo.compose_word_map(flow, (1, 1), 2, 1)
 
 
+def _words(flow, depth):
+    return itertools.product(range(flow.n_symbols), repeat=depth)
+
+
+def _pushed(flow, family, word, t):
+    """The family at t - len(word) pushed through the word's map to t."""
+    return family.at(t - len(word)).pushforward(fo.compose_word_map(flow, word, t - len(word), t))
+
+
+def _pullback_by_words(flow, t, depth, family):
+    """``ff_pullback``'s map measures and gap, word by word: each map's words
+    summed, and the gap over every word and its suffix one symbol shorter."""
+    measures, gap = {}, F(0)
+    for word in _words(flow, depth):
+        comp, mu = fo.compose_word_map(flow, word, t - depth, t), _pushed(flow, family, word, t)
+        measures[comp] = (measures.get(comp, (F(0),))[0] + fo._word_prob(flow, word), mu)
+        gap = max(gap, mu.tv_distance(_pushed(flow, family, word[1:], t)))
+    return measures, gap
+
+
+def _martingale_by_words(flow, t, f, depth, family):
+    """``ff_martingale_check``'s residual, cylinder by cylinder: the largest gap
+    between the integral of f against a suffix word's measure and its average
+    over one more symbol of history."""
+    def value(word):
+        return _pushed(flow, family, word, t).integral(f)
+    return max(abs(sum(p * value((a,) + w) for a, p in enumerate(flow.probs)) - value(w))
+               for d in range(depth) for w in _words(flow, d))
+
+
 class TestMapLaw:
     FLOWS = (fo.period_two_alternating(),
-             fo.FiniteFlow(3, (F(1, 5), F(0), F(4, 5)), (((1, 2, 0), (0, 0, 2), (2, 2, 1)),)))
+             fo.FiniteFlow(3, (F(1, 5), F(0), F(4, 5)), (((1, 2, 0), (0, 0, 2), (2, 2, 1)),)),
+             PERIOD_THREE)
 
     @pytest.mark.parametrize("flow", FLOWS)
     def test_each_map_weighs_the_words_that_compose_to_it(self, flow):
@@ -143,6 +182,10 @@ class TestMapLaw:
                 fo.ff_martingale_check(flow, 0, (F(0), F(1)), depth)
         with pytest.raises(ConfigError):
             next(fo.map_law(flow, 0, -1))
+
+    def test_depth_zero_is_the_identity_alone(self):
+        for flow in self.FLOWS:
+            assert list(fo.map_law(flow, 0, 0)) == [{tuple(range(flow.n_states)): 1}]
 
 
 class TestKernels:
@@ -344,6 +387,11 @@ class TestConditionalExpectation:
                 assert fo.conditional_expectation_check(*got) == want
                 assert want.independence_ok and want.max_residual == 0
 
+    def test_split_must_cut_the_word_interior(self):
+        for split in (0, 4, -1):
+            with pytest.raises(ConfigError, match="interior"):
+                fo.independence_scenario_from_flow(fo.two_state_noisy(), 4, split)
+
     def test_scenario_past_the_limit_is_refused_before_any_word(self, monkeypatch):
         # 2**17 words: refused at once, as the map law refuses them
         monkeypatch.setattr(itertools, "product",
@@ -400,6 +448,15 @@ class TestMartingale:
         verdict = fo.ff_martingale_check(fo.period_two_alternating(), 1,
                                          (F(0), F(1), F(1, 2)), 8)
         assert verdict.ok
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_period_three_flow_matches_the_cylinders_word_by_word(self, t):
+        f, depth = (F(0), F(1), F(1, 2)), 5
+        for family in (fo.ff_esm_solve(PERIOD_THREE), DRIFTING):
+            verdict = fo.ff_martingale_check(PERIOD_THREE, t, f, depth, family=family)
+            assert verdict.max_residual == _martingale_by_words(PERIOD_THREE, t, f, depth, family)
+            assert verdict.ok == (family is not DRIFTING)
+            assert verdict.cylinders_checked == 2**depth - 1
 
     def test_one_pushed_measure_per_depth_and_map(self, pushed):
         flow = fo.period_two_alternating()
@@ -459,6 +516,17 @@ class TestPullbackRoundTrip:
         *_, shallow, deep = fo.map_law(flow, 1, 6)
         assert pushed == list(deep) + list(shallow)
 
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_period_three_flow_matches_the_words(self, t):
+        depth = 5
+        for family in (fo.ff_esm_solve(PERIOD_THREE), DRIFTING):
+            rep = fo.ff_pullback(PERIOD_THREE, t, depth, family=family)
+            measures, gap = _pullback_by_words(PERIOD_THREE, t, depth, family)
+            assert rep.map_measures == measures
+            assert rep.tv_gap == gap > 0
+            assert rep.all_synchronized == all(len(set(comp)) == 1 for comp in measures)
+            assert rep.mean_matches_family == (family is not DRIFTING)
+
     def test_needs_one_symbol_of_history(self):
         with pytest.raises(ConfigError):
             fo.ff_pullback(fo.two_state_noisy(), 0, 0)
@@ -479,7 +547,7 @@ class TestAttractorAndSelection:
     def test_selection_consistency_exact(self):
         flow = fo.synchronizing_pair()
         word = (1, 0, 0, 1, 1, 0, 1, 0, 0, 1)
-        states = fo.ff_select_trajectory(flow, word, -5, [0, 2, 5])
+        states = ff_select_trajectory(flow, word, -5, [0, 2, 5])
         assert fo.compose_word_map(flow, word[5:7], 0, 2)[states[0]] == states[1]
         assert fo.compose_word_map(flow, word[7:10], 2, 5)[states[1]] == states[2]
 
@@ -488,14 +556,14 @@ class TestAttractorAndSelection:
         with pytest.raises(ConfigError):  # covers 2 of the 8 steps to time 4
             fo.compose_word_map(flow, (0, 1), -4, 4)
         with pytest.raises(ConfigError):  # 1 of the 4 steps to time 0
-            fo.ff_select_trajectory(flow, (1,), -4, [0])
+            ff_select_trajectory(flow, (1,), -4, [0])
         with pytest.raises(ConfigError):
             fo.compose_word_map(flow, (0, 1) * 4, 0, -1)
 
     def test_selection_requires_synchronization(self):
         flow = fo.two_state_noisy()  # bijections never synchronize
         with pytest.raises(UnsupportedCaseError):
-            fo.ff_select_trajectory(flow, (0, 1) * 6, -6, [0, 2])
+            ff_select_trajectory(flow, (0, 1) * 6, -6, [0, 2])
 
 
 class TestCounterexamples:
@@ -584,15 +652,18 @@ class TestLift:
         assert abs(est - exact) <= 4 * se
 
     def test_exact_selection_through_esm_interface(self):
-        lift = fo.FiniteFlowLift(fo.synchronizing_pair())
+        flow = fo.synchronizing_pair()
+        lift = fo.FiniteFlowLift(flow)
         times = [dyadic(0), dyadic(2), dyadic(3)]
         sched = PullbackSchedule.geometric(dyadic(0), 4, 2)
+        start = sched.starts[-1].at_level(0)
         for r in range(8):  # the selected point carried forward is the exact trajectory
             om = NoiseRealization(21, r)
             states = [pullback_point(lift, om, sched)]
             for a, b in zip(times, times[1:]):
                 states.append(evolve(lift, om, a, b, states[-1]))
-            assert np.array_equal(states, lift.exact_select_states(om, times, sched))
+            word = lift.word_for(om, start, 3)
+            assert [x for (x,) in states] == ff_select_trajectory(flow, word, start, [0, 2, 3])
 
     def test_pullback_measure_on_lift_reproduces_exact_family(self):
         # synchronizing lift: the pullback measure collapses to the exact

@@ -31,9 +31,9 @@ RUN_DIRS = (ROOT / "bench", ROOT / "tools")
 # Definitions that no run reads yet, each with the reason it stays.  Their
 # bodies count as reached, so what they read stays too.
 EXCEPTIONS = {
-    "FiniteFlowLift": "ROADMAP item 11 step B: pullback points on the lift, checked "
+    "FiniteFlowLift": "ROADMAP item 11(c): pullback points on the lift, checked "
                       "against the exact law in a run of its own",
-    "synchronizing_pair": "ROADMAP item 11 step B: the lift's synchronizing example",
+    "synchronizing_pair": "ROADMAP item 11(c): the lift's synchronizing example",
     "martingale_trace": "ROADMAP item 12: the pitchfork kind's semigroup -> flow check",
     "MartingaleTrace": "ROADMAP item 12: what martingale_trace returns",
     "coordinate": "ROADMAP item 12: a bounded function for martingale_trace",
