@@ -96,13 +96,16 @@ def pullback_measure(
     iterate distances fall below the schedule tolerance.
 
     Divergent flows produce a non-convergence report, not an exception; a
-    blow-up guard trip is likewise reported.
+    blow-up guard trip is likewise reported, with the previous start's iterate.
+    Once the next start's push succeeds, no path returns the previous
+    iterate, so a 1D iterate is then held only as its
+    ``measure.SortedSupport``, which is all the next distance reads.
     """
     previous = None
     distances: list[float] = []
     used: list[DyadicTime] = []
     spreads: list[tuple] = []
-    for k, s in enumerate(schedule.starts):
+    for s in schedule.starts:
         rho = family.sample(s, n_particles)
         try:
             pushed = evolve_batch(model, omega, s, schedule.anchor, rho.particles)
@@ -110,6 +113,8 @@ def pullback_measure(
             diag = PullbackDiagnostics(used, spreads, distances, False, f"blow-up: {err}")
             return previous, diag
         current = EmpiricalMeasure(pushed, rho.weights)
+        if previous is not None and previous.dim == 1:
+            previous = previous._sorted_1d
         used.append(s)
         spreads.append((rho.spread(), current.spread()))
         del pushed, rho  # current holds copies; neither is held through the merge below

@@ -6,16 +6,21 @@ weighted particle sets; it is zero iff the two discrete distributions
 coincide, and its square root satisfies the triangle inequality.  In 1D it
 is ``2 * integral of (F - G)^2`` over the merged sorted support, a sum of
 non-negative terms, so it is exactly >= 0.  Each measure keeps its 1D support
-run-length encoded: its distinct values in ascending order, each with its
-particles' weights added to 0.0 one at a time, smallest first.  A measure
-whose weights are all equal sorts its values alone, with no index, and shares
-its weights array when no value repeats.  A distance merges the two supports
-piece by piece into one array of values and one of signed weights; a value
+run-length encoded, as a ``SortedSupport``: its distinct values in ascending
+order, each with its particles' weights added to 0.0 one at a time, smallest
+first.  A measure whose weights are all equal sorts its values alone, with no
+index, and keeps no weight per value: one table of running sums ``[0, w,
+w+w, ...]`` and each value's particle count in the smallest unsigned dtype,
+or no counts when no value repeats, so a support never holds the measure's
+n weights.  A support stands in for its measure in ``distance``, which is how
+the pullback holds its previous iterate.  A distance merges the two supports
+piece by piece into one array of values and one of signed weights, each
+piece's weights filled from the table with one ``take`` or one fill; a value
 both hold becomes one point of weight ``w_a + (-w_b)``.  The sums are those of
 sorting every particle of both measures afresh and adding each tied run's
 weights per measure, so the bits are too.  A 1D distance holds 16 bytes per
 merged point and one piece beyond the two supports; a pullback at 2^16 to
-2^18 particles peaks below 100 bytes per particle.
+2^18 particles peaks below 80 bytes per particle.
 
 For d > 1 no n x m distance matrix is built: ``_pair_distances`` yields the
 matrix in blocks of ``_BLOCK_ROWS`` rows, so memory grows with n + m.  Each
@@ -106,24 +111,16 @@ class EmpiricalMeasure:
         return bool(self.weights.min() == self.weights.max())
 
     @cached_property
-    def _sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values of the first coordinate in ascending order and
-        the weight of each, read-only; ``particles`` is read-only, so this
-        cannot go stale.  A value's weight is its particles' weights added to
-        0.0 one at a time, smallest first; a value of one particle keeps that
-        particle's weight."""
+    def _sorted_1d(self) -> "SortedSupport":
+        """The support of the first coordinate; ``particles`` is read-only, so
+        this cannot go stale.  Equal weights sort the values alone, with no
+        index."""
         if self._equal_weights:
-            z, w = np.sort(self.particles[:, 0]), self.weights
-        else:
-            order = np.argsort(self.particles[:, 0])
-            z, w = self.particles[order, 0], self.weights[order]
-            del order
-        new = z[1:] != z[:-1]
-        if not new.all():
-            z, w = _runs(z, w, new, self._equal_weights)
-        z.setflags(write=False)
-        w.setflags(write=False)
-        return z, w
+            return _support(np.sort(self.particles[:, 0]), self.weights[0])
+        order = np.argsort(self.particles[:, 0])
+        z, w = self.particles[order, 0], self.weights[order]
+        del order
+        return _support(z, w)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.particles
@@ -141,31 +138,79 @@ class EmpiricalMeasure:
         return float(np.sqrt(self.weights @ squares))
 
 
+class SortedSupport:
+    """The distinct values of a 1D measure in ascending order, each with its
+    particles' weights added to 0.0 one at a time, smallest first; a value of
+    one particle keeps that particle's weight.  ``size`` counts the particles.
+
+    Weights of their own are one array, a weight per value.  Equal weights w
+    are one table of running sums ``[0, w, w+w, ...]`` and, when a value
+    repeats, each value's particle count in the smallest unsigned dtype, so a
+    value of k particles weighs ``table[k]``.  The arrays are read-only.  The
+    support answers ``dim`` and ``size`` as its measure does, and is its own
+    ``_sorted_1d``, so ``distance`` takes it in the measure's place.
+    """
+
+    dim = 1
+
+    def __init__(self, values: np.ndarray, size: int, weights: np.ndarray | None = None,
+                 table: np.ndarray | None = None, counts: np.ndarray | None = None):
+        for a in (values, weights, table, counts):
+            if a is not None:
+                a.setflags(write=False)
+        self.values, self.size = values, size
+        self.weights, self.table, self.counts = weights, table, counts
+
+    @property
+    def _sorted_1d(self) -> "SortedSupport":
+        return self
+
+    def fill_weights(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Write the weights of the values ``start:stop`` into ``out``."""
+        if self.weights is not None:
+            out[:] = self.weights[start:stop]
+        elif self.counts is None:
+            out.fill(self.table[1])
+        else:  # clip: raise would buffer the output; every count is in the table
+            self.table.take(self.counts[start:stop], out=out, mode="clip")
+        return out
+
+
+def _support(z: np.ndarray, w) -> SortedSupport:
+    """The support of the sorted values ``z``: ``w`` is their weights in the
+    same order or, when all are equal, the one weight."""
+    size = z.size
+    new = z[1:] != z[:-1]
+    start = None if new.all() else np.flatnonzero(np.concatenate(([True], new)))
+    del new
+    if np.ndim(w):
+        if start is not None:
+            run = np.repeat(np.arange(start.size), np.diff(start, append=size))
+            z, w = z[start], np.bincount(run, w[np.lexsort((w, run))], minlength=start.size)
+        return SortedSupport(z, size, weights=w)
+    if start is None:
+        return SortedSupport(z, size, table=np.array([0.0, w]))
+    count = np.diff(start, append=size)
+    table = np.full(int(count.max()) + 1, w)
+    table[0] = 0.0
+    np.cumsum(table, out=table)  # adds one weight at a time, as a run of k adds k copies
+    return SortedSupport(z[start], size, table=table,
+                         counts=count.astype(np.min_scalar_type(table.size - 1)))
+
+
 def distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Energy distance between two weighted particle measures."""
+    """Energy distance between two weighted particle measures; a 1D measure's
+    ``SortedSupport`` stands in for it."""
     if mu.dim != nu.dim:
         raise StateError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.dim == 1:
-        return _distance_1d(*mu._sorted_1d, *nu._sorted_1d)
+        return _distance_1d(mu._sorted_1d, nu._sorted_1d)
     return float(2.0 * _mean_pair_distance(mu, nu) - _mean_pair_distance(mu, mu)
                  - _mean_pair_distance(nu, nu))
 
 
-def _runs(z: np.ndarray, w: np.ndarray, new: np.ndarray, equal: bool):
-    """Each run of equal sorted values as its first value and the run's weight,
-    added to 0.0 one at a time, smallest first.  When the weights are
-    ``equal``, a run of k adds k copies of one weight, read from one table of
-    running sums."""
-    start = np.flatnonzero(np.concatenate(([True], new)))
-    count = np.diff(start, append=z.size)
-    if equal:
-        return z[start], np.cumsum(np.full(count.max(), w[0]))[count - 1]
-    run = np.repeat(np.arange(start.size), count)
-    return z[start], np.bincount(run, w[np.lexsort((w, run))], minlength=start.size)
-
-
-def _distance_1d(za: np.ndarray, wa: np.ndarray, zb: np.ndarray, wb: np.ndarray) -> float:
-    """``2 * integral of (F - G)^2`` for two supports without ties of their own.
+def _distance_1d(a: SortedSupport, b: SortedSupport) -> float:
+    """``2 * integral of (F - G)^2`` for two supports.
 
     The supports merge piece by piece into one array of values and one of
     signed weights.  A piece takes up to ``_PIECE`` points of each support, cut
@@ -176,6 +221,7 @@ def _distance_1d(za: np.ndarray, wa: np.ndarray, zb: np.ndarray, wb: np.ndarray)
     points are then taken in place, so the distance holds the two merged
     arrays and one piece beyond the supports.
     """
+    za, zb = a.values, b.values
     na, nb = za.size, zb.size
     z, w = np.empty(na + nb), np.empty(na + nb)
     size = pa = pb = 0  # merged points written; a's and b's points read
@@ -189,8 +235,8 @@ def _distance_1d(za: np.ndarray, wa: np.ndarray, zb: np.ndarray, wb: np.ndarray)
         order = np.argsort(piece, kind="stable")
         zs, ws = z[size:size + piece.size], w[size:size + piece.size]
         piece.take(order, out=zs, mode="clip")  # clip: raise would buffer the output
-        piece[:ea - pa] = wa[pa:ea]
-        np.negative(wb[pb:eb], out=piece[ea - pa:])
+        a.fill_weights(pa, ea, piece[:ea - pa])
+        np.negative(b.fill_weights(pb, eb, piece[ea - pa:]), out=piece[ea - pa:])
         piece.take(order, out=ws, mode="clip")
         pa, pb = ea, eb
         pair = np.flatnonzero(zs[1:] == zs[:-1])
@@ -325,11 +371,17 @@ class GaussianFamily(MeasureFamily):
 
     def sample(self, t: DyadicTime, n: int) -> EmpiricalMeasure:
         base = chain(_TAG_SAMPLE, self.salt, t.numerator, t.level)
-        pts = self.mean_fn(t.value) + self.std * gauss_range(base, n)
-        return EmpiricalMeasure.equal_weight(pts[:, None])
+        # scaled in place: IEEE products and sums commute, so these are the
+        # bits of mean + std * z
+        z = gauss_range(base, n)
+        z *= self.std
+        z += self.mean_fn(t.value)
+        return EmpiricalMeasure.equal_weight(z[:, None])
 
 
 def gaussian_draw(mean: float, std: float, n: int, salt: int) -> EmpiricalMeasure:
     """Fixed-time deterministic Gaussian sample (1D)."""
     z = gauss_range(chain(_TAG_SAMPLE, salt), n)
-    return EmpiricalMeasure.equal_weight((mean + std * z)[:, None])
+    z *= std  # in place, as GaussianFamily.sample
+    z += mean
+    return EmpiricalMeasure.equal_weight(z[:, None])

@@ -1,7 +1,8 @@
-"""Fixtures that the tests share and no run reads: reference flows, a constant
-measure family, the one-state form of ``evolve_batch``, a composition defect,
-the image of a measure under a state map, the independence scenario built
-word by word and the exact selected trajectory of a finite flow."""
+"""Fixtures that the tests share and no run reads: reference flows, flows that
+trip a blow-up guard, a constant measure family, the one-state form of
+``evolve_batch``, a composition defect, the image of a measure under a state
+map, the independence scenario built word by word and the exact selected
+trajectory of a finite flow."""
 
 import itertools
 import math
@@ -37,6 +38,22 @@ class GuardTripFlow(FlowModelBase):
 
     def evolve_batch(self, omega, s, t, states):
         raise DivergenceError("state norm exceeded the guard at step 0", step=0)
+
+
+class DeepGuardTripFlow(ShiftFlow):
+    """``ShiftFlow`` on ``state_dim`` coordinates from starts at or after
+    ``before``; from an earlier start it trips a norm guard, as
+    ``GuardTripFlow`` does on every call."""
+
+    def __init__(self, before: DyadicTime, state_dim: int = 1, grid_level: int = 6):
+        super().__init__(grid_level)
+        self.before = before
+        self.state_dim = state_dim
+
+    def evolve_batch(self, omega, s, t, states):
+        if s < self.before:
+            raise DivergenceError("state norm exceeded the guard at step 0", step=0)
+        return super().evolve_batch(omega, s, t, states)
 
 
 class ConstantFamily(MeasureFamily):

@@ -2,6 +2,7 @@ import ast
 import errno
 import filecmp
 import importlib.util
+import itertools
 import json
 import os
 import resource
@@ -132,6 +133,31 @@ def test_seed_sweep_ratio_is_the_distance_from_the_target():
     assert sweep.ratio(cli.Verdict("band", False, 2.0, 0.5, target=1.0)) == 2.0
     assert sweep.ratio(cli.Verdict("flag", True)) is None
     assert sweep.ratio(cli.Verdict("zero", True, 1.0, 0.0)) is None
+
+
+def test_ab_pairs_claim_needs_nine_wins_in_ten_and_a_gap_past_the_parents_quartiles():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_pairs.py")
+    spec = importlib.util.spec_from_file_location("ab_pairs", path)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    parent = [float(x) for x in range(1, 11)]  # quartiles 2.75 and 8.25: 5.5 apart
+    s = ab.summarize(parent, [p - 6.0 for p in parent], "lower")
+    assert s["parent"] == (2.75, 5.5, 8.25) and s["change"] == (-3.25, -0.5, 2.25)
+    assert (s["wins"], s["pairs"], s["claim"]) == (10, 10, True)
+    # a gap of exactly the quartile distance is not past it
+    assert not ab.summarize(parent, [p - 5.5 for p in parent], "lower")["claim"]
+    # nine wins in ten hold, eight do not; a tie is no win
+    nine = [p - 6.0 for p in parent[:9]] + [parent[9]]
+    assert ab.summarize(parent, nine, "lower")["wins"] == 9
+    assert ab.summarize(parent, nine, "lower")["claim"]
+    eight = nine[:8] + [parent[8] + 1.0, parent[9]]
+    assert ab.summarize(parent, eight, "lower")["wins"] == 8
+    assert not ab.summarize(parent, eight, "lower")["claim"]
+    # higher is better: the same numbers the other way round
+    s = ab.summarize([p - 6.0 for p in parent], parent, "higher")
+    assert (s["wins"], s["claim"]) == (10, True)
+    assert ab.summarize(parent, [p - 6.0 for p in parent], "higher")["wins"] == 0
+    assert ab.summarize([5.0], [4.0], "lower")["claim"]  # one pair: quartiles are its value
 
 
 def test_each_rule_passes_at_its_bound_and_fails_on_nan():
@@ -335,27 +361,31 @@ def test_collapsing_pullback_writes_the_reference_tables(tmp_path):
     # the contracting flow collapses the deep-start measures onto few points
     path = _write(tmp_path, "p.cfg",
                   "kind = pullback\nseed = 1\nparticles = 4096\nschedule.tol = 0.001\n")
-    results, pairs = [], []
-    pullback_measure, distance = esm.pullback_measure, esm.distance
+    # each iterate is recorded as the pullback builds it: the pullback itself
+    # keeps only the previous iterate's support
+    results, iterates = [], []
+    pullback_measure, measure = esm.pullback_measure, esm.EmpiricalMeasure
 
     def measure_spy(*args):
         results.append(pullback_measure(*args))
         return results[-1]
 
-    def distance_spy(mu, nu):
-        pairs.append((mu, nu))
-        return distance(mu, nu)
+    def iterate_spy(*args):
+        iterates.append(measure(*args))
+        return iterates[-1]
 
     out = tmp_path / "out"
     with mock.patch.object(esm, "pullback_measure", measure_spy), \
-            mock.patch.object(esm, "distance", distance_spy):
+            mock.patch.object(esm, "EmpiricalMeasure", iterate_spy):
         assert main(["--config", path, "--out", str(out)]) in (0, 1)
     (mu, _diag), = results
+    assert mu is iterates[-1]
     assert np.unique(mu.particles).size < mu.size
     assert (out / "measure.tsv").read_text() == _table_rows(mu)
     rows = (out / "distances.csv").read_text().splitlines()[1:]
     got = np.array([float(row.split(",")[1]) for row in rows])
-    want = np.array([_old_distance_1d(a, b) for a, b in pairs])
+    # each distance is from the new iterate to the one before it
+    want = np.array([_old_distance_1d(b, a) for a, b in itertools.pairwise(iterates)])
     assert len(rows) == 5 and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

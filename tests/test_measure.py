@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,18 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
+def _support_arrays(support):
+    """The arrays a ``SortedSupport`` holds: its values, and its weights or its
+    table of running sums and, when a value repeats, its counts."""
+    return [a for a in (support.values, support.weights, support.table, support.counts)
+            if a is not None]
+
+
+def _value_weights(support):
+    """Each value's weight, as ``distance`` fills them in."""
+    return support.fill_weights(0, support.values.size, np.empty(support.values.size))
+
+
 @given(tied_pairs(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_distance_1d_equals_the_unsorted_form_bit_for_bit(pair, rnd):
@@ -206,7 +219,7 @@ def test_distance_1d_equals_the_unsorted_form_bit_for_bit(pair, rnd):
     for a, b in ((mu, nu), (nu, mu), (shuffled, nu), (nu, shuffled), (mu, shuffled), (mu, mu)):
         for _ in range(2):  # the second call reads both cached sorted supports
             assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
-    for cached in mu._sorted_1d:
+    for cached in _support_arrays(mu._sorted_1d):
         with pytest.raises(ValueError):
             cached[0] = 1.0
 
@@ -227,7 +240,7 @@ def test_equal_weight_distance_equals_the_unsorted_form_bit_for_bit(n, m):
     for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu), (mu, mu)):
         assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
     for measure in (mu, other):
-        for cached in measure._sorted_1d:
+        for cached in _support_arrays(measure._sorted_1d):
             with pytest.raises(ValueError):
                 cached[0] = 1.0
 
@@ -252,11 +265,14 @@ def test_collapsed_distance_equals_the_unsorted_form_bit_for_bit(pool):
         for b in measures:  # both orders, and each measure with itself
             assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
     for mu in (equal, unequal, zeros):
-        z, w = mu._sorted_1d  # one entry per distinct value; 0.0 and -0.0 are one
+        support = mu._sorted_1d  # one entry per distinct value; 0.0 and -0.0 are one
+        z, w = support.values, _value_weights(support)
         assert z.size == w.size == np.unique(mu.particles[:, 0]).size <= len(pool)
-        for cached in (z, w):
+        if support.counts is not None:
+            assert support.counts.size == z.size and support.counts.sum() == n
+        for cached in _support_arrays(support):
             with pytest.raises(ValueError):
-                cached[0] = 1.0
+                cached[0] = 1
 
 
 @pytest.mark.parametrize("n", [measure._PIECE - 1, measure._PIECE + 1, 3 * measure._PIECE + 5])
@@ -271,6 +287,60 @@ def test_distance_merged_over_many_pieces_equals_the_unsorted_form_bit_for_bit(n
     plain = _mk(rng.normal(size=n))
     for a, b in ((equal, unequal), (unequal, equal), (equal, plain), (plain, unequal)):
         assert _bits(distance(a, b)) == _bits(_old_distance_1d(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, measure._PIECE - 1, measure._PIECE + 1])
+def test_a_support_stands_in_for_its_measure_bit_for_bit(n):
+    rng = np.random.default_rng(n + 7)
+
+    def pools():
+        grid = rng.integers(0, max(n // 4, 1), n) * 0.25
+        return {"equal": (rng.normal(size=n), None),
+                "unequal": (rng.normal(size=n), rng.random(n) + 0.01),
+                "tie-heavy": (np.where(rng.random(n) < 0.5, grid, rng.normal(size=n)), None),
+                "collapsed": (rng.choice(_COLLAPSED_POOLS[0], n), None),
+                "collapsed-unequal": (rng.choice(_COLLAPSED_POOLS[0], n), rng.random(n) + 0.01)}
+    left, right = pools(), pools()
+    for name, (pa, wa) in left.items():
+        for other, (pb, wb) in right.items():
+            label = f"{name} vs {other}"
+            mu, nu = _mk(pa, wa), _mk(pb, wb)
+            want = _bits(distance(mu, nu))
+            assert want == _bits(_old_distance_1d(mu, nu)), label
+            # fresh measures of the same particles: the support is built anew
+            fresh_mu, fresh_nu = _mk(pa, wa), _mk(pb, wb)
+            support = fresh_nu._sorted_1d
+            assert (support.dim, support.size) == (1, n)
+            for a in _support_arrays(support):  # no n-long array of the measure is pinned
+                assert not np.shares_memory(a, fresh_nu.weights)
+                assert not np.shares_memory(a, fresh_nu.particles)
+            ref = weakref.ref(fresh_nu)
+            del fresh_nu
+            assert ref() is None
+            assert _bits(distance(fresh_mu, support)) == want, label
+            assert _bits(distance(support, _mk(pa, wa))) == _bits(distance(nu, mu)), label
+            assert _bits(distance(support, support)) == 0
+    with pytest.raises(StateError, match="dimension mismatch"):
+        distance(EmpiricalMeasure.equal_weight(np.zeros((n, 2))), support)
+
+
+@pytest.mark.parametrize("repeats, dtype", [(1, None), (2, np.uint8), (255, np.uint8),
+                                            (256, np.uint16), (65536, np.uint32)])
+def test_equal_weight_support_counts_in_the_smallest_unsigned_dtype(repeats, dtype):
+    # the first value repeats; the other two stand alone
+    mu = _mk(np.concatenate(([0.5, -2.0], np.full(repeats, 1.0))))
+    support = mu._sorted_1d
+    w = mu.weights[0]
+    assert support.values.tolist() == [-2.0, 0.5, 1.0] and support.weights is None
+    if dtype is None:
+        assert support.counts is None and support.table.tolist() == [0.0, w]
+    else:
+        assert support.counts.dtype == dtype and support.counts.tolist() == [1, 1, repeats]
+        total = 0.0  # a run of k weighs k copies of the weight added to 0.0 one at a time
+        for k in range(repeats + 1):
+            assert _bits(support.table[k]) == _bits(total)
+            total += w
+    assert _value_weights(support).tolist() == [w, w, support.table[repeats]]
 
 
 def _energy_exact(mu, nu):
@@ -336,7 +406,7 @@ def test_tie_heavy_distance_holds_the_merge_and_one_piece():
     rng = np.random.default_rng(16)
     mu = _mk(np.where(rng.random(n) < 0.5, np.round(rng.normal(size=n), 2), rng.normal(size=n)))
     nu = _mk(np.round(rng.normal(size=n), 2), rng.random(n) + 0.01)
-    merged = mu._sorted_1d[0].size + nu._sorted_1d[0].size  # supports made, and kept
+    merged = mu._sorted_1d.values.size + nu._sorted_1d.values.size  # supports made, and kept
     tracemalloc.start()
     try:
         distance(mu, nu)
